@@ -1,11 +1,20 @@
 """Character tables of finite groups and the representation ring.
 
-Tables are computed by the classical prime-field method: class-algebra
-structure constants, simultaneous eigenvectors over F_q with q = 1 mod exp(G)
-and q > 2*sqrt(|G|), then lifting to exact cyclotomic values by inverse
-discrete Fourier transform against a fixed element of order exp(G) in F_q.
-Abelian groups take a direct fast path.  Every produced table is verified
-against exact row orthogonality before it is returned.
+Tables are computed by the classical prime-field method (Dixon 1967, as
+revised by Schneider 1990): class-algebra structure constants, simultaneous
+eigenvectors over F_q with q = 1 mod exp(G) and q > 2*sqrt(|G|), then lifting
+each value to an exact cyclotomic number by an inverse discrete Fourier
+transform of length m, the order of the class representative, against
+theta^(exp(G)/m) for a fixed element theta of order exp(G) in F_q.  Abelian
+groups take a direct fast path.  Every produced table is verified against
+the orthogonality identity X diag(|C|) conj(X)^T = |G| I before it is
+returned.
+
+Inner products, the orthogonality check and the representation-ring
+constants run on the integer kernel of stacky.cyclo: each row is converted
+once to integer exponent vectors over zeta_e, conjugation negates exponents,
+and each inner product is reduced modulo Phi_e and divided by |G| once.
+Rows stay Cyclotomic values.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, _exponent_vector, _reduce_exponents
 from .errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError
 from .perms import (
     DEFAULT_ELEMENT_CAP,
@@ -73,7 +82,6 @@ def character_table(G: FiniteGroup, *, cap: int = DEFAULT_ELEMENT_CAP) -> Charac
     else:
         raw_rows = _prime_field_characters(G, classes)
 
-    e = G.exponent()
     ident_idx = next(i for i, c in enumerate(classes) if c.order == 1)
     decorated = []
     for row in raw_rows:
@@ -84,10 +92,16 @@ def character_table(G: FiniteGroup, *, cap: int = DEFAULT_ELEMENT_CAP) -> Charac
     trivial = [row for deg, row in decorated if deg == 1 and all(v == 1 for v in row)]
     if len(trivial) != 1:
         raise RuntimeError("internal error: trivial character not found exactly once")
-    rest = [(deg, row) for deg, row in decorated if row is not trivial[0]]
-    rest.sort(key=lambda t: (t[0], tuple(v.sort_key(e) for v in t[1])))
-    rows = (tuple(trivial[0]),) + tuple(tuple(row) for _, row in rest)
-    degrees = (1,) + tuple(deg for deg, _ in rest)
+    # order by degree, then by the values' coefficients at conductor exp(G),
+    # the lcm of the class orders (as Cyclotomic.sort_key gives them), read
+    # off the integer kernel over one common denominator
+    K = _KernelRows([row for _, row in decorated])
+    keys = [(deg, tuple(tuple(_reduce_exponents(v, K.conductor)) for v in vecs))
+            for (deg, _), vecs in zip(decorated, K.vecs)]
+    rest = sorted((i for i, (_, row) in enumerate(decorated) if row is not trivial[0]),
+                  key=keys.__getitem__)
+    rows = (tuple(trivial[0]),) + tuple(tuple(decorated[i][1]) for i in rest)
+    degrees = (1,) + tuple(decorated[i][0] for i in rest)
 
     table = CharacterTable(G, classes, rows, degrees)
     _verify_table(table)
@@ -98,44 +112,53 @@ def inner_product(T: CharacterTable, phi: ClassFunction, psi: ClassFunction) -> 
     """(1/|G|) sum over classes of |class| * phi * conj(psi); must come out rational."""
     if len(phi) != len(T.classes) or len(psi) != len(T.classes):
         raise ValueError("class functions must be indexed by the table's classes")
-    total = Cyclotomic.from_rational(0)
-    for c, x, y in zip(T.classes, phi, psi):
-        xv = x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)
-        yv = y if isinstance(y, Cyclotomic) else Cyclotomic.from_rational(y)
-        total = total + xv * yv.conjugate() * c.size
-    total = total / T.group.order
-    if not total.is_rational():
-        raise NotRationalError(f"inner product {total} is not rational")
-    return total.rational_part()
+    xs = [_as_cyclotomic(v) for v in phi]
+    ys = [_as_cyclotomic(v) for v in psi]
+    e = math.lcm(*(v.conductor for v in xs + ys))
+    xv, dx = _exponent_vector(xs, e)
+    yv, dy = _exponent_vector(ys, e)
+    acc = _pairing(T.classes, xv, yv, e)
+    return _rational_value(acc, e, T.group.order * dx * dy, e)
 
 
 def rep_ring(T: CharacterTable) -> RepresentationRing:
     """Structure constants of the representation ring, fully verified."""
     r = T.rank
-    constants = []
+    K = _KernelRows(T.rows)
+    e, den, order = K.conductor, K.den, T.group.order
+    constants = [[()] * r for _ in range(r)]
     for i in range(r):
-        row_i = []
-        for j in range(r):
-            prod = tuple(T.rows[i][c] * T.rows[j][c] for c in range(len(T.classes)))
+        for j in range(i, r):
+            # chi_i * chi_j on every class: exponents add
+            prod = []
+            for x, y in zip(K.vecs[i], K.vecs[j]):
+                terms: dict[int, int] = {}
+                for a, u in x:
+                    for b, w in y:
+                        k = (a + b) % e
+                        terms[k] = terms.get(k, 0) + u * w
+                prod.append(tuple(terms.items()))
             coeffs = []
             for k in range(r):
-                n = inner_product(T, prod, T.rows[k])
+                acc = _pairing(T.classes, prod, K.vecs[k], e)
+                n = _rational_value(acc, e, order * den ** 3,
+                                    math.lcm(K.conductors[i], K.conductors[j], K.conductors[k]))
                 if n.denominator != 1 or n < 0:
                     raise NonIntegralConstantError(
                         f"constant for ({i},{j},{k}) is {n}, not a nonnegative integer")
                 coeffs.append(int(n))
             # pointwise identity chi_i * chi_j = sum_k n_k chi_k on every class
             for c in range(len(T.classes)):
-                recon = Cyclotomic.from_rational(0)
+                diff = list(prod[c])
                 for k in range(r):
                     if coeffs[k]:
-                        recon = recon + T.rows[k][c] * coeffs[k]
-                if not recon == prod[c]:
+                        diff.extend((a, -den * coeffs[k] * u) for a, u in K.vecs[k][c])
+                if any(_reduce_exponents(diff, e)):
                     raise NonIntegralConstantError(
                         f"product of rows {i},{j} does not re-expand on class {c}")
-            row_i.append(tuple(coeffs))
-        constants.append(tuple(row_i))
-    return RepresentationRing(T, tuple(constants))
+            # chi_i * chi_j = chi_j * chi_i exactly, so (j, i) repeats (i, j)
+            constants[i][j] = constants[j][i] = tuple(coeffs)
+    return RepresentationRing(T, tuple(tuple(row) for row in constants))
 
 
 def _verify_table(T: CharacterTable) -> None:
@@ -144,11 +167,63 @@ def _verify_table(T: CharacterTable) -> None:
         raise RuntimeError("internal error: row count differs from class count")
     if sum(d * d for d in T.degrees) != T.group.order:
         raise RuntimeError("internal error: degree squares do not sum to the group order")
+    # X diag(|C|) conj(X)^T = |G| I; the matrix is Hermitian, so i <= j suffices
+    K = _KernelRows(T.rows)
+    scale = T.group.order * K.den ** 2
     for i in range(r):
         for j in range(i, r):
-            expect = Fraction(1 if i == j else 0)
-            if inner_product(T, T.rows[i], T.rows[j]) != expect:
+            acc = _pairing(T.classes, K.vecs[i], K.vecs[j], K.conductor)
+            n = _rational_value(acc, K.conductor, scale,
+                                math.lcm(K.conductors[i], K.conductors[j]))
+            if n != (1 if i == j else 0):
                 raise RuntimeError(f"internal error: rows {i},{j} fail orthogonality")
+
+
+# ---------------------------------------------------------------------------
+# Exact class-function arithmetic on the integer kernel of stacky.cyclo.
+
+def _as_cyclotomic(v: Union[Cyclotomic, int, Fraction]) -> Cyclotomic:
+    return v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v)
+
+
+class _KernelRows:
+    """Table rows converted once: per-class exponent vectors over zeta_e, e the
+    lcm of every value's conductor, over one common denominator."""
+
+    def __init__(self, rows: Sequence[Sequence[Cyclotomic]]):
+        self.conductors = [math.lcm(*(v.conductor for v in row)) for row in rows]
+        self.conductor = math.lcm(*self.conductors)
+        flat, self.den = _exponent_vector([v for row in rows for v in row], self.conductor)
+        width = len(rows[0]) if rows else 0
+        self.vecs = [flat[i * width:(i + 1) * width] for i in range(len(rows))]
+
+
+def _pairing(classes, xs, ys, e: int) -> list[int]:
+    """sum over classes of |class| * x * conj(y), unreduced: entry k is the
+    integer coefficient of zeta_e^k.  Conjugation negates exponents."""
+    acc = [0] * e
+    for c, x, y in zip(classes, xs, ys):
+        s = c.size
+        for a, u in x:
+            su = s * u
+            for b, w in y:
+                acc[(a - b) % e] += su * w
+    return acc
+
+
+def _rational_value(acc: list[int], e: int, scale: int, conductor: int) -> Fraction:
+    """The value (sum_k acc[k] zeta_e^k) / scale, which must be rational.
+
+    The reduction runs at ``conductor``, a divisor of e whose field holds
+    every term: the lcm of the conductors of the values paired, which is the
+    conductor the error message has always been rendered at.
+    """
+    step = e // conductor
+    coeffs = _reduce_exponents(((k // step, c) for k, c in enumerate(acc) if c), conductor)
+    if any(coeffs[1:]):
+        total = Cyclotomic(conductor, (Fraction(c, scale) for c in coeffs))
+        raise NotRationalError(f"inner product {total} is not rational")
+    return Fraction(coeffs[0], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +276,20 @@ def _abelian_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]
     if len(phases_of) != G.order:
         raise RuntimeError("internal error: abelian character count mismatch")
 
+    # each value is a root of unity zeta_m^k, m the order of the class; build
+    # each distinct one once
+    roots: dict[tuple[int, int], Cyclotomic] = {}
     rows = []
     for values in phases_of:
         row = []
         for c in classes:
-            g = c.representative
-            sg = values[index[g]]
-            m = g.order()
-            assert sg % (e // m) == 0
-            row.append(Cyclotomic.zeta(m, sg // (e // m)))
+            sg = values[index[c.representative]]
+            step = e // c.order
+            assert sg % step == 0
+            key = (c.order, sg // step)
+            if key not in roots:
+                roots[key] = Cyclotomic.zeta(*key)
+            row.append(roots[key])
         rows.append(tuple(row))
     return rows
 
@@ -238,18 +318,15 @@ def _prime_field_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, .
     q = _choose_prime(e, n)
     theta = _element_of_order(q, e)
 
-    # power map: class of reps[i]^j for j in 0..e-1
+    # power map: class of reps[i]^j for j in 0..order(reps[i])-1
     power_class = []
     for rep in reps:
-        row = []
-        x = G.identity
         powers = []
+        x = G.identity
         for _ in range(rep.order()):
             powers.append(class_of[x])
             x = x * rep
-        for j in range(e):
-            row.append(powers[j % rep.order()])
-        power_class.append(row)
+        power_class.append(powers)
 
     # structure constants a[i][j][k] = #{x in C_i : x^-1 z_k in C_j}
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
@@ -297,33 +374,34 @@ def _prime_field_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, .
             raise RuntimeError("internal error: could not identify a character degree")
         chi_q = [deg * omega[i] % q * pow(sizes[i], -1, q) % q for i in range(r)]
 
-        row = [_lift_value(chi_q, power_class[i], reps[i].order(), e, q, theta, deg)
-               for i in range(r)]
+        row = [_lift_value(chi_q, power_class[i], e, q, theta, deg) for i in range(r)]
         rows.append(tuple(row))
     return rows
 
 
-def _lift_value(chi_q, powers, m, e, q, theta, deg) -> Cyclotomic:
-    """Recover sum of m-th roots of unity from its mod-q character values."""
-    e_inv = pow(e, -1, q)
-    theta_inv = pow(theta, -1, q)
+def _lift_value(chi_q, powers, e, q, theta, deg) -> Cyclotomic:
+    """Recover a sum of m-th roots of unity from its mod-q character values.
+
+    m = len(powers) is the order of the class representative g and powers[j]
+    the class of g^j.  The multiplicity of the eigenvalue zeta_m^t is an
+    inverse DFT of length m against theta^(e/m), an element of order m in F_q.
+    """
+    m = len(powers)
+    root_inv = pow(theta, -(e // m), q)
+    inv_powers = [pow(root_inv, u, q) for u in range(m)]
+    m_inv = pow(m, -1, q)
+    vals = [chi_q[c] for c in powers]
     mults = []
-    for k in range(e):
-        acc = 0
-        for j in range(e):
-            acc += chi_q[powers[j]] * pow(theta_inv, j * k % (q - 1), q)
-        mk = acc % q * e_inv % q
+    for t in range(m):
+        acc = sum(v * inv_powers[j * t % m] for j, v in enumerate(vals))
+        mk = acc % q * m_inv % q
         if mk > deg:
             raise RuntimeError(f"internal error: eigenvalue multiplicity {mk} exceeds degree {deg}")
         mults.append(mk)
-    step = e // m
-    if any(mults[k] for k in range(e) if k % step):
-        raise RuntimeError("internal error: lifted value is not in the expected subfield")
-    value = Cyclotomic.from_rational(0)
-    for t in range(m):
-        if mults[t * step]:
-            value = value + Cyclotomic.zeta(m, t) * mults[t * step]
-    return value
+    if sum(mults) != deg:
+        raise RuntimeError(
+            f"internal error: lifted multiplicities sum to {sum(mults)}, not the degree {deg}")
+    return Cyclotomic(m, _reduce_exponents(enumerate(mults), m))
 
 
 def _split_invariant_subspace(M, B, q) -> list[list[list[int]]]:

@@ -1,7 +1,8 @@
 """Command-line front end: parse JSON input documents, dispatch computations,
 render deterministic text or JSON reports.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on input errors.
+Exit codes: 0 on success, 1 when a verification fails, 2 on input errors,
+3 on an internal error (a failed self-check).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .motives import Atom, EquivariantModel, FixedLocus, Motive, chow_dim, poinc
 from .perms import (
     FiniteGroup,
     Perm,
+    check_characteristic,
     conjugacy_classes,
     cyclic_group,
     cyclic_subgroup_classes,
@@ -182,6 +184,7 @@ def parse_document(raw: Any) -> InputDocument:
     characteristic = doc.get("characteristic", 0)
     _expect(isinstance(characteristic, int) and characteristic >= 0,
             "characteristic", "expected a nonnegative integer")
+    check_characteristic(characteristic)
 
     gspec = _get_dict(doc.get("group"), "group")
     degree = _get_int(gspec.get("degree"), "group.degree", minimum=1)
@@ -490,6 +493,7 @@ def _apply_characteristic(doc: InputDocument, override: int | None) -> InputDocu
         return doc
     if override < 0:
         raise ValidationError("characteristic: expected a nonnegative integer")
+    check_characteristic(override)
     return InputDocument(override, doc.group, doc.model, doc.gerbe, doc.curve)
 
 
@@ -514,6 +518,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except StackyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        # a self-check failed: a fault of the program, not of the input
+        text = str(exc) or type(exc).__name__
+        if not text.startswith("internal error:"):
+            text = f"internal error: {text}"
+        print(text, file=sys.stderr)
+        return 3
     sys.stdout.write(render_json(out) if args.format == "json" else render_text(out))
     if args.command == "verify" and not out["allPassed"]:
         return 1

@@ -61,6 +61,62 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[in
     return quot, num[: len(den) - 1]
 
 
+# ---------------------------------------------------------------------------
+# Integer kernel: a value as sum_k c_k zeta_e^k / den with integers c_k and
+# one common denominator.  Exponents need not be reduced, so conjugation is
+# negation of exponents and products add them; one reduction modulo Phi_e at
+# the end recovers the power-basis coefficients.
+
+# one table per conductor in use, e entries of at most phi(e) terms each;
+# bounded so a long-running process does not keep every conductor it has met
+@lru_cache(maxsize=64)
+def _power_residues(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k mod Phi_e for k = 0..e-1, each as sparse (index, coefficient) pairs."""
+    phi = cyclotomic_polynomial(e)
+    cur = [1] + [0] * (len(phi) - 2)
+    out = []
+    for _ in range(e):
+        out.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        # multiply by x, then cancel the x^phi(e) term with the monic Phi_e
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        if lead:
+            cur = [c - lead * p for c, p in zip(cur, phi)]
+    return tuple(out)
+
+
+def _exponent_vector(values: Iterable["Cyclotomic"], e: int
+                     ) -> tuple[list[tuple[tuple[int, int], ...]], int]:
+    """Each value as sparse (exponent of zeta_e, integer coefficient) pairs,
+    over one common denominator for the whole sequence.  Every conductor must
+    divide e."""
+    values = list(values)
+    den = 1
+    for v in values:
+        for c in v.coeffs:
+            if c.denominator != 1:
+                den = math.lcm(den, c.denominator)
+    vecs = []
+    for v in values:
+        step = e // v.conductor
+        if v.conductor * step != e:
+            raise ValueError(f"cannot promote conductor {v.conductor} into {e}")
+        vecs.append(tuple((i * step, c.numerator * (den // c.denominator))
+                          for i, c in enumerate(v.coeffs) if c))
+    return vecs, den
+
+
+def _reduce_exponents(acc: Iterable[tuple[int, int]], e: int) -> list[int]:
+    """Power-basis coefficients at conductor e of sum c * zeta_e^k over (k, c)."""
+    table = _power_residues(e)
+    out = [0] * euler_phi(e)
+    for k, c in acc:
+        if c:
+            for j, r in table[k % e]:
+                out[j] += c * r
+    return out
+
+
 class Cyclotomic:
     """An element of Q(zeta_e) in the reduced power basis of its conductor."""
 

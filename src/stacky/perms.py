@@ -305,7 +305,8 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     return result
 
 
-def _check_characteristic(p: int) -> None:
+def check_characteristic(p: int) -> None:
+    """Raise BadCharacteristicError unless p is 0 or a prime."""
     if p == 0:
         return
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
@@ -317,7 +318,7 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
 
     ``p = 0`` keeps every order.  The trivial subgroup is always included.
     """
-    _check_characteristic(p)
+    check_characteristic(p)
     subgroups = {frozenset(_powers(g)) for g in G.elements}
     if p != 0:
         subgroups = {s for s in subgroups if math.gcd(len(s), p) == 1}

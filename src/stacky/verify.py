@@ -21,7 +21,6 @@ from .corresp import (
     graph_correspondences,
     splitting_certificate,
 )
-from .cyclo import Cyclotomic
 from .decomp import (
     bh_motive,
     inertia_ranks_by_twist,
@@ -107,28 +106,15 @@ def check_kunneth(X: EquivariantModel, H: FiniteGroup, p: int = 0) -> Verificati
 
 def check_rep_ring_vs_classes(H: FiniteGroup) -> VerificationReport:
     """Rank of the representation ring against the refined classifying-stack
-    rank, plus the pointwise character identity on every class."""
-    T = character_table(H)
-    ring = rep_ring(T)
+    rank.  rep_ring enforces the pointwise character identity
+    chi_i * chi_j = sum_k n_ijk chi_k on every class and raises if it fails,
+    so a returned ring satisfies it."""
+    ring = rep_ring(character_table(H))
     bh = bh_motive(H, 0)
-    rank_ok = ring.rank == bh.rank
-    pointwise_ok = True
-    r = ring.rank
-    for i in range(r):
-        for j in range(r):
-            for ci in range(len(T.classes)):
-                acc = Cyclotomic.from_rational(0)
-                for k in range(r):
-                    if ring.constants[i][j][k]:
-                        acc = acc + T.rows[k][ci] * ring.constants[i][j][k]
-                if not acc == T.rows[i][ci] * T.rows[j][ci]:
-                    pointwise_ok = False
-    lhs = f"ring rank {ring.rank}, pointwise identities "
-    lhs += "hold" if pointwise_ok else "fail"
+    lhs = f"ring rank {ring.rank}, pointwise identities hold"
     rhs = f"class-count rank {bh.rank}"
     payload = {"degree": H.degree, "generators": [list(g.images) for g in H.generators]}
-    return VerificationReport("rep-ring", _digest(payload), lhs, rhs,
-                              rank_ok and pointwise_ok)
+    return VerificationReport("rep-ring", _digest(payload), lhs, rhs, ring.rank == bh.rank)
 
 
 def check_degree_splitting(f: Sequence[int], n: int, k: int, m: int) -> VerificationReport:

@@ -7,13 +7,16 @@ by hand from the defining constraints (degree squares, orthogonality).
 
 from __future__ import annotations
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
+from stacky import chars
 from stacky.chars import character_table, inner_product, rep_ring
 from stacky.cyclo import Cyclotomic
-from stacky.errors import GroupTooLargeError, NotRationalError
+from stacky.errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError
 from stacky.perms import (
     alternating_group,
     cyclic_group,
@@ -197,3 +200,133 @@ def test_product_group_table_rank_multiplies():
     G = direct_product(cyclic_group(2), symmetric_group(3))
     T = character_table(G)
     assert T.rank == 2 * 3
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction formula it replaced.
+
+def reference_inner_product(T, phi, psi) -> Fraction:
+    """(1/|G|) sum over classes of |class| * phi * conj(psi), in Cyclotomic
+    (Fraction) arithmetic, raising exactly as inner_product does."""
+    total = Cyclotomic.from_rational(0)
+    for c, x, y in zip(T.classes, phi, psi):
+        xv = x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)
+        yv = y if isinstance(y, Cyclotomic) else Cyclotomic.from_rational(y)
+        total = total + xv * yv.conjugate() * c.size
+    total = total / T.group.order
+    if not total.is_rational():
+        raise NotRationalError(f"inner product {total} is not rational")
+    return total.rational_part()
+
+
+def outcome(f, *args):
+    try:
+        return ("value", f(*args))
+    except NotRationalError as exc:
+        return ("raises", str(exc))
+
+
+KERNEL_GROUPS = ALL_GROUPS + [
+    ("C24", lambda: cyclic_group(24)),
+    ("C2xC6", lambda: direct_product(cyclic_group(2), cyclic_group(6))),
+    ("A5", lambda: alternating_group(5)),
+]
+
+
+@pytest.mark.parametrize("name,make", KERNEL_GROUPS)
+def test_inner_product_matches_reference_on_rows_and_products(name, make):
+    T = character_table(make())
+    r = T.rank
+    for i in range(r):
+        for j in range(r):
+            assert inner_product(T, T.rows[i], T.rows[j]) == \
+                reference_inner_product(T, T.rows[i], T.rows[j])
+    rng = random.Random(name)
+    for _ in range(12):
+        i, j, k = (rng.randrange(r) for _ in range(3))
+        prod = [x * y for x, y in zip(T.rows[i], T.rows[j])]
+        assert inner_product(T, prod, T.rows[k]) == reference_inner_product(T, prod, T.rows[k])
+        assert inner_product(T, T.rows[k], prod) == reference_inner_product(T, T.rows[k], prod)
+
+
+def _random_value(rng: random.Random):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randrange(-3, 4)
+    if kind == 1:
+        return Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+    e = rng.choice((1, 2, 3, 4, 5, 6, 8, 12))
+    z = Cyclotomic.zeta(e, rng.randrange(e))
+    return z * Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) + rng.randrange(-2, 3)
+
+
+@pytest.mark.parametrize("name,make", [("C6", lambda: cyclic_group(6)),
+                                       ("S4", lambda: symmetric_group(4)),
+                                       ("Q8", quaternion_group)])
+def test_inner_product_matches_reference_on_mixed_class_functions(name, make):
+    # mixed conductors, non-integral Fraction coefficients, plain ints and
+    # Fractions: value or NotRationalError message must agree exactly
+    T = character_table(make())
+    rng = random.Random(f"mixed-{name}")
+    raised = 0
+    for _ in range(40):
+        phi = [_random_value(rng) for _ in T.classes]
+        psi = [_random_value(rng) for _ in T.classes] if rng.randrange(2) else T.rows[-1]
+        got = outcome(inner_product, T, phi, psi)
+        assert got == outcome(reference_inner_product, T, phi, psi)
+        raised += got[0] == "raises"
+        # a rational real part made of the same data stays rational
+        sym = [v + (v.conjugate() if isinstance(v, Cyclotomic) else v) for v in phi]
+        assert outcome(inner_product, T, sym, T.rows[0]) == \
+            outcome(reference_inner_product, T, sym, T.rows[0])
+    assert 0 < raised < 40
+
+
+def test_not_rational_message_text_is_unchanged():
+    T = character_table(cyclic_group(3))
+    z = Cyclotomic.zeta(3)
+    with pytest.raises(NotRationalError) as exc:
+        inner_product(T, [z, z, z], T.rows[0])
+    assert str(exc.value) == "inner product z3 is not rational"
+    T = character_table(cyclic_group(4))
+    phi = [Fraction(1, 2), Cyclotomic.zeta(3), 1, Cyclotomic.zeta(4)]
+    with pytest.raises(NotRationalError) as exc:
+        inner_product(T, phi, T.rows[1])
+    assert str(exc.value) == "inner product 5/8 + -1/4*z12^2 + 1/4*z12^3 is not rational"
+
+
+def _perturbed(T, row: int, cls: int, delta):
+    rows = [list(r) for r in T.rows]
+    rows[row][cls] = rows[row][cls] + delta
+    return dataclasses.replace(T, rows=tuple(tuple(r) for r in rows))
+
+
+def test_tampered_table_fails_verification():
+    T = character_table(symmetric_group(4))
+    chars._verify_table(T)
+    with pytest.raises(RuntimeError, match="rows 0,1 fail orthogonality"):
+        chars._verify_table(_perturbed(T, 1, 1, 1))
+    # an irrational perturbation surfaces as the rows' irrational inner product,
+    # rendered at the conductor of the two rows involved
+    with pytest.raises(NotRationalError, match=r"^inner product -1/3\*z12\^3 is not rational$"):
+        chars._verify_table(_perturbed(T, 2, 3, Cyclotomic.zeta(4)))
+
+
+def test_tampered_table_fails_rep_ring():
+    T = character_table(symmetric_group(4))
+    with pytest.raises(NonIntegralConstantError,
+                       match=r"constant for \(0,0,1\) is 1/4, not a nonnegative integer"):
+        rep_ring(_perturbed(T, 1, 1, 1))
+    T = character_table(quaternion_group())
+    with pytest.raises(NonIntegralConstantError):
+        rep_ring(_perturbed(T, T.rank - 1, 0, -2))
+
+
+def test_lift_rejects_multiplicities_not_summing_to_degree():
+    # in F_5, 2 has order 4; the values (3, 0, 0, 0) of a "degree 3" character
+    # on the powers of an order-4 element lift to multiplicity 2 for every
+    # eigenvalue: each is at most the degree, but they sum to 8
+    with pytest.raises(RuntimeError, match="lifted multiplicities sum to 8, not the degree 3"):
+        chars._lift_value([3, 0, 0, 0], [0, 1, 2, 3], 4, 5, 2, 3)
+    # the values of the 1-dimensional character g -> i lift to zeta_4
+    assert chars._lift_value([1, 2, 4, 3], [0, 1, 2, 3], 4, 5, 2, 1) == Cyclotomic.zeta(4)

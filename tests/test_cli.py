@@ -236,3 +236,32 @@ def test_gerbe_defaults():
 def test_cmd_motive_curve_plain():
     out = cmd_motive_curve(0, ())
     assert out["poincare"] == "1 + L"
+
+
+@pytest.mark.parametrize("command", [("group",), ("motive", "bh"),
+                                     ("verify", "--check", "rep-ring")])
+def test_characteristic_must_be_zero_or_prime(capsys, tmp_path, command):
+    doc = tmp_path / "c4.json"
+    doc.write_text(json.dumps({**S3_DOC, "characteristic": 4}), encoding="utf-8")
+    assert main([*command, "--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: characteristic 4 is neither 0 nor a prime\n"
+    # the same rule holds for the command-line override
+    assert main([*command, "--input", str(SAMPLES / "s3_quotient.json"),
+                 "--characteristic", "4"]) == 2
+    assert capsys.readouterr().err == "error: characteristic 4 is neither 0 nor a prime\n"
+
+
+def test_exit_code_3_on_internal_error(capsys, monkeypatch):
+    import stacky.chars as chars_mod
+
+    def broken(T):
+        raise RuntimeError("internal error: rows 0,1 fail orthogonality")
+
+    monkeypatch.setattr(chars_mod, "_verify_table", broken)
+    code = main(["group", "--input", str(SAMPLES / "s3_quotient.json"), "--chars"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: rows 0,1 fail orthogonality\n"

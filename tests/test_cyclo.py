@@ -9,7 +9,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from stacky.cyclo import Cyclotomic, cyclotomic_polynomial, euler_phi
+from stacky.cyclo import (
+    Cyclotomic,
+    _exponent_vector,
+    _power_residues,
+    _reduce_exponents,
+    cyclotomic_polynomial,
+    euler_phi,
+)
 
 
 def test_cyclotomic_polynomials_match_naive_oracle():
@@ -115,3 +122,54 @@ def test_str_rendering():
     assert str(Cyclotomic.from_rational(Fraction(3, 2))) == "3/2"
     assert str(Cyclotomic.zeta(5)) == "z5"
     assert str(Cyclotomic.zeta(5, 2)) == "z5^2"
+
+
+# ---------------------------------------------------------------------------
+# Integer kernel: exponent vectors over zeta_e and one reduction mod Phi_e.
+
+def test_power_residue_table_matches_zeta():
+    for e in range(1, 61):
+        table = _power_residues(e)
+        assert len(table) == e
+        for k in range(e):
+            coeffs = [0] * euler_phi(e)
+            for j, c in table[k]:
+                coeffs[j] = c
+            assert Cyclotomic(e, coeffs).coeffs == Cyclotomic.zeta(e, k).coeffs
+
+
+def _from_vector(vec, den, e) -> Cyclotomic:
+    return Cyclotomic(e, [Fraction(c, den) for c in _reduce_exponents(vec, e)])
+
+
+def test_exponent_vector_round_trips_with_common_denominator():
+    rng = random.Random(5)
+    for _ in range(30):
+        e = rng.choice([1, 2, 3, 4, 6, 8, 12, 24])
+        divisors = [d for d in range(1, e + 1) if e % d == 0]
+        values = []
+        for _ in range(4):
+            d = rng.choice(divisors)
+            values.append(Cyclotomic(d, [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+                                         for _ in range(euler_phi(d))]))
+        vecs, den = _exponent_vector(values, e)
+        assert all(isinstance(c, int) for vec in vecs for _, c in vec)
+        assert all(den % c.denominator == 0 for v in values for c in v.coeffs)
+        for v, vec in zip(values, vecs):
+            assert _from_vector(vec, den, e) == v
+            # conjugation negates exponents
+            assert _from_vector([(-k, c) for k, c in vec], den, e) == v.conjugate()
+    with pytest.raises(ValueError):
+        _exponent_vector([Cyclotomic.zeta(4)], 6)
+
+
+def test_products_add_exponents_and_reduce_once():
+    rng = random.Random(8)
+    e = 12
+    for _ in range(20):
+        x = Cyclotomic(e, [rng.randint(-3, 3) for _ in range(euler_phi(e))])
+        y = Cyclotomic(4, [rng.randint(-3, 3) for _ in range(euler_phi(4))])
+        (xv, yv), den = _exponent_vector([x, y], e)
+        assert den == 1
+        prod = [(a + b, u * w) for a, u in xv for b, w in yv]
+        assert _from_vector(prod, 1, e) == x * y
