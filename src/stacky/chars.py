@@ -19,6 +19,7 @@ Rows stay Cyclotomic values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,8 @@ from .perms import (
     FiniteGroup,
     Perm,
     conjugacy_classes,
+    orbit,
+    powers,
     reduce_generators,
 )
 
@@ -235,40 +238,22 @@ def _abelian_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]
     orders = [g.order() for g in gens]
     index = {g: i for i, g in enumerate(G.elements)}
 
-    # exponent vector of every element with respect to the reduced generators
-    vecs: dict[Perm, tuple[int, ...]] = {G.identity: (0,) * len(gens)}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for j, g in enumerate(gens):
-                y = x * g
-                if y not in vecs:
-                    v = list(vecs[x])
-                    v[j] = (v[j] + 1) % orders[j]
-                    vecs[y] = tuple(v)
-                    nxt.append(y)
-        frontier = nxt
+    # exponent vector of every element with respect to the reduced generators:
+    # the generators commute, so it counts each generator in the element's word
+    words = orbit([G.identity], gens, Perm.__mul__)
+    vecs = {x: tuple(w.count(j) % o for j, o in enumerate(orders)) for x, w in words.items()}
     assert len(vecs) == G.order
 
     phases_of: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for assignment in _mixed_radix(orders):
+    for assignment in itertools.product(*(range(o) for o in orders)):
         phases = [(e // o) * t % e for o, t in zip(orders, assignment)]
 
         def s(x: Perm) -> int:
             return sum(v * p for v, p in zip(vecs[x], phases)) % e
 
-        ok = True
-        for x in G.elements:
-            sx = s(x)
-            for j, g in enumerate(gens):
-                if s(x * g) != (sx + phases[j]) % e:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(s(x * g) == (s(x) + phases[j]) % e
+               for x in G.elements for j, g in enumerate(gens)):
             values = tuple(s(x) for x in G.elements)
             if values not in seen:
                 seen.add(values)
@@ -294,15 +279,6 @@ def _abelian_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]
     return rows
 
 
-def _mixed_radix(orders: Sequence[int]):
-    if not orders:
-        yield ()
-        return
-    for head in range(orders[0]):
-        for tail in _mixed_radix(orders[1:]):
-            yield (head,) + tail
-
-
 # ---------------------------------------------------------------------------
 # Prime-field route for nonabelian groups.
 
@@ -319,22 +295,15 @@ def _prime_field_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, .
     theta = _element_of_order(q, e)
 
     # power map: class of reps[i]^j for j in 0..order(reps[i])-1
-    power_class = []
-    for rep in reps:
-        powers = []
-        x = G.identity
-        for _ in range(rep.order()):
-            powers.append(class_of[x])
-            x = x * rep
-        power_class.append(powers)
+    power_class = [[class_of[x] for x in powers(rep)] for rep in reps]
 
     # structure constants a[i][j][k] = #{x in C_i : x^-1 z_k in C_j}
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for k, z in enumerate(reps):
-        for i, cls in enumerate(classes):
-            for x in cls.members:
-                j = class_of[x.inverse() * z]
-                a[i][j][k] += 1
+    for i, cls in enumerate(classes):
+        for x in cls.members:
+            xinv = x.inverse()
+            for k, z in enumerate(reps):
+                a[i][class_of[xinv * z]][k] += 1
     # mult-by-class-sum matrices acting on coefficient vectors: M_i[k][j] = a[i][j][k]
     mats = [[[a[i][j][k] % q for j in range(r)] for k in range(r)] for i in range(r)]
 

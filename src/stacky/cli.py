@@ -458,9 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "quotient stack models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-        if needs_input:
-            p.add_argument("--input", required=True, help="JSON input document")
+    def common(p: argparse.ArgumentParser, input_required: bool = True) -> None:
+        p.add_argument("--input", required=input_required, help="JSON input document")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--characteristic", type=int, default=None,
                        help="override the document characteristic")
@@ -474,9 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("bh", "quotient", "gerbe"):
         common(msub.add_parser(name))
     curve = msub.add_parser("curve")
-    curve.add_argument("--input", required=False, default=None)
-    curve.add_argument("--format", choices=("text", "json"), default="text")
-    curve.add_argument("--characteristic", type=int, default=None)
+    common(curve, input_required=False)
     curve.add_argument("--genus", type=int, default=None)
     curve.add_argument("--orders", type=str, default=None,
                        help="comma-separated stacky point orders")

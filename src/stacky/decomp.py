@@ -28,12 +28,15 @@ from .perms import (
     FiniteGroup,
     Perm,
     Subgroup,
+    canonical_conjugate,
+    centralizer,
     conjugacy_classes,
     conjugation_exponent,
     cyclic_subgroup_classes,
     direct_product,
-    generate_group,
+    orbit,
     orbit_count,
+    powers,
 )
 
 
@@ -111,39 +114,24 @@ def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
             actions[n] = Perm([pos[amb(p)] for p in fixed])
         return tuple(X.dims[p] for p in fixed), actions
 
+    G = X.group
     canon = frozenset(c.subgroup_elements)
-    matches = []
-    for locus, act in zip(X.fixed_loci, X.locus_actions):
-        sub = set()
-        x = X.group.identity
-        g = locus.generator
-        while x not in sub:
-            sub.add(x)
-            x = x * g
-        conj = _find_conjugator(X.group, frozenset(sub), canon)
-        if conj is not None:
-            matches.append((locus, act, conj))
+    matches = [(locus, act) for locus, act in zip(X.fixed_loci, X.locus_actions)
+               if canonical_conjugate(G, powers(locus.generator)) == canon]
     if not matches:
         return (), {n: Perm(()) for n in c.normalizer.elements}
     if len(matches) > 1:
         raise ValidationError("multiple declared loci match one cyclic class")
-    locus, act, x = matches[0]
-    # transport: x conjugates the declared subgroup onto the canonical one,
-    # so n in N_canon acts on the declared cells through x^-1 n x
+    locus, act = matches[0]
+    # transport: x, the first element conjugating the declared subgroup onto
+    # the canonical one, lets n in N_canon act on the declared cells through
+    # x^-1 n x.  Both subgroups are cyclic of one order, so x maps the first
+    # onto the second as soon as it maps the declared generator into it.
+    g = locus.generator
+    x = next(x for x in G.elements if x * g * x.inverse() in canon)
     xinv = x.inverse()
     actions = {n: act[xinv * n * x] for n in c.normalizer.elements}
     return locus.dims, actions
-
-
-def _find_conjugator(G: FiniteGroup, sub: frozenset[Perm],
-                     target: frozenset[Perm]) -> Perm | None:
-    if len(sub) != len(target):
-        return None
-    for x in G.elements:
-        xinv = x.inverse()
-        if all(x * s * xinv in target for s in sub):
-            return x
-    return None
 
 
 def _restricted_model(parent_group: Subgroup, dims: Sequence[int],
@@ -176,16 +164,13 @@ def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
     out = []
     for c in cyclic_subgroup_classes(X.group, p):
         dims, action = _locus_cells_and_action(X, c)
-        gens_of_c = [g for g in c.subgroup_elements if g.order() == c.order]
-        remaining = set(gens_of_c)
-        reps = []
-        while remaining:
-            h = min(remaining)
-            orbit = {n.inverse() * h * n for n in c.normalizer.elements}
-            reps.append(h)
-            remaining -= orbit
-        for h in sorted(reps):
-            Z = Subgroup(G, tuple(g for g in G.elements if g * h == h * g))
+        seen: set[Perm] = set()
+        # in sorted order, a generator not yet seen is the least of its class
+        for h in sorted(g for g in c.subgroup_elements if g.order() == c.order):
+            if h in seen:
+                continue
+            seen.update(n.inverse() * h * n for n in c.normalizer.elements)
+            Z = centralizer(G, h)
             sub_action = {z: action[z] for z in Z.elements}
             fixed = _restricted_model(Z, dims, sub_action)
             out.append(InertiaComponent(h, Z, fixed))
@@ -282,6 +267,24 @@ class ClassifyingStackMotive:
     product_constants: tuple[tuple[tuple[int, ...], ...], ...] | None
 
 
+def _bh_rank(H: FiniteGroup, p: int) -> int:
+    """The number of conjugacy classes of elements of order prime to p,
+    cross-checked against the orbits of each cyclic class's normalizer on its
+    injective characters, summed over the classes."""
+    rank = sum(1 for cls in conjugacy_classes(H)
+               if p == 0 or cls.order % p != 0)
+    # independent route: orbits of each normalizer on the injective characters
+    via_chars = 0
+    for c in cyclic_subgroup_classes(H, p):
+        chars = injective_characters(c)
+        via_chars += orbit_count(c.normalizer.elements, chars.act, chars.size)
+    if via_chars != rank:
+        raise RuntimeError(
+            f"internal error: class count {rank} and character-orbit count "
+            f"{via_chars} disagree")
+    return rank
+
+
 def bh_motive(H: FiniteGroup, p: int = 0) -> ClassifyingStackMotive:
     """Refined motive of the classifying stack of H.
 
@@ -289,18 +292,7 @@ def bh_motive(H: FiniteGroup, p: int = 0) -> ClassifyingStackMotive:
     to p (cross-checked internally against the character-orbit count); the
     product structure is emitted for p = 0 only.
     """
-    rank = sum(1 for cls in conjugacy_classes(H)
-               if p == 0 or cls.order % p != 0)
-    # independent route: orbits of each normalizer on the injective characters
-    via_chars = 0
-    for c in cyclic_subgroup_classes(H, p):
-        chars = injective_characters(c)
-        N = c.normalizer.as_group()
-        via_chars += orbit_count(N.elements, chars.act, chars.size)
-    if via_chars != rank:
-        raise RuntimeError(
-            f"internal error: class count {rank} and character-orbit count "
-            f"{via_chars} disagree")
+    rank = _bh_rank(H, p)
     constants = None
     if p == 0:
         ring = rep_ring(character_table(H))
@@ -363,36 +355,21 @@ def _automorphism_map(H: FiniteGroup, images: Sequence[Perm]) -> dict[Perm, Perm
 
 
 def _cyclic_subgroups_with_generator(H: FiniteGroup, p: int
-                                     ) -> dict[frozenset[Perm], Perm]:
-    subs: dict[frozenset[Perm], Perm] = {}
+                                     ) -> dict[frozenset[Perm], tuple[Perm, ...]]:
+    """Each cyclic subgroup of order prime to p with the powers of its least
+    generator, so that position k holds the k-th power."""
+    subs: dict[frozenset[Perm], tuple[Perm, ...]] = {}
+    # elements are sorted, so the first generator met is the least
     for g in H.elements:
-        sub = []
-        x = H.identity
-        while True:
-            sub.append(x)
-            x = x * g
-            if x.is_identity():
-                break
-        key = frozenset(sub)
-        if p != 0 and math.gcd(len(key), p) != 1:
-            continue
-        if key not in subs:
-            m = len(key)
-            subs[key] = min(h for h in key if h.order() == m)
+        pw = powers(g)
+        key = frozenset(pw)
+        if key not in subs and (p == 0 or math.gcd(len(pw), p) == 1):
+            subs[key] = pw
     return subs
 
 
 def _pair_key(sub: frozenset[Perm], j: int) -> tuple:
     return (len(sub), tuple(sorted(x.images for x in sub)), j)
-
-
-def _dlog(gen: Perm, target: Perm, order: int) -> int:
-    x = Perm.identity(gen.degree)
-    for k in range(order):
-        if x == target:
-            return k
-        x = x * gen
-    raise ValueError("element is not a power of the generator")
 
 
 def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
@@ -401,50 +378,29 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
     and the permutations induced by the monodromy automorphisms."""
     subs = _cyclic_subgroups_with_generator(H, p)
 
-    def act_elem(h: Perm, pair):
+    def act_pair(pair, conj: tuple[Perm, Perm]):
         sub, j = pair
-        hinv = h.inverse()
+        h, hinv = conj
         new_sub = frozenset(h * x * hinv for x in sub)
         m = len(sub)
         if m == 1:
             return (new_sub, 0)
-        t = _dlog(subs[sub], hinv * subs[new_sub] * h, m)
+        t = subs[sub].index(hinv * subs[new_sub][1] * h)
         return (new_sub, j * t % m)
 
     pairs = [(sub, j) for sub in subs for j in character_indices(len(sub))]
-    orbit_of: dict[tuple, tuple] = {}
+    conj = [(h, h.inverse()) for h in H.generators]
+    orbit_index: dict[tuple, int] = {}
     orbits = []
-    seen = set()
+    # visited in key order, so a pair not yet reached is the least of its
+    # orbit and the orbits come out sorted by their representatives
     for pair in sorted(pairs, key=lambda pr: _pair_key(*pr)):
-        key = _pair_key(*pair)
-        if key in seen:
-            continue
-        orbit = {pair}
-        frontier = [pair]
-        while frontier:
-            nxt = []
-            for q in frontier:
-                for h in H.generators:
-                    r = act_elem(h, q)
-                    if r not in orbit:
-                        orbit.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        rep = min(orbit, key=lambda pr: _pair_key(*pr))
-        orbits.append(rep)
-        for q in orbit:
-            seen.add(_pair_key(*q))
-            orbit_of[_pair_key(*q)] = rep
-    orbits.sort(key=lambda pr: _pair_key(*pr))
-    index = {_pair_key(*rep): i for i, rep in enumerate(orbits)}
+        if pair not in orbit_index:
+            orbit_index.update(dict.fromkeys(orbit([pair], conj, act_pair), len(orbits)))
+            orbits.append(pair)
 
     # cross-check: orbit count must match the sum of per-class character orbits
-    expected = 0
-    for c in cyclic_subgroup_classes(H, p):
-        chars = injective_characters(c)
-        N = c.normalizer.as_group()
-        expected += orbit_count(N.elements, chars.act, chars.size)
-    if expected != len(orbits):
+    if _bh_rank(H, p) != len(orbits):
         raise RuntimeError("internal error: pair-orbit count disagrees with "
                            "per-class character orbits")
 
@@ -459,13 +415,12 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
             if m == 1:
                 image_pair = (new_sub, 0)
             else:
-                t = _dlog(subs[sub], phi_inv[subs[new_sub]], m)
+                t = subs[sub].index(phi_inv[subs[new_sub][1]])
                 image_pair = (new_sub, j * t % m)
-            moved.append(index[_pair_key(*orbit_of[_pair_key(*image_pair)])])
+            moved.append(orbit_index[image_pair])
         aut_perms.append(Perm(moved))
 
-    trivial_pair_key = _pair_key(frozenset([H.identity]), 0)
-    distinguished = index[trivial_pair_key]
+    distinguished = orbit_index[(frozenset([H.identity]), 0)]
     for perm in aut_perms:
         if perm(distinguished) != distinguished:
             raise RuntimeError("internal error: an automorphism moved the trivial pair")
@@ -487,27 +442,21 @@ class GerbeMotive:
 
 def gerbe_motive(datum: GerbeDatum, p: int = 0) -> GerbeMotive:
     rset = gerbe_rset(datum.group, p, datum.monodromy)
-    n = rset.size
-    if rset.aut_perms:
-        mono = generate_group(n, list(rset.aut_perms),
-                              degree_cap=max(64, n))
-        elems = mono.elements
-    else:
-        elems = (Perm.identity(n),)
-    seen = [False] * n
+    seen: set[int] = set()
     sizes = []
     total = Motive.zero()
-    for start in range(n):
-        if seen[start]:
+    for start in range(rset.size):
+        if start in seen:
             continue
-        orbit = sorted({g(start) for g in elems})
-        for q in orbit:
-            seen[q] = True
-        sizes.append(len(orbit))
-        if len(orbit) == 1:
+        # the monodromy group is finite, so closing under its generators
+        # gives the orbit
+        orb = orbit([start], rset.aut_perms, lambda q, a: a(q))
+        seen.update(orb)
+        sizes.append(len(orb))
+        if len(orb) == 1:
             total = total + datum.base
         else:
-            total = total + Motive.of([(Atom.cover(datum.base_label, len(orbit)), 0, 1)])
+            total = total + Motive.of([(Atom.cover(datum.base_label, len(orb)), 0, 1)])
     return GerbeMotive(total, datum.base, tuple(sizes))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InconsistentActionError, OpaqueTensorError
-from .perms import FiniteGroup, Perm, normalizer, orbit_count
+from .perms import FiniteGroup, Perm, canonical_conjugate, normalizer, orbit, orbit_count, powers
 
 
 @dataclass(frozen=True)
@@ -266,22 +266,12 @@ class EquivariantModel:
             raise ValueError("fixed-locus generator is not a group element")
         if g.is_identity():
             raise ValueError("the ambient cells already model the trivial locus")
-        sub = [self.group.identity]
-        x = g
-        while not x.is_identity():
-            sub.append(x)
-            x = x * g
-        key = _subgroup_class_key(self.group, frozenset(sub))
+        sub = powers(g)
+        key = canonical_conjugate(self.group, sub)
         for other in self.fixed_loci:
             if other is locus:
                 break
-            o = other.generator
-            osub = [self.group.identity]
-            x = o
-            while not x.is_identity():
-                osub.append(x)
-                x = x * o
-            if _subgroup_class_key(self.group, frozenset(osub)) == key:
+            if canonical_conjugate(self.group, powers(other.generator)) == key:
                 raise ValueError("two fixed loci declare conjugate subgroups")
         N = normalizer(self.group, sub)
         n_loc = len(locus.dims)
@@ -294,9 +284,8 @@ class EquivariantModel:
                 if locus.dims[img(cell)] != locus.dims[cell]:
                     raise InconsistentActionError("locus action moves a cell across dimensions")
         if locus.action_generators:
-            nset = set(N.elements)
             for a in locus.action_generators:
-                if a not in nset:
+                if a not in N:
                     raise InconsistentActionError(
                         f"{a.cycle_string()} does not normalize the locus subgroup")
             act = extend_action(N.elements, locus.action_generators,
@@ -334,23 +323,6 @@ class EquivariantModel:
         return cls.hset(group, 1, [Perm([0])] * len(group.generators))
 
 
-def _subgroup_class_key(group: FiniteGroup, sub: frozenset[Perm]) -> tuple:
-    """Canonical key of the conjugacy class of a subgroup."""
-    orbit = {sub}
-    frontier = [sub]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in group.generators:
-                ginv = g.inverse()
-                t = frozenset(g * x * ginv for x in s)
-                if t not in orbit:
-                    orbit.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return min(tuple(sorted(x.images for x in s)) for s in orbit)
-
-
 def extend_action(elements: Sequence[Perm], gens: Sequence[Perm],
                   images: Sequence[Perm], degree: int, *,
                   words: dict[Perm, tuple[int, ...]] | None = None) -> dict[Perm, Perm]:
@@ -358,30 +330,19 @@ def extend_action(elements: Sequence[Perm], gens: Sequence[Perm],
     group homomorphism (raises InconsistentActionError otherwise)."""
     if len(gens) != len(images):
         raise InconsistentActionError("generator and image counts differ")
-    ident_cells = Perm.identity(degree)
-    actions: dict[Perm, Perm] = {}
-    if words is not None:
-        for x in elements:
-            acc = ident_cells
-            for i in words[x]:
-                acc = acc * images[i]
-            actions[x] = acc
-    else:
+    if words is None:
         ident = Perm.identity(gens[0].degree if gens else elements[0].degree)
-        actions[ident] = ident_cells
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, img in zip(gens, images):
-                    y = x * g
-                    if y not in actions:
-                        actions[y] = actions[x] * img
-                        nxt.append(y)
-            frontier = nxt
-        if set(actions) != set(elements):
+        words = orbit([ident], gens, Perm.__mul__)
+        if set(words) != set(elements):
             raise InconsistentActionError(
                 "generators do not generate the expected element set")
+    ident_cells = Perm.identity(degree)
+    actions: dict[Perm, Perm] = {}
+    for x in elements:
+        acc = ident_cells
+        for i in words[x]:
+            acc = acc * images[i]
+        actions[x] = acc
     for x in elements:
         fx = actions[x]
         for g, img in zip(gens, images):

@@ -9,8 +9,8 @@ and all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     BadCharacteristicError,
@@ -44,13 +44,25 @@ class Perm:
         self.images = imgs
         self._hash = hash(imgs)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap an image tuple already known to be a bijection, unchecked.
+
+        Only for images built from valid permutations (products, inverses,
+        the identity); outside data goes through the validating constructor.
+        """
+        p = object.__new__(cls)
+        p.images = images
+        p._hash = hash(images)
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls(range(degree))
+        return cls._trusted(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Perm":
@@ -64,15 +76,15 @@ class Perm:
         return self.images[point]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if self.degree != other.degree:
+        if len(self.images) != len(other.images):
             raise NonBijectionError("cannot compose permutations of different degrees")
-        return Perm(self.images[x] for x in other.images)
+        return Perm._trusted(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
         for i, x in enumerate(self.images):
             inv[x] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles())) if self.degree else 1
@@ -180,13 +192,17 @@ class Subgroup:
 
     parent: FiniteGroup
     elements: tuple[Perm, ...]
+    _members: frozenset[Perm] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, g: Perm) -> bool:
-        return g in set(self.elements)
+        return g in self._members
 
     def as_group(self) -> FiniteGroup:
         """Repackage as a standalone FiniteGroup (same degree, reduced generators)."""
@@ -206,10 +222,70 @@ class CyclicClass:
 
     def power_index(self, h: Perm) -> int:
         """Discrete log of h with respect to the canonical generator."""
-        for k, p in enumerate(self.subgroup_elements):
-            if p == h:
-                return k
-        raise ValueError("element is not in the cyclic subgroup")
+        try:
+            return self.subgroup_elements.index(h)
+        except ValueError:
+            raise ValueError("element is not in the cyclic subgroup") from None
+
+
+def orbit(seeds: Iterable[Hashable], gens: Sequence[Any],
+          act: Callable[[Any, Any], Hashable], *,
+          cap: int | None = None) -> dict[Any, tuple[int, ...]]:
+    """Close the seeds under the generators, breadth first.
+
+    ``act(x, g)`` is the image of the point x under the generator g.  Each
+    level visits its points in discovery order and each point the generators
+    in order, so the result is deterministic: a dict, in discovery order,
+    from each point reached to its word, the indices of the generators that
+    lead to it from a seed (seeds have the empty word).  With ``cap``, more
+    than that many points raise GroupTooLargeError.
+    """
+    words = dict.fromkeys(seeds, ())
+    frontier = list(words)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            w = words[x]
+            for i, g in enumerate(gens):
+                y = act(x, g)
+                if y not in words:
+                    if cap is not None and len(words) >= cap:
+                        raise GroupTooLargeError(f"closure exceeds element cap {cap}")
+                    words[y] = w + (i,)
+                    nxt.append(y)
+        frontier = nxt
+    return words
+
+
+def powers(g: Perm) -> tuple[Perm, ...]:
+    """The powers g^0, g^1, ..., g^(m-1) of g, m its order."""
+    ident = Perm.identity(g.degree)
+    out = [ident]
+    x = g
+    while x != ident:
+        out.append(x)
+        x = x * g
+    return tuple(out)
+
+
+def _conjugators(G: FiniteGroup) -> list[tuple[Perm, Perm]]:
+    """The generators of G paired with their inverses, for conjugation actions."""
+    return [(g, g.inverse()) for g in G.generators]
+
+
+def _conjugate_set(s: frozenset[Perm], pair: tuple[Perm, Perm]) -> frozenset[Perm]:
+    g, ginv = pair
+    return frozenset(g * x * ginv for x in s)
+
+
+def _subgroup_key(s: Iterable[Perm]) -> tuple:
+    return tuple(x.images for x in sorted(s))
+
+
+def canonical_conjugate(G: FiniteGroup, sub: Iterable[Perm]) -> frozenset[Perm]:
+    """The least conjugate of a subgroup by its sorted image tuples: one
+    canonical representative, and so a key, for its conjugacy class."""
+    return min(orbit([frozenset(sub)], _conjugators(G), _conjugate_set), key=_subgroup_key)
 
 
 def generate_group(degree: int, generators: Sequence[Perm], *,
@@ -229,20 +305,7 @@ def generate_group(degree: int, generators: Sequence[Perm], *,
         if g.degree != degree:
             raise NonBijectionError(f"generator {i} has degree {g.degree}, expected {degree}")
 
-    ident = Perm.identity(degree)
-    words: dict[Perm, tuple[int, ...]] = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i, g in enumerate(gens):
-                y = x * g
-                if y not in words:
-                    if len(words) >= element_cap:
-                        raise GroupTooLargeError(f"closure exceeds element cap {element_cap}")
-                    words[y] = words[x] + (i,)
-                    nxt.append(y)
-        frontier = nxt
+    words = orbit([Perm.identity(degree)], gens, Perm.__mul__, cap=element_cap)
     elements = tuple(sorted(words))
     return FiniteGroup(degree, gens, elements, words)
 
@@ -250,55 +313,33 @@ def generate_group(degree: int, generators: Sequence[Perm], *,
 def reduce_generators(elements: Sequence[Perm], degree: int) -> tuple[Perm, ...]:
     """Greedily pick a small generating subset of a closed element list."""
     target = len(elements)
+    ident = Perm.identity(degree)
     chosen: list[Perm] = []
-    closure = {Perm.identity(degree)}
+    closure = {ident}
     for g in sorted(elements):
         if g in closure:
             continue
         chosen.append(g)
-        closure = _close(closure | {g}, chosen)
+        closure = orbit([ident], chosen, Perm.__mul__)
         if len(closure) == target:
             break
     return tuple(chosen)
-
-
-def _close(start: set[Perm], gens: Sequence[Perm]) -> set[Perm]:
-    out = set(start)
-    frontier = list(start)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return out
 
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     """Partition the group into conjugacy classes, canonically ordered."""
     if G._conjugacy_classes is not None:
         return G._conjugacy_classes
-    remaining = set(G.elements)
+    conj = _conjugators(G)
+    seen: set[Perm] = set()
     classes = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in G.generators:
-                    y = g * x * g.inverse()
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        members = tuple(sorted(orbit))
-        classes.append(ConjugacyClass(members[0], members, members[0].order()))
-        remaining -= orbit
+    for seed in G.elements:
+        if seed in seen:
+            continue
+        # elements are sorted, so the first one not yet seen is its class's least
+        members = tuple(sorted(orbit([seed], conj, lambda x, c: c[0] * x * c[1])))
+        classes.append(ConjugacyClass(seed, members, seed.order()))
+        seen.update(members)
     classes.sort(key=lambda c: (c.order, c.representative.images))
     result = tuple(classes)
     G._conjugacy_classes = result
@@ -319,47 +360,24 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     ``p = 0`` keeps every order.  The trivial subgroup is always included.
     """
     check_characteristic(p)
-    subgroups = {frozenset(_powers(g)) for g in G.elements}
+    subgroups = {frozenset(powers(g)) for g in G.elements}
     if p != 0:
         subgroups = {s for s in subgroups if math.gcd(len(s), p) == 1}
 
-    def key(s: frozenset[Perm]) -> tuple:
-        return tuple(x.images for x in sorted(s))
-
+    conj = _conjugators(G)
     seen: set[frozenset[Perm]] = set()
     classes = []
-    for s in sorted(subgroups, key=key):
-        if s in seen:
+    for canon in sorted(subgroups, key=_subgroup_key):
+        if canon in seen:
             continue
-        orbit = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for g in G.generators:
-                    ginv = g.inverse()
-                    u = frozenset(g * x * ginv for x in t)
-                    if u not in orbit:
-                        orbit.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        seen |= orbit
-        canon = min(orbit, key=key)
+        # visited in key order, so the first one not yet seen is the least
+        # of its conjugacy class: canonical_conjugate(G, canon) == canon
+        seen.update(orbit([canon], conj, _conjugate_set))
         m = len(canon)
         gen = min(x for x in canon if x.order() == m)
-        powers = tuple(_powers(gen))
-        classes.append(CyclicClass(gen, m, powers, normalizer(G, canon)))
+        classes.append(CyclicClass(gen, m, powers(gen), normalizer(G, canon)))
     classes.sort(key=lambda c: (c.order, c.generator.images))
     return tuple(classes)
-
-
-def _powers(g: Perm) -> list[Perm]:
-    out = [Perm.identity(g.degree)]
-    x = g
-    while not x.is_identity():
-        out.append(x)
-        x = x * g
-    return out
 
 
 def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[Perm, ...]:
@@ -378,11 +396,16 @@ def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[Perm, ...]
 
 
 def normalizer(G: FiniteGroup, c: Iterable[Perm]) -> Subgroup:
-    """All g with g c g^-1 = c, by direct membership test."""
+    """All g with g c g^-1 = c, by direct membership test.
+
+    Conjugation is an automorphism, so g normalizes c exactly when it maps a
+    generating set of c into c; only reduced generators are conjugated.
+    """
     elems = _require_subgroup(G, tuple(c))
     cset = frozenset(elems)
+    gens = reduce_generators(elems, G.degree)
     members = tuple(g for g in G.elements
-                    if frozenset(g * x * g.inverse() for x in cset) == cset)
+                    if all(g * x * g.inverse() in cset for x in gens))
     return Subgroup(G, members)
 
 
@@ -397,7 +420,7 @@ def conjugation_exponent(n: Perm, c: CyclicClass) -> int:
     """The unit a (mod the subgroup order) with n^-1 g n = g^a for the canonical generator."""
     if c.order == 1:
         return 1
-    if n not in set(c.normalizer.elements):
+    if n not in c.normalizer:
         raise NotInNormalizerError(f"{n.cycle_string()} does not normalize the subgroup")
     h = n.inverse() * c.generator * n
     a = c.power_index(h)

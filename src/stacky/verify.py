@@ -22,6 +22,7 @@ from .corresp import (
     splitting_certificate,
 )
 from .decomp import (
+    _bh_rank,
     bh_motive,
     inertia_ranks_by_twist,
     inertial_quotient_motive,
@@ -34,6 +35,7 @@ from .perms import (
     alternating_group,
     cyclic_group,
     dihedral_group,
+    orbit,
     quaternion_group,
     symmetric_group,
 )
@@ -110,11 +112,11 @@ def check_rep_ring_vs_classes(H: FiniteGroup) -> VerificationReport:
     chi_i * chi_j = sum_k n_ijk chi_k on every class and raises if it fails,
     so a returned ring satisfies it."""
     ring = rep_ring(character_table(H))
-    bh = bh_motive(H, 0)
+    rank = _bh_rank(H, 0)
     lhs = f"ring rank {ring.rank}, pointwise identities hold"
-    rhs = f"class-count rank {bh.rank}"
+    rhs = f"class-count rank {rank}"
     payload = {"degree": H.degree, "generators": [list(g.images) for g in H.generators]}
-    return VerificationReport("rep-ring", _digest(payload), lhs, rhs, ring.rank == bh.rank)
+    return VerificationReport("rep-ring", _digest(payload), lhs, rhs, ring.rank == rank)
 
 
 def check_degree_splitting(f: Sequence[int], n: int, k: int, m: int) -> VerificationReport:
@@ -161,17 +163,7 @@ def _random_subgroup(rng: random.Random, G: FiniteGroup, max_index: int) -> list
     """A random subgroup whose coset space fits the point budget."""
     for _ in range(30):
         seeds = [rng.choice(G.elements) for _ in range(rng.randint(1, 2))]
-        elems = {G.identity}
-        frontier = [G.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in seeds:
-                    y = x * s
-                    if y not in elems:
-                        elems.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        elems = orbit([G.identity], seeds, Perm.__mul__)
         if G.order // len(elems) <= max_index:
             return sorted(elems)
     return sorted(G.elements)

@@ -1,0 +1,129 @@
+"""Seeded property tests of the permutation-group core against tests/oracles.py.
+
+Thirty random generator sets of degree at most 6 are drawn from a fixed seed
+(stdlib random, so no extra dependency); every group they generate is
+checked against the oracles' raw-tuple closures and all-pairs scans.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+import oracles
+from stacky.errors import GroupTooLargeError, NonBijectionError
+from stacky.perms import (
+    Perm,
+    canonical_conjugate,
+    conjugacy_classes,
+    cyclic_subgroup_classes,
+    generate_group,
+    orbit,
+    powers,
+)
+
+
+def _random_generator_sets(seed: int = 20260, count: int = 30):
+    rng = random.Random(seed)
+    for _ in range(count):
+        degree = rng.randint(1, 6)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(degree))
+            rng.shuffle(images)
+            gens.append(tuple(images))
+        yield degree, gens
+
+
+CASES = list(_random_generator_sets())
+
+
+def _ids(case):
+    degree, gens = case
+    return f"deg{degree}:" + "/".join("".join(map(str, g)) for g in gens)
+
+
+@pytest.fixture(scope="module", params=CASES, ids=[_ids(c) for c in CASES])
+def group(request):
+    degree, gens = request.param
+    G = generate_group(degree, [Perm(g) for g in gens])
+    return G, oracles.closure(degree, gens)
+
+
+def test_orbit_and_generate_group_match_the_closure(group):
+    G, elems = group
+    assert {g.images for g in G.elements} == elems
+    words = orbit([G.identity], G.generators, Perm.__mul__)
+    assert set(words) == set(G.elements)
+    for x, word in words.items():
+        acc = tuple(range(G.degree))
+        for i in word:
+            acc = oracles.compose(acc, G.generators[i].images)
+        assert acc == x.images
+    # breadth first: words come out in order of length
+    assert list(words.values()) == sorted(words.values(), key=len)
+
+
+def test_conjugacy_classes_match_the_oracle(group):
+    G, elems = group
+    ours = {frozenset(x.images for x in c.members) for c in conjugacy_classes(G)}
+    assert ours == {frozenset(c) for c in oracles.conj_classes(elems)}
+
+
+def test_cyclic_subgroup_classes_match_the_oracle(group):
+    G, elems = group
+    oracle = [frozenset(c) for c in
+              oracles.subgroup_conj_classes(elems, oracles.cyclic_subgroups(elems))]
+    for p in (0, 2, 3):
+        classes = cyclic_subgroup_classes(G, p)
+        kept = [c for c in oracle if p == 0 or math.gcd(len(next(iter(c))), p) == 1]
+        assert len(classes) == len(kept)
+        ours = []
+        for c in classes:
+            sub = frozenset(x.images for x in c.subgroup_elements)
+            ours.append(next(k for k in kept if sub in k))
+            assert sub == frozenset(x.images for x in powers(c.generator))
+        assert set(ours) == set(kept)
+
+
+def test_canonical_conjugate_is_the_least_of_the_class(group):
+    G, elems = group
+    by_images = {g.images: g for g in G.elements}
+    for cls in oracles.subgroup_conj_classes(elems, oracles.cyclic_subgroups(elems)):
+        least = min(cls, key=sorted)
+        for sub in cls:
+            canon = canonical_conjugate(G, [by_images[t] for t in sub])
+            assert frozenset(x.images for x in canon) == least
+    for c in cyclic_subgroup_classes(G, 0):
+        assert canonical_conjugate(G, c.subgroup_elements) == frozenset(c.subgroup_elements)
+
+
+def test_normalizer_orders_match_an_all_pairs_scan(group):
+    G, elems = group
+    for c in cyclic_subgroup_classes(G, 0):
+        sub = {x.images for x in c.subgroup_elements}
+        direct = {x for x in elems
+                  if {oracles.compose(oracles.compose(x, t), oracles.invert(x))
+                      for t in sub} == sub}
+        assert c.normalizer.order == len(direct)
+        assert {n.images for n in c.normalizer.elements} == direct
+        assert all(n in c.normalizer for n in c.normalizer.elements)
+
+
+def test_orbit_cap_raises_past_the_limit():
+    gens = [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])]
+    assert len(orbit([Perm.identity(4)], gens, Perm.__mul__, cap=24)) == 24
+    with pytest.raises(GroupTooLargeError, match="closure exceeds element cap 23"):
+        orbit([Perm.identity(4)], gens, Perm.__mul__, cap=23)
+
+
+def test_perm_validation_survives_the_trusted_constructor():
+    with pytest.raises(NonBijectionError):
+        Perm([0, 0])
+    with pytest.raises(NonBijectionError, match="different degrees"):
+        Perm([1, 0]) * Perm([0, 2, 1])
+    a = Perm([1, 2, 0])
+    assert a * a.inverse() == Perm.identity(3) == Perm([0, 1, 2])
+    assert hash(a * a) == hash(Perm([2, 0, 1]))
