@@ -1,8 +1,10 @@
 """Golden CLI corpus: exit code, stdout and stderr of `stacky` runs, byte for byte.
 
 The corpus in tests/golden/cli_outputs.jsonl was recorded before the
-permutation-group core was rewritten around one orbit closure; every run
-must still produce the same bytes.  The generated documents it reads live
+permutation-group core was rewritten around one orbit closure, and its last
+eight runs (the filtered cyclic-class listings and suite seeds 1 and 2)
+before inertia components became restrictions of the parent's action; every
+run must still produce the same bytes.  The generated documents it reads live
 in tests/golden/cli_docs/ and are built from raw image tuples below (the
 oracles' closure and composition, not the package).  Regenerate both (only
 for a deliberate change of output) with
@@ -173,6 +175,11 @@ def cases() -> list[tuple[str, list[str]]]:
             (doc, ["motive", "quotient", "--characteristic", "3"]),
             (doc, ["verify", "--check", "inertia-dim"]),
             (doc, ["verify", "--check", "inertia-dim", "--characteristic", "3"])]
+    for doc in ("s4_points.json", "s5_points.json", "d6_cosets.json"):
+        out += [(doc, ["group", "--characteristic", "2"]),
+                (doc, ["group", "--characteristic", "3"])]
+    out += [("s3_quotient.json", ["verify", "--check", "suite", "--seed", "1"]),
+            ("s3_quotient.json", ["verify", "--check", "suite", "--seed", "2"])]
     return out
 
 
