@@ -182,8 +182,8 @@ def motive_to_json(M: Motive) -> list[dict]:
 def parse_document(raw: Any) -> InputDocument:
     doc = _get_dict(raw, "document")
     characteristic = doc.get("characteristic", 0)
-    _expect(isinstance(characteristic, int) and characteristic >= 0,
-            "characteristic", "expected a nonnegative integer")
+    _expect(isinstance(characteristic, int) and not isinstance(characteristic, bool)
+            and characteristic >= 0, "characteristic", "expected a nonnegative integer")
     check_characteristic(characteristic)
 
     gspec = _get_dict(doc.get("group"), "group")

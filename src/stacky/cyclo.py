@@ -142,23 +142,7 @@ class Cyclotomic:
     @classmethod
     def zeta(cls, e: int, power: int = 1) -> "Cyclotomic":
         """zeta_e ** power."""
-        coeffs = [Fraction(0)] * e
-        coeffs[power % e] = Fraction(1)
-        return cls._reduce(e, coeffs)
-
-    @classmethod
-    def _reduce(cls, e: int, poly: list[Fraction]) -> "Cyclotomic":
-        """Reduce a polynomial in zeta_e (any degree) modulo Phi_e."""
-        phi = cyclotomic_polynomial(e)
-        d = len(phi) - 1
-        poly = list(poly)
-        for i in range(len(poly) - 1, d - 1, -1):
-            lead = poly[i]
-            if lead:
-                for j in range(d + 1):
-                    poly[i - d + j] -= lead * phi[j]
-        poly = poly[:d] + [Fraction(0)] * max(0, d - len(poly))
-        return cls(e, poly[:d])
+        return cls(e, _reduce_exponents([(power, 1)], e))
 
     # -- conductor handling --------------------------------------------------
 
@@ -169,10 +153,8 @@ class Cyclotomic:
         if e % self.conductor != 0:
             raise ValueError(f"cannot promote conductor {self.conductor} into {e}")
         step = e // self.conductor
-        poly = [Fraction(0)] * (len(self.coeffs) * step)
-        for i, c in enumerate(self.coeffs):
-            poly[i * step] = c
-        return Cyclotomic._reduce(e, poly)
+        return Cyclotomic(e, _reduce_exponents(
+            ((i * step, c) for i, c in enumerate(self.coeffs)), e))
 
     @staticmethod
     def _common(x: "Cyclotomic", y: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic", int]:
@@ -220,7 +202,7 @@ class Cyclotomic:
             if x:
                 for j, y in enumerate(b.coeffs):
                     prod[i + j] += x * y
-        return Cyclotomic._reduce(e, prod)
+        return Cyclotomic(e, _reduce_exponents(enumerate(prod), e))
 
     __rmul__ = __mul__
 
@@ -234,10 +216,7 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^-1."""
         e = self.conductor
-        poly = [Fraction(0)] * e
-        for i, c in enumerate(self.coeffs):
-            poly[(-i) % e] += c
-        return Cyclotomic._reduce(e, poly)
+        return Cyclotomic(e, _reduce_exponents(((-i, c) for i, c in enumerate(self.coeffs)), e))
 
     # -- predicates and views -------------------------------------------------
 

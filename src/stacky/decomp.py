@@ -103,7 +103,7 @@ def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
     every normalizer element on them (local cell indices)."""
     if c.order == 1:
         # the trivial class sees the ambient cells with the full action
-        return X.dims, {n: X.action_of(n) for n in c.normalizer.elements}
+        return X.dims, X.element_actions
     if X.kind == "hset":
         fixed = tuple(p for p in range(X.size)
                       if X.action_of(c.generator)(p) == p)
@@ -134,14 +134,6 @@ def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
     return locus.dims, actions
 
 
-def _restricted_model(parent_group: Subgroup, dims: Sequence[int],
-                      action: dict[Perm, Perm]) -> EquivariantModel:
-    """Package a sub-action as a standalone model over the subgroup."""
-    H = parent_group.as_group()
-    images = [action[g] for g in H.generators]
-    return EquivariantModel(H, dims, images, kind="cells")
-
-
 def cyclotomic_inertia(X: EquivariantModel, p: int = 0
                        ) -> tuple[CyclotomicInertiaComponent, ...]:
     """One component per conjugacy class of cyclic subgroups of order prime
@@ -149,7 +141,7 @@ def cyclotomic_inertia(X: EquivariantModel, p: int = 0
     out = []
     for c in cyclic_subgroup_classes(X.group, p):
         dims, action = _locus_cells_and_action(X, c)
-        fixed = _restricted_model(c.normalizer, dims, action)
+        fixed = EquivariantModel._restricted(c.normalizer, dims, action)
         out.append(CyclotomicInertiaComponent(c, fixed, injective_characters(c)))
     return tuple(out)
 
@@ -170,10 +162,9 @@ def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
             if h in seen:
                 continue
             seen.update(n.inverse() * h * n for n in c.normalizer.elements)
+            # C(h) lies in N(<h>), so the normalizer's action restricts to it
             Z = centralizer(G, h)
-            sub_action = {z: action[z] for z in Z.elements}
-            fixed = _restricted_model(Z, dims, sub_action)
-            out.append(InertiaComponent(h, Z, fixed))
+            out.append(InertiaComponent(h, Z, EquivariantModel._restricted(Z, dims, action)))
     return tuple(out)
 
 

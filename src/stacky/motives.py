@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InconsistentActionError, OpaqueTensorError
-from .perms import FiniteGroup, Perm, canonical_conjugate, normalizer, orbit, orbit_count, powers
+from .perms import (FiniteGroup, Perm, Subgroup, canonical_conjugate, normalizer, orbit,
+                    orbit_count, powers)
 
 
 @dataclass(frozen=True)
@@ -258,6 +259,20 @@ class EquivariantModel:
             group.elements, group.generators, self.generator_images, n,
             words=group.words)
         self.locus_actions = tuple(self._validate_locus(locus) for locus in self.fixed_loci)
+
+    @classmethod
+    def _restricted(cls, group: Subgroup, dims: Sequence[int],
+                    actions: dict[Perm, Perm]) -> "EquivariantModel":
+        """A cell model of ``group`` acting through ``actions``, unchecked: only
+        for restricting an action already verified on a parent model to a
+        subgroup preserving the cells.  ``actions`` is not copied."""
+        X = object.__new__(cls)
+        X.group = group
+        X.kind = "cells"
+        X.dims = tuple(dims)
+        X.element_actions = actions
+        X.generator_images = X.fixed_loci = X.locus_actions = ()
+        return X
 
     def _validate_locus(self, locus: FixedLocus) -> dict[Perm, Perm]:
         """Check one declared fixed locus and extend its normalizer action."""

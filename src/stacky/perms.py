@@ -144,6 +144,7 @@ class FiniteGroup:
         self.words = words  # element -> generator word, product read left to right
         self.index = {g: i for i, g in enumerate(elements)}
         self._conjugacy_classes: tuple[ConjugacyClass, ...] | None = None
+        self._cyclic_classes: tuple[CyclicClass, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -203,12 +204,6 @@ class Subgroup:
 
     def __contains__(self, g: Perm) -> bool:
         return g in self._members
-
-    def as_group(self) -> FiniteGroup:
-        """Repackage as a standalone FiniteGroup (same degree, reduced generators)."""
-        gens = reduce_generators(self.elements, self.parent.degree)
-        return generate_group(self.parent.degree, gens,
-                              degree_cap=max(DEFAULT_DEGREE_CAP, self.parent.degree))
 
 
 @dataclass(frozen=True)
@@ -358,26 +353,25 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     """Conjugacy classes of cyclic subgroups whose order is prime to p.
 
     ``p = 0`` keeps every order.  The trivial subgroup is always included.
+    All classes are computed once per group; p drops whole ones, in order.
     """
     check_characteristic(p)
-    subgroups = {frozenset(powers(g)) for g in G.elements}
-    if p != 0:
-        subgroups = {s for s in subgroups if math.gcd(len(s), p) == 1}
-
-    conj = _conjugators(G)
-    seen: set[frozenset[Perm]] = set()
-    classes = []
-    for canon in sorted(subgroups, key=_subgroup_key):
-        if canon in seen:
-            continue
-        # visited in key order, so the first one not yet seen is the least
-        # of its conjugacy class: canonical_conjugate(G, canon) == canon
-        seen.update(orbit([canon], conj, _conjugate_set))
-        m = len(canon)
-        gen = min(x for x in canon if x.order() == m)
-        classes.append(CyclicClass(gen, m, powers(gen), normalizer(G, canon)))
-    classes.sort(key=lambda c: (c.order, c.generator.images))
-    return tuple(classes)
+    if G._cyclic_classes is None:
+        conj = _conjugators(G)
+        seen: set[frozenset[Perm]] = set()
+        classes = []
+        for canon in sorted({frozenset(powers(g)) for g in G.elements}, key=_subgroup_key):
+            if canon in seen:
+                continue
+            # visited in key order, so the first one not yet seen is the least
+            # of its conjugacy class: canonical_conjugate(G, canon) == canon
+            seen.update(orbit([canon], conj, _conjugate_set))
+            m = len(canon)
+            gen = min(x for x in canon if x.order() == m)
+            classes.append(CyclicClass(gen, m, powers(gen), normalizer(G, canon)))
+        classes.sort(key=lambda c: (c.order, c.generator.images))
+        G._cyclic_classes = tuple(classes)
+    return tuple(c for c in G._cyclic_classes if p == 0 or c.order % p != 0)
 
 
 def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[Perm, ...]:

@@ -81,7 +81,10 @@ def _render_ranks(ranks: dict[int, int]) -> str:
 def check_inertia_dimension(X: EquivariantModel, p: int = 0) -> VerificationReport:
     """Per-twist ranks of the refined quotient motive against the orbit counts
     summed over the element-indexed inertia components."""
-    lhs = inertial_quotient_motive(X, p).ranks_by_twist()
+    return _inertia_dim_report(X, p, inertial_quotient_motive(X, p).ranks_by_twist())
+
+
+def _inertia_dim_report(X: EquivariantModel, p: int, lhs: dict[int, int]) -> VerificationReport:
     rhs = inertia_ranks_by_twist(X, p)
     return VerificationReport(
         "inertia-dim", _digest({"model": _model_payload(X), "p": p}),
@@ -91,9 +94,13 @@ def check_inertia_dimension(X: EquivariantModel, p: int = 0) -> VerificationRepo
 def check_kunneth(X: EquivariantModel, H: FiniteGroup, p: int = 0) -> VerificationReport:
     """Per-twist ranks of the product model against the convolution of the
     factors' rank vectors."""
+    return _kunneth_report(X, H, p, inertial_quotient_motive(X, p).ranks_by_twist())
+
+
+def _kunneth_report(X: EquivariantModel, H: FiniteGroup, p: int,
+                    xr: dict[int, int]) -> VerificationReport:
     prod = product_with_point_model(X, H)
     lhs = inertial_quotient_motive(prod, p).ranks_by_twist()
-    xr = inertial_quotient_motive(X, p).ranks_by_twist()
     hr = {0: bh_motive(H, p).rank}
     conv: dict[int, int] = {}
     for a, ra in xr.items():
@@ -221,12 +228,11 @@ def run_suite(seed: int = 0, count: int = 100) -> tuple[VerificationReport, ...]
     """Run the inertia-dimension and product-rank checks on the seeded suite."""
     reports = []
     for label, X, H, p in suite_inputs(seed, count):
-        rep = check_inertia_dimension(X, p)
-        reports.append(VerificationReport(
-            rep.check_name, f"{rep.input_digest} [{label}]", rep.lhs, rep.rhs, rep.passed))
-        rep = check_kunneth(X, H, p)
-        reports.append(VerificationReport(
-            rep.check_name, f"{rep.input_digest} [{label}]", rep.lhs, rep.rhs, rep.passed))
+        # both checks read the factor's refined ranks; compute them once
+        ranks = inertial_quotient_motive(X, p).ranks_by_twist()
+        for rep in (_inertia_dim_report(X, p, ranks), _kunneth_report(X, H, p, ranks)):
+            reports.append(VerificationReport(
+                rep.check_name, f"{rep.input_digest} [{label}]", rep.lhs, rep.rhs, rep.passed))
     return tuple(reports)
 
 

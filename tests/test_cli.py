@@ -253,6 +253,16 @@ def test_characteristic_must_be_zero_or_prime(capsys, tmp_path, command):
     assert capsys.readouterr().err == "error: characteristic 4 is neither 0 nor a prime\n"
 
 
+@pytest.mark.parametrize("value", [False, True])
+def test_boolean_characteristic_is_rejected(capsys, tmp_path, value):
+    doc = tmp_path / "bool.json"
+    doc.write_text(json.dumps({**S3_DOC, "characteristic": value}), encoding="utf-8")
+    assert main(["motive", "quotient", "--input", str(doc), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: characteristic: expected a nonnegative integer\n"
+
+
 def test_exit_code_3_on_internal_error(capsys, monkeypatch):
     import stacky.chars as chars_mod
 

@@ -1,0 +1,77 @@
+"""Inertia components against the old standalone route.
+
+Each component's fixed model restricts the parent's verified action to a
+normalizer or centralizer without checking it again.  The reference here
+rebuilds that subgroup as a standalone group (greedy generator reduction,
+then a fresh closure) and replays the component's generator images through
+the checked ``EquivariantModel`` constructor, whose ``extend_action``
+re-verifies the homomorphism.  Every element must then act as the
+component's model says.
+"""
+
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import pytest
+
+from stacky.cli import load_document
+from stacky.decomp import cyclotomic_inertia, inertia
+from stacky.motives import EquivariantModel
+from stacky.perms import Perm, Subgroup, generate_group, reduce_generators
+from stacky.verify import random_coset_model
+from test_perm_properties import CASES
+
+ROOT = Path(__file__).resolve().parent.parent
+CELL_DOCS = (ROOT / "tests" / "golden" / "cli_docs" / "s4_cells_noncanonical.json",
+             ROOT / "sample_inputs" / "curve_0_33.json")
+
+
+def reference_model(sub: Subgroup, model: EquivariantModel) -> EquivariantModel:
+    """The component model as the old route built it: a regenerated group
+    and the action replayed and checked from its generator images."""
+    degree = sub.parent.degree
+    H = generate_group(degree, reduce_generators(sub.elements, degree))
+    return EquivariantModel(H, model.dims, [model.action_of(g) for g in H.generators],
+                            kind="cells")
+
+
+def assert_matches_reference(sub: Subgroup, model: EquivariantModel) -> None:
+    assert model.group is sub
+    assert model.kind == "cells" and model.generator_images == ()
+    ref = reference_model(sub, model)
+    assert ref.group.elements == sub.elements
+    assert ref.dims == model.dims and ref.size == model.size
+    assert ref.cells_of_dim() == model.cells_of_dim()
+    assert {x: model.action_of(x) for x in sub.elements} == ref.element_actions
+
+
+def check_model(X: EquivariantModel) -> None:
+    for p in (0, 2, 3):
+        for comp in cyclotomic_inertia(X, p):
+            assert_matches_reference(comp.cyclic.normalizer, comp.fixed_model)
+        for comp in inertia(X, p):
+            assert_matches_reference(comp.centralizer, comp.fixed_model)
+
+
+def _models(index: int, degree: int, gens: list[tuple[int, ...]]):
+    G = generate_group(degree, [Perm(g) for g in gens])
+    yield EquivariantModel.hset(G, degree, G.generators)
+    # building coset models of S6-sized groups takes seconds; points suffice there
+    if G.order <= 120:
+        yield random_coset_model(random.Random(index), G, max_points=12)
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_seeded_components_match_the_reference(index):
+    degree, gens = CASES[index]
+    for X in _models(index, degree, gens):
+        check_model(X)
+
+
+@pytest.mark.parametrize("path", CELL_DOCS, ids=lambda p: p.name)
+def test_cell_model_components_match_the_reference(path):
+    X = load_document(str(path)).model
+    assert X.kind == "cells" and X.fixed_loci
+    check_model(X)

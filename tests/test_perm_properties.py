@@ -76,16 +76,25 @@ def test_cyclic_subgroup_classes_match_the_oracle(group):
     G, elems = group
     oracle = [frozenset(c) for c in
               oracles.subgroup_conj_classes(elems, oracles.cyclic_subgroups(elems))]
-    for p in (0, 2, 3):
-        classes = cyclic_subgroup_classes(G, p)
-        kept = [c for c in oracle if p == 0 or math.gcd(len(next(iter(c))), p) == 1]
-        assert len(classes) == len(kept)
-        ours = []
-        for c in classes:
-            sub = frozenset(x.images for x in c.subgroup_elements)
-            ours.append(next(k for k in kept if sub in k))
-            assert sub == frozenset(x.images for x in powers(c.generator))
-        assert set(ours) == set(kept)
+    # the classes are computed once per group, whichever p is asked for first
+    listings = []
+    for order in ((3, 0, 2), (0, 2, 3)):
+        fresh = generate_group(G.degree, G.generators)
+        listing = {}
+        for p in order:
+            classes = cyclic_subgroup_classes(fresh, p)
+            kept = [c for c in oracle if p == 0 or math.gcd(len(next(iter(c))), p) == 1]
+            assert len(classes) == len(kept)
+            ours = []
+            for c in classes:
+                sub = frozenset(x.images for x in c.subgroup_elements)
+                ours.append(next(k for k in kept if sub in k))
+                assert sub == frozenset(x.images for x in powers(c.generator))
+            assert set(ours) == set(kept)
+            listing[p] = [(c.generator, c.subgroup_elements, c.normalizer.elements)
+                          for c in classes]
+        listings.append(listing)
+    assert listings[0] == listings[1]
 
 
 def test_canonical_conjugate_is_the_least_of_the_class(group):
