@@ -154,10 +154,10 @@ def test_split_rejects_non_idempotent():
         split_idempotent(p)
 
 
-def test_split_random_idempotents():
-    # conjugated coordinate projectors are idempotents of known rank
-    rng = random.Random(29)
-    for _ in range(25):
+def random_idempotents(seed: int = 29, count: int = 25):
+    """Conjugated coordinate projectors S D S^-1: (rank k, one-twist idempotent)."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(1, 5)
         k = rng.randint(0, n)
         # random invertible S over Q via unitriangular factors
@@ -171,8 +171,12 @@ def test_split_random_idempotents():
         assert len(pivots) == n
         Sinv = tuple(tuple(row[n:]) for row in Sinv_rows)
         D = matrix([[1 if (i == j and i < k) else 0 for j in range(n)] for i in range(n)])
-        P = mat_mul(mat_mul(S, D), Sinv)
-        p = Correspondence.single_twist(0, P)
+        yield k, Correspondence.single_twist(0, mat_mul(mat_mul(S, D), Sinv))
+
+
+def test_split_random_idempotents():
+    # conjugated coordinate projectors are idempotents of known rank
+    for k, p in random_idempotents():
         factor = split_idempotent(p)
         assert factor.image.total_unit_multiplicity() == k
         assert compose(factor.inclusion, factor.retraction) == p
