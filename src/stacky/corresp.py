@@ -8,6 +8,8 @@ keeps one block per twist.  Composition order is right-to-left throughout:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -36,11 +38,16 @@ def eye(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact product: integer numerators over one common denominator per
+    factor, multiplied as integers; each entry becomes a Fraction once."""
     if a and b and len(a[0]) != len(b):
         raise ShapeMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-                       for j in range(len(b[0]) if b else 0))
-                 for i in range(len(a)))
+    da = math.lcm(*(x.denominator for row in a for x in row))
+    db = math.lcm(*(x.denominator for row in b for x in row))
+    an = [[x.numerator * (da // x.denominator) for x in row] for row in a]
+    bcols = list(zip(*([x.numerator * (db // x.denominator) for x in row] for row in b)))
+    return tuple(tuple(Fraction(sum(map(operator.mul, r, col)), da * db) for col in bcols)
+                 for r in an)
 
 
 def mat_transpose(a: Matrix) -> Matrix:

@@ -10,7 +10,7 @@ and one-dimensional orbifolds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .chars import character_table, rep_ring
@@ -35,8 +35,8 @@ from .perms import (
     cyclic_subgroup_classes,
     direct_product,
     orbit,
-    orbit_count,
     powers,
+    _count_orbits,
 )
 
 
@@ -53,22 +53,26 @@ class InjectiveCharacters:
 
     Characters are indexed by exponents j prime to the order; an element n of
     the normalizer with conjugation exponent a sends index j to j*a mod m.
+    ``images[n]`` is that permutation of the character positions.
     """
 
     cyclic: CyclicClass
     indices: tuple[int, ...]
     exponents: dict[Perm, int]
+    images: dict[Perm, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = self.cyclic.order
+        pos = {j: i for i, j in enumerate(self.indices)}
+        object.__setattr__(self, "images", {
+            n: tuple(pos[j * a % m] for j in self.indices) for n, a in self.exponents.items()})
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
     def act(self, n: Perm, pos: int) -> int:
-        m = self.cyclic.order
-        if m == 1:
-            return 0
-        j = self.indices[pos] * self.exponents[n] % m
-        return self.indices.index(j)
+        return self.images[n][pos]
 
 
 def injective_characters(c: CyclicClass) -> InjectiveCharacters:
@@ -197,21 +201,17 @@ class InertialMotive:
 
 
 def _component_ranks(comp: CyclotomicInertiaComponent) -> dict[int, int]:
-    """Per-twist orbit counts of the normalizer on fixed cells x characters."""
+    """Per-twist orbit counts of the normalizer on fixed cells x characters;
+    the pair (cell position i, character position j) is the point i*k + j."""
     model = comp.fixed_model
-    N = model.group
-    chars = comp.chars
-    k = chars.size
+    elems = model.group.elements
+    k = comp.chars.size
+    pairs = [(model.action_of(n).images, comp.chars.images[n]) for n in elems]
     out = {}
     for d, cells in sorted(model.cells_of_dim().items()):
         pos = {cell: i for i, cell in enumerate(cells)}
-
-        def action(n: Perm, pair: int, cells=cells, pos=pos) -> int:
-            cell_pos, char_pos = divmod(pair, k)
-            new_cell = pos[model.action_of(n)(cells[cell_pos])]
-            return new_cell * k + chars.act(n, char_pos)
-
-        out[d] = orbit_count(N.elements, action, len(cells) * k)
+        out[d] = _count_orbits(elems, [[pos[img[c]] * k + j for c in cells for j in crow]
+                                       for img, crow in pairs])
     return out
 
 
@@ -234,13 +234,11 @@ def inertia_ranks_by_twist(X: EquivariantModel, p: int = 0) -> dict[int, int]:
     out: dict[int, int] = {}
     for comp in inertia(X, p):
         model = comp.fixed_model
+        elems = model.group.elements
+        imgs = [model.action_of(z).images for z in elems]
         for d, cells in model.cells_of_dim().items():
             pos = {cell: i for i, cell in enumerate(cells)}
-
-            def action(z: Perm, q: int, cells=cells, pos=pos) -> int:
-                return pos[model.action_of(z)(cells[q])]
-
-            count = orbit_count(model.group.elements, action, len(cells))
+            count = _count_orbits(elems, [[pos[img[c]] for c in cells] for img in imgs])
             out[d] = out.get(d, 0) + count
     return {d: r for d, r in out.items() if r}
 
@@ -267,8 +265,9 @@ def _bh_rank(H: FiniteGroup, p: int) -> int:
     # independent route: orbits of each normalizer on the injective characters
     via_chars = 0
     for c in cyclic_subgroup_classes(H, p):
-        chars = injective_characters(c)
-        via_chars += orbit_count(c.normalizer.elements, chars.act, chars.size)
+        images = injective_characters(c).images
+        elems = c.normalizer.elements
+        via_chars += _count_orbits(elems, [images[n] for n in elems])
     if via_chars != rank:
         raise RuntimeError(
             f"internal error: class count {rank} and character-orbit count "

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InconsistentActionError, OpaqueTensorError
-from .perms import (FiniteGroup, Perm, Subgroup, canonical_conjugate, normalizer, orbit,
-                    orbit_count, powers)
+from .perms import (FiniteGroup, Perm, Subgroup, _count_orbits, canonical_conjugate,
+                    normalizer, orbit, powers)
 
 
 @dataclass(frozen=True)
@@ -372,7 +372,7 @@ class MotiveAction:
     """A group acting on a motive by permuting the copies of each (atom, twist)."""
 
     motive: Motive
-    group: FiniteGroup
+    group: FiniteGroup | Subgroup
     # one entry per motive term, aligned with it: permutations of the
     # multiplicity index set, aligned with group.elements
     slot_actions: tuple[tuple[Perm, ...], ...] = field(repr=False)
@@ -399,11 +399,9 @@ class MotiveAction:
 def invariants(act: MotiveAction) -> Motive:
     """The fixed part: per (atom, twist) the multiplicity drops to the number
     of orbits of the group on the index set (rank of the averaging projector)."""
-    idx = act.group.index
     out = []
     for (atom, twist, mult), perms in zip(act.motive.terms, act.slot_actions):
-        count = orbit_count(act.group.elements, lambda g, p: perms[idx[g]](p), mult)
-        out.append((atom, twist, count))
+        out.append((atom, twist, _count_orbits(act.group.elements, [p.images for p in perms])))
     return Motive.of(out)
 
 

@@ -9,7 +9,9 @@ and all operations are pure functions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
@@ -189,21 +191,30 @@ class ConjugacyClass:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its element subset inside a parent group."""
+    """A subgroup given by its element subset inside a parent group, with a
+    FiniteGroup's ``index``, ``identity`` and ``generators``."""
 
     parent: FiniteGroup
     elements: tuple[Perm, ...]
-    _members: frozenset[Perm] = field(init=False, repr=False, compare=False)
+    index: dict[Perm, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.elements))
+        object.__setattr__(self, "index", {g: i for i, g in enumerate(self.elements)})
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def identity(self) -> Perm:
+        return self.parent.identity
+
+    @cached_property
+    def generators(self) -> tuple[Perm, ...]:
+        return reduce_generators(self.elements, self.parent.degree)
+
     def __contains__(self, g: Perm) -> bool:
-        return g in self._members
+        return g in self.index
 
 
 @dataclass(frozen=True)
@@ -393,14 +404,24 @@ def normalizer(G: FiniteGroup, c: Iterable[Perm]) -> Subgroup:
     """All g with g c g^-1 = c, by direct membership test.
 
     Conjugation is an automorphism, so g normalizes c exactly when it maps a
-    generating set of c into c; only reduced generators are conjugated.
+    generating set of c into c; only reduced generators are conjugated, as
+    image tuples: (g x g^-1)(g(p)) = g(x(p)).
     """
     elems = _require_subgroup(G, tuple(c))
-    cset = frozenset(elems)
-    gens = reduce_generators(elems, G.degree)
-    members = tuple(g for g in G.elements
-                    if all(g * x * g.inverse() in cset for x in gens))
-    return Subgroup(G, members)
+    cset = frozenset(x.images for x in elems)
+    gens = [x.images for x in reduce_generators(elems, G.degree)]
+    members = []
+    for g in G.elements:
+        gi = g.images
+        for x in gens:
+            conj = [0] * G.degree
+            for p, q in zip(gi, map(gi.__getitem__, x)):
+                conj[p] = q
+            if tuple(conj) not in cset:
+                break
+        else:
+            members.append(g)
+    return Subgroup(G, tuple(members))
 
 
 def centralizer(G: FiniteGroup, h: Perm) -> Subgroup:
@@ -429,46 +450,56 @@ def orbit_count(elements: Sequence[Perm], action: Callable[[Perm, int], int], po
     ``elements`` must be the full group: the result is double-checked against
     the Burnside fixed-point average, which needs every element.  The action
     axioms are spot-checked on a bounded sample; a violation raises
-    NotAnActionError, a Burnside mismatch is an internal error.
+    NotAnActionError, a Burnside mismatch is an internal error.  ``action`` is
+    called once per (element, point) to tabulate one image row per element.
     """
     if points == 0:
         return 0
     elems = list(elements)
-    elem_set = set(elems)
-    ident = Perm.identity(elems[0].degree)
-    if ident in elem_set:
-        for pt in range(points):
-            if action(ident, pt) != pt:
+    return _count_orbits(elems, [[action(g, pt) for pt in range(points)] for g in elems])
+
+
+def _count_orbits(elems: Sequence[Perm], rows: Sequence[Sequence[int]]) -> int:
+    """orbit_count on image rows: ``rows[i][x]`` is the image of point x under
+    ``elems[i]``.  Checks, in order: the identity fixes every point, every
+    value is a point, the sampled axioms, then the Burnside average."""
+    points = len(rows[0])
+    index = {g: i for i, g in enumerate(elems)}
+    i = index.get(Perm.identity(elems[0].degree))
+    if i is not None:
+        for pt, y in enumerate(rows[i]):
+            if y != pt:
                 raise NotAnActionError(f"identity moves point {pt}")
+    # before any value is used as an index, so a negative one cannot wrap round
+    for row in rows:
+        if row and (min(row) < 0 or max(row) >= points):
+            pt = next(pt for pt, y in enumerate(row) if not 0 <= y < points)
+            raise NotAnActionError(f"action maps point {pt} out of range")
     sample = elems[:6]
-    for a in sample:
-        for b in sample:
-            ab = a * b
-            if ab in elem_set:
+    for a, ra in zip(sample, rows):
+        for b, rb in zip(sample, rows):
+            k = index.get(a * b)
+            if k is not None:
                 for pt in range(min(points, 6)):
-                    if action(ab, pt) != action(a, action(b, pt)):
+                    if rows[k][pt] != ra[rb[pt]]:
                         raise NotAnActionError(
                             f"action violates (a*b)(x) = a(b(x)) at point {pt}")
 
-    seen = [False] * points
+    images = list(zip(*rows))  # images[x]: x under every element
+    seen: set[int] = set()
     orbits = 0
     for start in range(points):
-        if seen[start]:
+        if start in seen:
             continue
         orbits += 1
+        seen.add(start)
         stack = [start]
-        seen[start] = True
         while stack:
-            x = stack.pop()
-            for g in elems:
-                y = action(g, x)
-                if not 0 <= y < points:
-                    raise NotAnActionError(f"action maps point {x} out of range")
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
+            fresh = set(images[stack.pop()]) - seen
+            seen |= fresh
+            stack.extend(fresh)
 
-    fixed_total = sum(sum(1 for pt in range(points) if action(g, pt) == pt) for g in elems)
+    fixed_total = sum(sum(map(operator.eq, row, range(points))) for row in rows)
     if fixed_total % len(elems) != 0 or fixed_total // len(elems) != orbits:
         raise RuntimeError(
             f"internal error: Burnside average {fixed_total}/{len(elems)} "

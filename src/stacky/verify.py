@@ -12,7 +12,8 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cache, partial
+from typing import Callable, Iterator, Sequence
 
 from .chars import character_table, rep_ring
 from .corresp import (
@@ -158,11 +159,11 @@ def check_degree_splitting(f: Sequence[int], n: int, k: int, m: int) -> Verifica
 # ---------------------------------------------------------------------------
 # Randomized suite.
 
-def _group_pool() -> list[tuple[str, FiniteGroup]]:
-    pool = [(f"C{n}", cyclic_group(n)) for n in range(1, 13)]
-    pool += [(f"D{n}", dihedral_group(n)) for n in range(2, 7)]
-    pool += [("S3", symmetric_group(3)), ("S4", symmetric_group(4)),
-             ("A4", alternating_group(4)), ("Q8", quaternion_group())]
+def _group_pool() -> list[tuple[str, Callable[[], FiniteGroup]]]:
+    pool = [(f"C{n}", partial(cyclic_group, n)) for n in range(1, 13)]
+    pool += [(f"D{n}", partial(dihedral_group, n)) for n in range(2, 7)]
+    pool += [("S3", partial(symmetric_group, 3)), ("S4", partial(symmetric_group, 4)),
+             ("A4", partial(alternating_group, 4)), ("Q8", quaternion_group)]
     return pool
 
 
@@ -214,12 +215,14 @@ def suite_inputs(seed: int, count: int = 100
     """Deterministic stream of (label, model, second factor, characteristic)."""
     rng = random.Random(seed)
     pool = _group_pool()
-    second = [("C2", cyclic_group(2)), ("C3", cyclic_group(3)),
-              ("S3", symmetric_group(3)), ("C4", cyclic_group(4))]
+    second = [("C2", partial(cyclic_group, 2)), ("C3", partial(cyclic_group, 3)),
+              ("S3", partial(symmetric_group, 3)), ("C4", partial(cyclic_group, 4))]
+    built = cache(lambda make: make())  # each drawn group is built once per call
     for i in range(count):
-        gname, G = rng.choice(pool)
-        X = random_coset_model(rng, G)
-        hname, H = rng.choice(second)
+        gname, make = rng.choice(pool)
+        X = random_coset_model(rng, built(make))
+        hname, make = rng.choice(second)
+        H = built(make)
         p = rng.choice([0, 2, 3])
         yield f"seed={seed} input={i} group={gname} h={hname} p={p}", X, H, p
 

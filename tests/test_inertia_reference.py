@@ -6,7 +6,7 @@ rebuilds that subgroup as a standalone group (greedy generator reduction,
 then a fresh closure) and replays the component's generator images through
 the checked ``EquivariantModel`` constructor, whose ``extend_action``
 re-verifies the homomorphism.  Every element must then act as the
-component's model says.
+component's model says, and both models must have the same quotient motive.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from stacky.cli import load_document
-from stacky.decomp import cyclotomic_inertia, inertia
+from stacky.decomp import cyclotomic_inertia, inertia, quotient_motive
 from stacky.motives import EquivariantModel
 from stacky.perms import Perm, Subgroup, generate_group, reduce_generators
 from stacky.verify import random_coset_model
@@ -45,6 +45,8 @@ def assert_matches_reference(sub: Subgroup, model: EquivariantModel) -> None:
     assert ref.dims == model.dims and ref.size == model.size
     assert ref.cells_of_dim() == model.cells_of_dim()
     assert {x: model.action_of(x) for x in sub.elements} == ref.element_actions
+    # the restricted model acts through the Subgroup as the standalone one does
+    assert quotient_motive(model) == quotient_motive(ref)
 
 
 def check_model(X: EquivariantModel) -> None:
