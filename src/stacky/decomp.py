@@ -53,26 +53,27 @@ class InjectiveCharacters:
 
     Characters are indexed by exponents j prime to the order; an element n of
     the normalizer with conjugation exponent a sends index j to j*a mod m.
-    ``images[n]`` is that permutation of the character positions.
     """
 
     cyclic: CyclicClass
     indices: tuple[int, ...]
     exponents: dict[Perm, int]
-    images: dict[Perm, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    positions: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.cyclic.order
-        pos = {j: i for i, j in enumerate(self.indices)}
-        object.__setattr__(self, "images", {
-            n: tuple(pos[j * a % m] for j in self.indices) for n, a in self.exponents.items()})
+        object.__setattr__(self, "positions", {j: i for i, j in enumerate(self.indices)})
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
     def act(self, n: Perm, pos: int) -> int:
-        return self.images[n][pos]
+        return self.positions[self.indices[pos] * self.exponents[n] % self.cyclic.order]
+
+    def image_row(self, n: Perm) -> tuple[int, ...]:
+        """The permutation of the character positions by n."""
+        a, m = self.exponents[n], self.cyclic.order
+        return tuple(self.positions[j * a % m] for j in self.indices)
 
 
 def injective_characters(c: CyclicClass) -> InjectiveCharacters:
@@ -206,7 +207,7 @@ def _component_ranks(comp: CyclotomicInertiaComponent) -> dict[int, int]:
     model = comp.fixed_model
     elems = model.group.elements
     k = comp.chars.size
-    pairs = [(model.action_of(n).images, comp.chars.images[n]) for n in elems]
+    pairs = [(model.action_of(n).images, comp.chars.image_row(n)) for n in elems]
     out = {}
     for d, cells in sorted(model.cells_of_dim().items()):
         pos = {cell: i for i, cell in enumerate(cells)}
@@ -265,9 +266,9 @@ def _bh_rank(H: FiniteGroup, p: int) -> int:
     # independent route: orbits of each normalizer on the injective characters
     via_chars = 0
     for c in cyclic_subgroup_classes(H, p):
-        images = injective_characters(c).images
+        chars = injective_characters(c)
         elems = c.normalizer.elements
-        via_chars += _count_orbits(elems, [images[n] for n in elems])
+        via_chars += _count_orbits(elems, [chars.image_row(n) for n in elems])
     if via_chars != rank:
         raise RuntimeError(
             f"internal error: class count {rank} and character-orbit count "

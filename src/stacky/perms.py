@@ -485,7 +485,6 @@ def _count_orbits(elems: Sequence[Perm], rows: Sequence[Sequence[int]]) -> int:
                         raise NotAnActionError(
                             f"action violates (a*b)(x) = a(b(x)) at point {pt}")
 
-    images = list(zip(*rows))  # images[x]: x under every element
     seen: set[int] = set()
     orbits = 0
     for start in range(points):
@@ -495,7 +494,7 @@ def _count_orbits(elems: Sequence[Perm], rows: Sequence[Sequence[int]]) -> int:
         seen.add(start)
         stack = [start]
         while stack:
-            fresh = set(images[stack.pop()]) - seen
+            fresh = set(map(operator.itemgetter(stack.pop()), rows)) - seen
             seen |= fresh
             stack.extend(fresh)
 
