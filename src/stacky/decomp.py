@@ -37,6 +37,7 @@ from .perms import (
     orbit,
     powers,
     _count_orbits,
+    _cyclic_subgroups,
 )
 
 
@@ -345,20 +346,6 @@ def _automorphism_map(H: FiniteGroup, images: Sequence[Perm]) -> dict[Perm, Perm
     return phi
 
 
-def _cyclic_subgroups_with_generator(H: FiniteGroup, p: int
-                                     ) -> dict[frozenset[Perm], tuple[Perm, ...]]:
-    """Each cyclic subgroup of order prime to p with the powers of its least
-    generator, so that position k holds the k-th power."""
-    subs: dict[frozenset[Perm], tuple[Perm, ...]] = {}
-    # elements are sorted, so the first generator met is the least
-    for g in H.elements:
-        pw = powers(g)
-        key = frozenset(pw)
-        if key not in subs and (p == 0 or math.gcd(len(pw), p) == 1):
-            subs[key] = pw
-    return subs
-
-
 def _pair_key(sub: frozenset[Perm], j: int) -> tuple:
     return (len(sub), tuple(sorted(x.images for x in sub)), j)
 
@@ -367,7 +354,7 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
                ) -> CharacterOrbitSet:
     """Orbits of conjugation on (cyclic subgroup, injective character) pairs
     and the permutations induced by the monodromy automorphisms."""
-    subs = _cyclic_subgroups_with_generator(H, p)
+    subs = {s: pw for s, pw in _cyclic_subgroups(H).items() if p == 0 or math.gcd(len(s), p) == 1}
 
     def act_pair(pair, conj: tuple[Perm, Perm]):
         sub, j = pair

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InconsistentActionError, OpaqueTensorError
-from .perms import (FiniteGroup, Perm, Subgroup, _count_orbits, canonical_conjugate,
-                    normalizer, orbit, powers)
+from .perms import (FiniteGroup, Perm, Subgroup, _count_orbits, _normalizer,
+                    canonical_conjugate, orbit, powers)
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ class EquivariantModel:
                 break
             if canonical_conjugate(self.group, powers(other.generator)) == key:
                 raise ValueError("two fixed loci declare conjugate subgroups")
-        N = normalizer(self.group, sub)
+        N = _normalizer(self.group, sub, [g])  # powers(g) is a subgroup by construction
         n_loc = len(locus.dims)
         if len(locus.action_generators) != len(locus.action_images):
             raise InconsistentActionError("locus action generators and images differ in count")

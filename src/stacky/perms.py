@@ -175,6 +175,13 @@ class FiniteGroup:
         gens = self.generators
         return all(a * b == b * a for a in gens for b in gens)
 
+    @cached_property
+    def _conjugation_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per generator g, the row i -> index of g e_i g^-1 over the element indices."""
+        by_images = {e.images: i for i, e in enumerate(self.elements)}
+        return tuple(tuple(by_images[_conjugate(g.images, e.images)] for e in self.elements)
+                     for g in self.generators)
+
 
 @dataclass(frozen=True)
 class ConjugacyClass:
@@ -225,12 +232,16 @@ class CyclicClass:
     order: int
     subgroup_elements: tuple[Perm, ...]  # powers g^0 .. g^(m-1)
     normalizer: Subgroup
+    dlog: dict[Perm, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dlog", {h: k for k, h in enumerate(self.subgroup_elements)})
 
     def power_index(self, h: Perm) -> int:
         """Discrete log of h with respect to the canonical generator."""
         try:
-            return self.subgroup_elements.index(h)
-        except ValueError:
+            return self.dlog[h]
+        except (KeyError, TypeError):
             raise ValueError("element is not in the cyclic subgroup") from None
 
 
@@ -274,24 +285,29 @@ def powers(g: Perm) -> tuple[Perm, ...]:
     return tuple(out)
 
 
-def _conjugators(G: FiniteGroup) -> list[tuple[Perm, Perm]]:
-    """The generators of G paired with their inverses, for conjugation actions."""
-    return [(g, g.inverse()) for g in G.generators]
+def _conjugate(g: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of g x g^-1, from those of g and x: (g x g^-1)(g(p)) = g(x(p))."""
+    out = [0] * len(g)
+    for p, q in zip(g, map(g.__getitem__, x)):
+        out[p] = q
+    return tuple(out)
 
 
-def _conjugate_set(s: frozenset[Perm], pair: tuple[Perm, Perm]) -> frozenset[Perm]:
-    g, ginv = pair
-    return frozenset(g * x * ginv for x in s)
-
-
-def _subgroup_key(s: Iterable[Perm]) -> tuple:
-    return tuple(x.images for x in sorted(s))
+def _conjugate_indices(s: frozenset[int], row: tuple[int, ...]) -> frozenset[int]:
+    return frozenset(map(row.__getitem__, s))
 
 
 def canonical_conjugate(G: FiniteGroup, sub: Iterable[Perm]) -> frozenset[Perm]:
     """The least conjugate of a subgroup by its sorted image tuples: one
-    canonical representative, and so a key, for its conjugacy class."""
-    return min(orbit([frozenset(sub)], _conjugators(G), _conjugate_set), key=_subgroup_key)
+    canonical representative, and so a key, for its conjugacy class.  Sorted
+    indices order the conjugates as image tuples do; outside G, Perms are conjugated."""
+    s = frozenset(sub)
+    if all(x in G.index for x in s):
+        rows = G._conjugation_rows
+        conj = orbit([frozenset(map(G.index.__getitem__, s))], rows, _conjugate_indices)
+        return frozenset(map(G.elements.__getitem__, min(conj, key=sorted)))
+    conj = orbit([s], G.generators, lambda t, g: frozenset(g * x * g.inverse() for x in t))
+    return min(conj, key=lambda t: sorted(x.images for x in t))
 
 
 def generate_group(degree: int, generators: Sequence[Perm], *,
@@ -336,20 +352,35 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     """Partition the group into conjugacy classes, canonically ordered."""
     if G._conjugacy_classes is not None:
         return G._conjugacy_classes
-    conj = _conjugators(G)
-    seen: set[Perm] = set()
+    seen: set[int] = set()
     classes = []
-    for seed in G.elements:
-        if seed in seen:
+    for i, seed in enumerate(G.elements):
+        if i in seen:
             continue
         # elements are sorted, so the first one not yet seen is its class's least
-        members = tuple(sorted(orbit([seed], conj, lambda x, c: c[0] * x * c[1])))
-        classes.append(ConjugacyClass(seed, members, seed.order()))
+        members = sorted(orbit([i], G._conjugation_rows, lambda x, row: row[x]))
+        classes.append(ConjugacyClass(seed, tuple(map(G.elements.__getitem__, members)),
+                                      seed.order()))
         seen.update(members)
     classes.sort(key=lambda c: (c.order, c.representative.images))
     result = tuple(classes)
     G._conjugacy_classes = result
     return result
+
+
+def _cyclic_subgroups(G: FiniteGroup) -> dict[frozenset[Perm], tuple[Perm, ...]]:
+    """Each cyclic subgroup with the powers of its least generator, so that
+    position k holds the k-th power.  An element is skipped once it generates
+    a subgroup already found, so powers() runs once per subgroup."""
+    subs: dict[frozenset[Perm], tuple[Perm, ...]] = {}
+    covered: set[Perm] = set()
+    # elements are sorted, so the first generator met is the least
+    for g in G.elements:
+        if g not in covered:
+            pw = powers(g)
+            covered.update(pw[k] for k in range(len(pw)) if math.gcd(k, len(pw)) == 1)
+            subs[frozenset(pw)] = pw
+    return subs
 
 
 def check_characteristic(p: int) -> None:
@@ -368,18 +399,19 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     """
     check_characteristic(p)
     if G._cyclic_classes is None:
-        conj = _conjugators(G)
-        seen: set[frozenset[Perm]] = set()
+        # as element-index sets, which sort as their sorted image tuples do
+        subs = {frozenset(map(G.index.__getitem__, pw)): pw
+                for pw in _cyclic_subgroups(G).values()}
+        seen: set[frozenset[int]] = set()
         classes = []
-        for canon in sorted({frozenset(powers(g)) for g in G.elements}, key=_subgroup_key):
-            if canon in seen:
+        for key, pw in sorted(subs.items(), key=lambda item: sorted(item[0])):
+            if key in seen:
                 continue
             # visited in key order, so the first one not yet seen is the least
             # of its conjugacy class: canonical_conjugate(G, canon) == canon
-            seen.update(orbit([canon], conj, _conjugate_set))
-            m = len(canon)
-            gen = min(x for x in canon if x.order() == m)
-            classes.append(CyclicClass(gen, m, powers(gen), normalizer(G, canon)))
+            seen.update(orbit([key], G._conjugation_rows, _conjugate_indices))
+            gens = pw[1:2]  # the least generator; none for the trivial subgroup
+            classes.append(CyclicClass((gens or pw)[0], len(pw), pw, _normalizer(G, pw, gens)))
         classes.sort(key=lambda c: (c.order, c.generator.images))
         G._cyclic_classes = tuple(classes)
     return tuple(c for c in G._cyclic_classes if p == 0 or c.order % p != 0)
@@ -401,44 +433,37 @@ def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[Perm, ...]
 
 
 def normalizer(G: FiniteGroup, c: Iterable[Perm]) -> Subgroup:
-    """All g with g c g^-1 = c, by direct membership test.
-
-    Conjugation is an automorphism, so g normalizes c exactly when it maps a
-    generating set of c into c; only reduced generators are conjugated, as
-    image tuples: (g x g^-1)(g(p)) = g(x(p)).
-    """
+    """All g with g c g^-1 = c, by direct membership test."""
     elems = _require_subgroup(G, tuple(c))
+    return _normalizer(G, elems, reduce_generators(elems, G.degree))
+
+
+def _normalizer(G: FiniteGroup, elems: Iterable[Perm], gens: Iterable[Perm]) -> Subgroup:
+    """normalizer of a set known to be a subgroup, generated by gens: g is in it
+    when it conjugates the generators into the set, on image tuples."""
     cset = frozenset(x.images for x in elems)
-    gens = [x.images for x in reduce_generators(elems, G.degree)]
-    members = []
-    for g in G.elements:
-        gi = g.images
-        for x in gens:
-            conj = [0] * G.degree
-            for p, q in zip(gi, map(gi.__getitem__, x)):
-                conj[p] = q
-            if tuple(conj) not in cset:
-                break
-        else:
-            members.append(g)
-    return Subgroup(G, tuple(members))
+    gens = [x.images for x in gens]
+    return Subgroup(G, tuple(g for g in G.elements
+                             if all(_conjugate(g.images, x) in cset for x in gens)))
 
 
 def centralizer(G: FiniteGroup, h: Perm) -> Subgroup:
-    """All g commuting with h."""
+    """All g commuting with h, that is g h g^-1 = h on image tuples."""
     if h not in G:
         raise NotASubgroupError("element is not in the group")
-    return Subgroup(G, tuple(g for g in G.elements if g * h == h * g))
+    return Subgroup(G, tuple(g for g in G.elements if _conjugate(g.images, h.images) == h.images))
 
 
 def conjugation_exponent(n: Perm, c: CyclicClass) -> int:
-    """The unit a (mod the subgroup order) with n^-1 g n = g^a for the canonical generator."""
+    """The unit a (mod the subgroup order) with n^-1 g n = g^a for the canonical
+    generator g, conjugated as image tuples."""
     if c.order == 1:
         return 1
-    if n not in c.normalizer:
+    a = None
+    if n in c.normalizer:
+        a = c.dlog.get(Perm._trusted(_conjugate(n.inverse().images, c.generator.images)))
+    if a is None:
         raise NotInNormalizerError(f"{n.cycle_string()} does not normalize the subgroup")
-    h = n.inverse() * c.generator * n
-    a = c.power_index(h)
     if math.gcd(a, c.order) != 1:
         raise NotInNormalizerError("conjugation did not map the generator to a generator")
     return a
@@ -464,8 +489,8 @@ def _count_orbits(elems: Sequence[Perm], rows: Sequence[Sequence[int]]) -> int:
     ``elems[i]``.  Checks, in order: the identity fixes every point, every
     value is a point, the sampled axioms, then the Burnside average."""
     points = len(rows[0])
-    index = {g: i for i, g in enumerate(elems)}
-    i = index.get(Perm.identity(elems[0].degree))
+    index = {g.images: i for i, g in enumerate(elems)}
+    i = index.get(tuple(range(elems[0].degree)))
     if i is not None:
         for pt, y in enumerate(rows[i]):
             if y != pt:
@@ -478,7 +503,7 @@ def _count_orbits(elems: Sequence[Perm], rows: Sequence[Sequence[int]]) -> int:
     sample = elems[:6]
     for a, ra in zip(sample, rows):
         for b, rb in zip(sample, rows):
-            k = index.get(a * b)
+            k = index.get(tuple(map(a.images.__getitem__, b.images)))
             if k is not None:
                 for pt in range(min(points, 6)):
                     if rows[k][pt] != ra[rb[pt]]:

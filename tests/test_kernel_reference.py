@@ -1,20 +1,26 @@
-"""Tabulated orbit counting and integer matrix products against the old kernels.
+"""Tabulated orbit counting, integer matrix products and index-based classes
+against the old kernels.
 
 ``orbit_count`` tabulates one image row per element and counts orbits on the
 rows; the internal callers (``decomp._component_ranks``,
 ``decomp.inertia_ranks_by_twist``, ``decomp._bh_rank`` and
 ``motives.invariants``) build the rows themselves.  ``mat_mul`` multiplies
-integer numerators over a common denominator.  The references below are the
-kernels as they were before: ``orbit_count`` calling the action per
-(element, point) inside its checks and search, the callers' per-point
-closures with a ``tuple.index`` character action, and ``mat_mul`` summing
-``Fraction`` products.  Results must be equal; a tampered action must raise
-the reference's exception type, and the same message where it has a single
-defect.
+integer numerators over a common denominator.  Conjugacy classes and cyclic
+subgroup classes close element indices under one conjugation row per
+generator, call ``powers`` once per cyclic subgroup and take normalizers
+without the subgroup check; conjugation exponents are discrete logs of image
+tuples.  The references below are the kernels as they were before:
+``orbit_count`` calling the action per (element, point) inside its checks and
+search, the callers' per-point closures with a ``tuple.index`` character
+action, ``mat_mul`` summing ``Fraction`` products, and the classes, exponents,
+centralizers and canonical conjugates formed from ``Perm`` products.  Results
+must be equal; a tampered action must raise the reference's exception type,
+and the same message where it has a single defect.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -30,15 +36,31 @@ from stacky.decomp import (
     inertia_ranks_by_twist,
     injective_characters,
 )
-from stacky.errors import NotAnActionError, ShapeMismatchError
+from stacky.errors import (
+    NonBijectionError,
+    NotAnActionError,
+    NotInNormalizerError,
+    ShapeMismatchError,
+)
 from stacky.motives import EquivariantModel, invariants, model_motive
 from stacky.perms import (
+    ConjugacyClass,
     Perm,
+    Subgroup,
+    _require_subgroup,
+    alternating_group,
+    canonical_conjugate,
+    centralizer,
     conjugacy_classes,
     cyclic_group,
     cyclic_subgroup_classes,
+    dihedral_group,
     generate_group,
+    orbit,
     orbit_count,
+    powers,
+    quaternion_group,
+    reduce_generators,
     symmetric_group,
 )
 from stacky.verify import random_coset_model
@@ -146,6 +168,86 @@ def reference_mat_mul(a, b):
                  for i in range(len(a)))
 
 
+def _conjugators(G):
+    return [(g, g.inverse()) for g in G.generators]
+
+
+def _conjugate_set(s, pair):
+    g, ginv = pair
+    return frozenset(g * x * ginv for x in s)
+
+
+def _subgroup_key(s):
+    return tuple(x.images for x in sorted(s))
+
+
+def reference_canonical_conjugate(G, sub):
+    return min(orbit([frozenset(sub)], _conjugators(G), _conjugate_set), key=_subgroup_key)
+
+
+def reference_conjugacy_classes(G):
+    conj = _conjugators(G)
+    seen = set()
+    classes = []
+    for seed in G.elements:
+        if seed in seen:
+            continue
+        members = tuple(sorted(orbit([seed], conj, lambda x, c: c[0] * x * c[1])))
+        classes.append(ConjugacyClass(seed, members, seed.order()))
+        seen.update(members)
+    classes.sort(key=lambda c: (c.order, c.representative.images))
+    return tuple(classes)
+
+
+def reference_normalizer(G, c):
+    elems = _require_subgroup(G, tuple(c))
+    cset = frozenset(x.images for x in elems)
+    gens = [x.images for x in reduce_generators(elems, G.degree)]
+    members = []
+    for g in G.elements:
+        gi = g.images
+        for x in gens:
+            conj = [0] * G.degree
+            for p, q in zip(gi, map(gi.__getitem__, x)):
+                conj[p] = q
+            if tuple(conj) not in cset:
+                break
+        else:
+            members.append(g)
+    return Subgroup(G, tuple(members))
+
+
+def reference_cyclic_subgroup_classes(G, p):
+    """(generator, order, powers, normalizer elements) per class."""
+    conj = _conjugators(G)
+    seen = set()
+    classes = []
+    for canon in sorted({frozenset(powers(g)) for g in G.elements}, key=_subgroup_key):
+        if canon in seen:
+            continue
+        seen.update(orbit([canon], conj, _conjugate_set))
+        m = len(canon)
+        gen = min(x for x in canon if x.order() == m)
+        classes.append((gen, m, powers(gen), reference_normalizer(G, canon).elements))
+    classes.sort(key=lambda c: (c[1], c[0].images))
+    return [c for c in classes if p == 0 or c[1] % p != 0]
+
+
+def reference_conjugation_exponent(n, c):
+    if c.order == 1:
+        return 1
+    if n not in c.normalizer:
+        raise NotInNormalizerError(f"{n.cycle_string()} does not normalize the subgroup")
+    h = n.inverse() * c.generator * n
+    try:
+        a = c.subgroup_elements.index(h)
+    except ValueError:
+        raise ValueError("element is not in the cyclic subgroup") from None
+    if math.gcd(a, c.order) != 1:
+        raise NotInNormalizerError("conjugation did not map the generator to a generator")
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Orbit counts on the seeded generator sets.
 
@@ -192,6 +294,91 @@ def test_character_actions_match_the_reference(index):
             via_chars += count
         assert _bh_rank(G, p) == via_chars == sum(
             1 for cls in conjugacy_classes(G) if p == 0 or cls.order % p != 0)
+
+
+# ---------------------------------------------------------------------------
+# Conjugacy classes, cyclic subgroup classes and conjugation exponents.
+
+NAMED_GROUPS = {
+    "S4": lambda: symmetric_group(4),
+    "S5": lambda: symmetric_group(5),
+    "S6": lambda: symmetric_group(6),
+    "A5": lambda: alternating_group(5),
+    "D6": lambda: dihedral_group(6),
+    "Q8": quaternion_group,
+    "C12": lambda: cyclic_group(12),
+}
+
+
+def assert_classes_match_the_reference(G):
+    """G is freshly generated, so nothing is cached before the first call."""
+    for p in (0, 2, 3):
+        classes = cyclic_subgroup_classes(G, p)
+        ref = reference_cyclic_subgroup_classes(G, p)
+        assert [(c.generator, c.order, c.subgroup_elements, c.normalizer.elements)
+                for c in classes] == ref
+        for c in classes:
+            chars = injective_characters(c)
+            assert chars.exponents == {n: reference_conjugation_exponent(n, c)
+                                       for n in c.normalizer.elements}
+    classes = conjugacy_classes(G)
+    assert classes == reference_conjugacy_classes(G)
+    for cls in classes:
+        h = cls.representative
+        assert centralizer(G, h).elements == tuple(g for g in G.elements if g * h == h * g)
+    for c in cyclic_subgroup_classes(G, 0):
+        for g in G.elements[:8]:
+            conj = [g * x * g.inverse() for x in c.subgroup_elements]
+            assert canonical_conjugate(G, conj) == reference_canonical_conjugate(G, conj)
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_classes_match_the_reference_on_seeded_groups(index):
+    degree, gens = CASES[index]
+    assert_classes_match_the_reference(generate_group(degree, [Perm(g) for g in gens]))
+
+
+@pytest.mark.parametrize("name", NAMED_GROUPS)
+def test_classes_match_the_reference_on_named_groups(name):
+    assert_classes_match_the_reference(NAMED_GROUPS[name]())
+
+
+def test_canonical_conjugate_outside_the_group_matches_the_reference():
+    # a subset of S4 conjugated by the subgroup <(0 1)>: its elements are not
+    # in the group, so the Perm route runs; a degree mismatch still raises
+    H = generate_group(4, [Perm([1, 0, 2, 3])])
+    sub = powers(Perm([1, 2, 3, 0]))
+    assert canonical_conjugate(H, sub) == reference_canonical_conjugate(H, sub)
+    with pytest.raises(NonBijectionError) as ours:
+        canonical_conjugate(H, [Perm([1, 0, 2])])
+    with pytest.raises(NonBijectionError) as ref:
+        reference_canonical_conjugate(H, [Perm([1, 0, 2])])
+    assert str(ours.value) == str(ref.value)
+
+
+def _cyclic_class(G, order):
+    return next(c for c in cyclic_subgroup_classes(G, 0) if c.order == order)
+
+
+def test_non_normalizing_element_in_a_tampered_normalizer():
+    # the reference's tuple.index leaked a ValueError here; the element does
+    # not normalize the subgroup, and that is what is raised now
+    G = symmetric_group(3)
+    c = dataclasses.replace(_cyclic_class(G, 2), normalizer=Subgroup(G, G.elements))
+    with pytest.raises(NotInNormalizerError, match="does not normalize the subgroup"):
+        injective_characters(c)
+    with pytest.raises(ValueError, match="element is not in the cyclic subgroup"):
+        {n: reference_conjugation_exponent(n, c) for n in c.normalizer.elements}
+
+
+def test_non_unit_discrete_log_fails_the_gcd_check():
+    # conjugates have the generator's order, so only a tampered discrete-log
+    # table can send the generator to a non-generator
+    G = cyclic_group(4)
+    c = _cyclic_class(G, 4)
+    object.__setattr__(c, "dlog", {h: 2 for h in c.subgroup_elements})
+    with pytest.raises(NotInNormalizerError, match="did not map the generator to a generator"):
+        injective_characters(c)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from stacky.perms import (
     generate_group,
     normalizer,
     orbit_count,
+    powers,
     quaternion_group,
     symmetric_group,
     trivial_group,
@@ -202,6 +203,26 @@ def test_conjugation_exponent_requires_normalizer_membership():
     outside = next(g for g in G.elements if g not in set(c2.normalizer.elements))
     with pytest.raises(NotInNormalizerError):
         conjugation_exponent(outside, c2)
+
+
+def test_cyclic_subgroup_classes_form_powers_only(monkeypatch):
+    # Perm products are allowed for one powers() per cyclic subgroup and one
+    # per class; an all-pairs subgroup check or powers() of every element
+    # would exceed the bound
+    G = symmetric_group(5)
+    subgroups = {frozenset(powers(g)) for g in G.elements}
+    products = 0
+    mul = Perm.__mul__
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Perm, "__mul__", counting_mul)
+    classes = cyclic_subgroup_classes(G, 0)
+    monkeypatch.undo()
+    assert 0 < products <= sum(map(len, subgroups)) + sum(c.order for c in classes)
 
 
 def test_orbit_count_examples():
