@@ -36,6 +36,7 @@ from .perms import (
     orbit,
     powers,
     reduce_generators,
+    _is_prime,
 )
 
 ClassFunction = Sequence[Union[Cyclotomic, int, Fraction]]
@@ -236,7 +237,6 @@ def _abelian_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]
     e = G.exponent()
     gens = reduce_generators(G.elements, G.degree)
     orders = [g.order() for g in gens]
-    index = {g: i for i, g in enumerate(G.elements)}
 
     # exponent vector of every element with respect to the reduced generators:
     # the generators commute, so it counts each generator in the element's word
@@ -268,7 +268,7 @@ def _abelian_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]
     for values in phases_of:
         row = []
         for c in classes:
-            sg = values[index[c.representative]]
+            sg = values[G.index[c.representative]]
             step = e // c.order
             assert sg % step == 0
             key = (c.order, sg // step)
@@ -461,12 +461,6 @@ def _choose_prime(e: int, n: int) -> int:
         if q * q > 4 * n and _is_prime(q):
             return q
         q += e if e > 1 else 1
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _element_of_order(q: int, e: int) -> int:

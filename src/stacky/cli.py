@@ -20,8 +20,9 @@ from .decomp import (
     gerbe_motive,
     inertial_quotient_motive,
     orbifold_curve_motive,
+    _automorphism_map,
 )
-from .errors import ParseError, StackyError, ValidationError
+from .errors import NotAnAutomorphismError, ParseError, StackyError, ValidationError
 from .motives import Atom, EquivariantModel, FixedLocus, Motive, chow_dim, poincare_polynomial
 from .perms import (
     FiniteGroup,
@@ -274,6 +275,10 @@ def _parse_gerbe(obj: Any, group: FiniteGroup) -> GerbeDatum:
         monodromy.append(tuple(
             _parse_perm(im, f"gerbe.monodromy[{i}][{j}]", group.degree)
             for j, im in enumerate(images)))
+        try:
+            _automorphism_map(group, monodromy[-1])
+        except NotAnAutomorphismError as exc:
+            raise ValidationError(f"gerbe.monodromy[{i}]: {exc}") from exc
     base = motive_from_json(spec.get("base", [{"atom": {"kind": "unit"}}]), "gerbe.base")
     label = spec.get("baseLabel", "X")
     _expect(isinstance(label, str) and label, "gerbe.baseLabel", "expected a nonempty string")

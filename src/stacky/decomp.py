@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .chars import character_table, rep_ring
-from .errors import BadOrderError, NotAnAutomorphismError, ValidationError
+from .errors import BadOrderError, InconsistentActionError, NotAnAutomorphismError, ValidationError
 from .motives import (
     UNIT,
     Atom,
     EquivariantModel,
     Motive,
+    extend_action,
     invariants,
     model_motive,
 )
@@ -28,14 +29,12 @@ from .perms import (
     FiniteGroup,
     Perm,
     Subgroup,
-    canonical_conjugate,
     centralizer,
     conjugacy_classes,
     conjugation_exponent,
     cyclic_subgroup_classes,
     direct_product,
     orbit,
-    powers,
     _count_orbits,
     _cyclic_subgroups,
 )
@@ -120,21 +119,17 @@ def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
             actions[n] = Perm([pos[amb(p)] for p in fixed])
         return tuple(X.dims[p] for p in fixed), actions
 
-    G = X.group
+    # a class's subgroup is the canonical conjugate, so it is the loci's key
     canon = frozenset(c.subgroup_elements)
-    matches = [(locus, act) for locus, act in zip(X.fixed_loci, X.locus_actions)
-               if canonical_conjugate(G, powers(locus.generator)) == canon]
-    if not matches:
+    if canon not in X.locus_actions:
         return (), {n: Perm(()) for n in c.normalizer.elements}
-    if len(matches) > 1:
-        raise ValidationError("multiple declared loci match one cyclic class")
-    locus, act = matches[0]
+    locus, act = X.locus_actions[canon]
     # transport: x, the first element conjugating the declared subgroup onto
     # the canonical one, lets n in N_canon act on the declared cells through
     # x^-1 n x.  Both subgroups are cyclic of one order, so x maps the first
     # onto the second as soon as it maps the declared generator into it.
     g = locus.generator
-    x = next(x for x in G.elements if x * g * x.inverse() in canon)
+    x = next(x for x in X.group.elements if x * g * x.inverse() in canon)
     xinv = x.inverse()
     actions = {n: act[xinv * n * x] for n in c.normalizer.elements}
     return locus.dims, actions
@@ -323,58 +318,56 @@ class CharacterOrbitSet:
 
 
 def _automorphism_map(H: FiniteGroup, images: Sequence[Perm]) -> dict[Perm, Perm]:
-    """Extend generator images to an automorphism of H, fully verified."""
+    """Extend generator images to an automorphism of H, fully verified: the
+    extension is checked at every element and generator, then for bijectivity."""
     if len(images) != len(H.generators):
         raise NotAnAutomorphismError(
             f"expected {len(H.generators)} generator images, got {len(images)}")
     for img in images:
         if img not in H:
             raise NotAnAutomorphismError("generator image is not a group element")
-    phi: dict[Perm, Perm] = {}
-    for x in H.elements:
-        acc = H.identity
-        for i in H.words[x]:
-            acc = acc * images[i]
-        phi[x] = acc
-    for a in H.elements:
-        for b in H.elements:
-            if phi[a * b] != phi[a] * phi[b]:
-                raise NotAnAutomorphismError(
-                    f"images are not multiplicative at {a.cycle_string()}, {b.cycle_string()}")
+    try:
+        phi = extend_action(H.elements, H.generators, images, H.degree, words=H.words)
+    except InconsistentActionError as exc:
+        raise NotAnAutomorphismError(str(exc)) from exc
     if len(set(phi.values())) != H.order:
         raise NotAnAutomorphismError("images define a non-bijective endomorphism")
     return phi
 
 
-def _pair_key(sub: frozenset[Perm], j: int) -> tuple:
-    return (len(sub), tuple(sorted(x.images for x in sub)), j)
-
-
 def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
                ) -> CharacterOrbitSet:
     """Orbits of conjugation on (cyclic subgroup, injective character) pairs
-    and the permutations induced by the monodromy automorphisms."""
-    subs = {s: pw for s, pw in _cyclic_subgroups(H).items() if p == 0 or math.gcd(len(s), p) == 1}
+    and the permutations induced by the monodromy automorphisms.  Subgroups
+    are element-index sets with their powers as index tuples; conjugation by a
+    generator and each monodromy alike are rows i -> index of the image of e_i.
+    """
+    index = H.index
+    subs = {frozenset(pw): pw for pw in (tuple(map(index.__getitem__, pw))
+                                         for pw in _cyclic_subgroups(H))
+            if p == 0 or math.gcd(len(pw), p) == 1}
 
-    def act_pair(pair, conj: tuple[Perm, Perm]):
+    def move(pair, row):
+        # row sends the generator to the u-th power of the image's generator,
+        # so the character j of the subgroup goes to j * u^-1 on the image
         sub, j = pair
-        h, hinv = conj
-        new_sub = frozenset(h * x * hinv for x in sub)
+        new_sub = frozenset(map(row.__getitem__, sub))
         m = len(sub)
         if m == 1:
             return (new_sub, 0)
-        t = subs[sub].index(hinv * subs[new_sub][1] * h)
-        return (new_sub, j * t % m)
+        u = subs[new_sub].index(row[subs[sub][1]])
+        return (new_sub, j * pow(u, -1, m) % m)
 
     pairs = [(sub, j) for sub in subs for j in character_indices(len(sub))]
-    conj = [(h, h.inverse()) for h in H.generators]
     orbit_index: dict[tuple, int] = {}
     orbits = []
     # visited in key order, so a pair not yet reached is the least of its
-    # orbit and the orbits come out sorted by their representatives
-    for pair in sorted(pairs, key=lambda pr: _pair_key(*pr)):
+    # orbit and the orbits come out sorted by their representatives; sorted
+    # indices order the subgroups as their sorted image tuples do
+    for pair in sorted(pairs, key=lambda pr: (len(pr[0]), sorted(pr[0]), pr[1])):
         if pair not in orbit_index:
-            orbit_index.update(dict.fromkeys(orbit([pair], conj, act_pair), len(orbits)))
+            orbit_index.update(dict.fromkeys(orbit([pair], H._conjugation_rows, move),
+                                             len(orbits)))
             orbits.append(pair)
 
     # cross-check: orbit count must match the sum of per-class character orbits
@@ -385,25 +378,15 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
     aut_perms = []
     for images in monodromy:
         phi = _automorphism_map(H, tuple(images))
-        phi_inv = {v: k for k, v in phi.items()}
-        moved = []
-        for sub, j in orbits:
-            new_sub = frozenset(phi[x] for x in sub)
-            m = len(sub)
-            if m == 1:
-                image_pair = (new_sub, 0)
-            else:
-                t = subs[sub].index(phi_inv[subs[new_sub][1]])
-                image_pair = (new_sub, j * t % m)
-            moved.append(orbit_index[image_pair])
-        aut_perms.append(Perm(moved))
+        row = tuple(index[phi[x]] for x in H.elements)
+        aut_perms.append(Perm([orbit_index[move(pair, row)] for pair in orbits]))
 
-    distinguished = orbit_index[(frozenset([H.identity]), 0)]
+    distinguished = orbit_index[(frozenset([index[H.identity]]), 0)]
     for perm in aut_perms:
         if perm(distinguished) != distinguished:
             raise RuntimeError("internal error: an automorphism moved the trivial pair")
 
-    elements = tuple((tuple(sorted(x.images for x in sub)), j) for sub, j in orbits)
+    elements = tuple((tuple(H.elements[i].images for i in sorted(sub)), j) for sub, j in orbits)
     return CharacterOrbitSet(elements, tuple(aut_perms), distinguished)
 
 

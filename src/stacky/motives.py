@@ -258,7 +258,10 @@ class EquivariantModel:
         self.element_actions = extend_action(
             group.elements, group.generators, self.generator_images, n,
             words=group.words)
-        self.locus_actions = tuple(self._validate_locus(locus) for locus in self.fixed_loci)
+        # per declared locus, keyed by its subgroup's canonical conjugate
+        self.locus_actions: dict[frozenset[Perm], tuple[FixedLocus, dict[Perm, Perm]]] = {}
+        for locus in self.fixed_loci:
+            self._validate_locus(locus)
 
     @classmethod
     def _restricted(cls, group: Subgroup, dims: Sequence[int],
@@ -271,11 +274,12 @@ class EquivariantModel:
         X.kind = "cells"
         X.dims = tuple(dims)
         X.element_actions = actions
-        X.generator_images = X.fixed_loci = X.locus_actions = ()
+        X.generator_images, X.fixed_loci, X.locus_actions = (), (), {}
         return X
 
-    def _validate_locus(self, locus: FixedLocus) -> dict[Perm, Perm]:
-        """Check one declared fixed locus and extend its normalizer action."""
+    def _validate_locus(self, locus: FixedLocus) -> None:
+        """Check one declared fixed locus, extend its normalizer action and
+        key both by the locus's cyclic class."""
         g = locus.generator
         if g not in self.group:
             raise ValueError("fixed-locus generator is not a group element")
@@ -283,11 +287,8 @@ class EquivariantModel:
             raise ValueError("the ambient cells already model the trivial locus")
         sub = powers(g)
         key = canonical_conjugate(self.group, sub)
-        for other in self.fixed_loci:
-            if other is locus:
-                break
-            if canonical_conjugate(self.group, powers(other.generator)) == key:
-                raise ValueError("two fixed loci declare conjugate subgroups")
+        if key in self.locus_actions:
+            raise ValueError("two fixed loci declare conjugate subgroups")
         N = _normalizer(self.group, sub, [g])  # powers(g) is a subgroup by construction
         n_loc = len(locus.dims)
         if len(locus.action_generators) != len(locus.action_images):
@@ -312,7 +313,7 @@ class EquivariantModel:
             if not act[x].is_identity():
                 raise InconsistentActionError(
                     "the fixing subgroup must act trivially on its own fixed cells")
-        return act
+        self.locus_actions[key] = (locus, act)
 
     @property
     def size(self) -> int:

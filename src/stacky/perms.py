@@ -368,26 +368,28 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     return result
 
 
-def _cyclic_subgroups(G: FiniteGroup) -> dict[frozenset[Perm], tuple[Perm, ...]]:
-    """Each cyclic subgroup with the powers of its least generator, so that
-    position k holds the k-th power.  An element is skipped once it generates
-    a subgroup already found, so powers() runs once per subgroup."""
-    subs: dict[frozenset[Perm], tuple[Perm, ...]] = {}
+def _cyclic_subgroups(G: FiniteGroup) -> list[tuple[Perm, ...]]:
+    """Each cyclic subgroup once, as the powers of its least generator, so
+    that position k holds the k-th power.  An element is skipped once it
+    generates a subgroup already found, so powers() runs once per subgroup."""
+    subs: list[tuple[Perm, ...]] = []
     covered: set[Perm] = set()
     # elements are sorted, so the first generator met is the least
     for g in G.elements:
         if g not in covered:
             pw = powers(g)
             covered.update(pw[k] for k in range(len(pw)) if math.gcd(k, len(pw)) == 1)
-            subs[frozenset(pw)] = pw
+            subs.append(pw)
     return subs
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def check_characteristic(p: int) -> None:
     """Raise BadCharacteristicError unless p is 0 or a prime."""
-    if p == 0:
-        return
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if p != 0 and not _is_prime(p):
         raise BadCharacteristicError(f"characteristic {p} is neither 0 nor a prime")
 
 
@@ -401,7 +403,7 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     if G._cyclic_classes is None:
         # as element-index sets, which sort as their sorted image tuples do
         subs = {frozenset(map(G.index.__getitem__, pw)): pw
-                for pw in _cyclic_subgroups(G).values()}
+                for pw in _cyclic_subgroups(G)}
         seen: set[frozenset[int]] = set()
         classes = []
         for key, pw in sorted(subs.items(), key=lambda item: sorted(item[0])):

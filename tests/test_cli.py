@@ -275,3 +275,47 @@ def test_exit_code_3_on_internal_error(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "internal error: rows 0,1 fail orthogonality\n"
+
+
+# a monodromy that is not an automorphism of its band: S3 with the images of
+# its two generators swapped (not multiplicative), and C4 with its generator
+# sent to its square (not bijective)
+BAD_MONODROMY = {
+    "s3_swapped": ({"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
+                   [[1, 2, 0], [1, 0, 2]],
+                   "images do not extend to a group action at (1 2)"),
+    "c4_square": ({"degree": 4, "generators": [[1, 2, 3, 0]]},
+                  [[2, 3, 0, 1]],
+                  "images define a non-bijective endomorphism"),
+}
+
+
+@pytest.mark.parametrize("command", [("group",), ("motive", "gerbe")])
+@pytest.mark.parametrize("name", BAD_MONODROMY)
+def test_bad_monodromy_is_refused_at_parse(capsys, tmp_path, command, name):
+    group, images, message = BAD_MONODROMY[name]
+    doc = tmp_path / f"{name}.json"
+    doc.write_text(json.dumps({"group": group, "gerbe": {"monodromy": [images]}}),
+                   encoding="utf-8")
+    assert main([*command, "--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gerbe.monodromy[0]: {message}\n"
+
+
+def test_conjugate_loci_are_refused(capsys, tmp_path):
+    # (0 1) and (2 3) generate distinct but conjugate subgroups of S4
+    doc = tmp_path / "s4_loci.json"
+    doc.write_text(json.dumps({
+        "group": {"degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]},
+        "model": {"cells": {
+            "cells": [{"dim": 0}],
+            "generatorImages": [[0], [0]],
+            "fixedLoci": [{"generator": [1, 0, 2, 3], "cells": [{"dim": 0}]},
+                          {"generator": [0, 1, 3, 2], "cells": [{"dim": 0}]}],
+        }},
+    }), encoding="utf-8")
+    assert main(["motive", "quotient", "--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: model: two fixed loci declare conjugate subgroups\n"

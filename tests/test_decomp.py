@@ -352,3 +352,13 @@ def test_duplicate_locus_rejected():
         EquivariantModel(C3, (0, 1), [Perm([0, 1])], kind="cells",
                          fixed_loci=[FixedLocus(g, (0, 0)),
                                      FixedLocus(g * g, (0,))])
+
+
+def test_conjugate_loci_of_distinct_subgroups_rejected():
+    # (0 1) and (2 3) generate distinct subgroups of S4, conjugate to each other
+    S4 = symmetric_group(4)
+    ident = Perm.identity(1)
+    with pytest.raises(ValueError, match="two fixed loci declare conjugate subgroups"):
+        EquivariantModel(S4, (0,), [ident] * 2, kind="cells",
+                         fixed_loci=[FixedLocus(Perm([1, 0, 2, 3]), (0,)),
+                                     FixedLocus(Perm([0, 1, 3, 2]), (0,))])

@@ -13,25 +13,35 @@ tuples.  The references below are the kernels as they were before:
 ``orbit_count`` calling the action per (element, point) inside its checks and
 search, the callers' per-point closures with a ``tuple.index`` character
 action, ``mat_mul`` summing ``Fraction`` products, and the classes, exponents,
-centralizers and canonical conjugates formed from ``Perm`` products.  Results
-must be equal; a tampered action must raise the reference's exception type,
-and the same message where it has a single defect.
+centralizers and canonical conjugates formed from ``Perm`` products, and
+``gerbe_rset`` moving (cyclic subgroup, character) pairs by ``Perm``
+conjugation with discrete logs by ``tuple.index``, its automorphisms checked
+for multiplicativity at every pair of elements.  Results must be equal; a
+tampered action must raise the reference's exception type, and the same
+message where it has a single defect.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, strategies as st
+
 from stacky.corresp import mat_mul
 from stacky.decomp import (
+    CharacterOrbitSet,
+    _automorphism_map,
     _bh_rank,
     _component_ranks,
+    character_indices,
     cyclotomic_inertia,
+    gerbe_rset,
     inertia,
     inertia_ranks_by_twist,
     injective_characters,
@@ -39,6 +49,7 @@ from stacky.decomp import (
 from stacky.errors import (
     NonBijectionError,
     NotAnActionError,
+    NotAnAutomorphismError,
     NotInNormalizerError,
     ShapeMismatchError,
 )
@@ -497,3 +508,175 @@ def test_mat_mul_shape_error_text():
     with pytest.raises(ShapeMismatchError) as ref:
         reference_mat_mul(a, b)
     assert str(ours.value) == str(ref.value) == "cannot multiply 2x3 by 2x2"
+
+
+# ---------------------------------------------------------------------------
+# Gerbe pair orbits and the automorphism check.
+
+def _replay_words(H, images):
+    phi = {}
+    for x in H.elements:
+        acc = H.identity
+        for i in H.words[x]:
+            acc = acc * images[i]
+        phi[x] = acc
+    return phi
+
+
+def reference_automorphism_map(H, images):
+    if len(images) != len(H.generators):
+        raise NotAnAutomorphismError(
+            f"expected {len(H.generators)} generator images, got {len(images)}")
+    for img in images:
+        if img not in H:
+            raise NotAnAutomorphismError("generator image is not a group element")
+    phi = _replay_words(H, images)
+    for a in H.elements:
+        for b in H.elements:
+            if phi[a * b] != phi[a] * phi[b]:
+                raise NotAnAutomorphismError(
+                    f"images are not multiplicative at {a.cycle_string()}, {b.cycle_string()}")
+    if len(set(phi.values())) != H.order:
+        raise NotAnAutomorphismError("images define a non-bijective endomorphism")
+    return phi
+
+
+def _reference_pair_key(sub, j):
+    return (len(sub), tuple(sorted(x.images for x in sub)), j)
+
+
+def reference_gerbe_rset(H, p, monodromy):
+    subs = {}
+    # elements are sorted, so the first generator met of a subgroup is its least
+    for g in H.elements:
+        pw = powers(g)
+        if (p == 0 or math.gcd(len(pw), p) == 1) and frozenset(pw) not in subs:
+            subs[frozenset(pw)] = pw
+
+    def act_pair(pair, conj):
+        sub, j = pair
+        h, hinv = conj
+        new_sub = frozenset(h * x * hinv for x in sub)
+        m = len(sub)
+        if m == 1:
+            return (new_sub, 0)
+        t = subs[sub].index(hinv * subs[new_sub][1] * h)
+        return (new_sub, j * t % m)
+
+    pairs = [(sub, j) for sub in subs for j in character_indices(len(sub))]
+    orbit_index = {}
+    orbits = []
+    for pair in sorted(pairs, key=lambda pr: _reference_pair_key(*pr)):
+        if pair not in orbit_index:
+            orbit_index.update(dict.fromkeys(orbit([pair], _conjugators(H), act_pair),
+                                             len(orbits)))
+            orbits.append(pair)
+    if _bh_rank(H, p) != len(orbits):
+        raise RuntimeError("internal error: pair-orbit count disagrees with "
+                           "per-class character orbits")
+
+    aut_perms = []
+    for images in monodromy:
+        phi = reference_automorphism_map(H, tuple(images))
+        phi_inv = {v: k for k, v in phi.items()}
+        moved = []
+        for sub, j in orbits:
+            new_sub = frozenset(phi[x] for x in sub)
+            m = len(sub)
+            if m == 1:
+                image_pair = (new_sub, 0)
+            else:
+                t = subs[sub].index(phi_inv[subs[new_sub][1]])
+                image_pair = (new_sub, j * t % m)
+            moved.append(orbit_index[image_pair])
+        aut_perms.append(Perm(moved))
+
+    distinguished = orbit_index[(frozenset([H.identity]), 0)]
+    elements = tuple((tuple(sorted(x.images for x in sub)), j) for sub, j in orbits)
+    return CharacterOrbitSet(elements, tuple(aut_perms), distinguished)
+
+
+# the seeded groups of order at most 120, each generated once
+SMALL_CASES = {}
+for _index, (_degree, _gens) in enumerate(CASES):
+    _G = generate_group(_degree, [Perm(g) for g in _gens])
+    if _G.order <= 120:
+        SMALL_CASES[_index] = _G
+
+
+def _inner_automorphisms(rng, H, count=3):
+    out = []
+    for _ in range(count):
+        h = rng.choice(H.elements)
+        out.append(tuple(h * g * h.inverse() for g in H.generators))
+    return tuple(out)
+
+
+def _check_outcome(fn, H, images):
+    """The map, or the exception type with whether the images failed to be
+    multiplicative (the check before bijectivity)."""
+    try:
+        return fn(H, images)
+    except NotAnAutomorphismError as exc:
+        text = str(exc)
+        return type(exc), text.startswith(("images are not multiplicative",
+                                           "images do not extend"))
+
+
+@st.composite
+def image_sets(draw):
+    """A seeded group and one random element per generator."""
+    index = draw(st.sampled_from(sorted(SMALL_CASES)))
+    H = SMALL_CASES[index]
+    return H, tuple(H.elements[draw(st.integers(0, H.order - 1))] for _ in H.generators)
+
+
+@given(image_sets())
+def test_automorphism_check_matches_the_reference_on_random_images(case):
+    H, images = case
+    ours = _check_outcome(_automorphism_map, H, images)
+    ref = _check_outcome(reference_automorphism_map, H, images)
+    # the reference replays one word per element, so it never reads the image
+    # of a redundant generator; sent elsewhere, the images are no homomorphism
+    missed = all(im in H for im in images) and any(
+        _replay_words(H, images)[g] != im for g, im in zip(H.generators, images))
+    if missed:
+        assert ours == (NotAnAutomorphismError, True)
+    else:
+        assert ours == ref
+    if isinstance(ours, dict):
+        assert gerbe_rset(H, 0, (images,)) == reference_gerbe_rset(H, 0, (images,))
+
+
+def test_redundant_generator_sent_off_the_extended_map_is_refused():
+    # the identity is a generator here and no element's word uses it: the
+    # reference accepted any image for it and built the identity map
+    H = generate_group(2, [Perm([1, 0]), Perm([0, 1])])
+    images = (Perm([1, 0]), Perm([1, 0]))
+    assert reference_automorphism_map(H, images) == {x: x for x in H.elements}
+    with pytest.raises(NotAnAutomorphismError, match=r"do not extend to a group action at \(\)"):
+        _automorphism_map(H, images)
+
+
+@pytest.mark.parametrize("index", sorted(SMALL_CASES))
+def test_gerbe_rset_matches_the_reference(index):
+    H = SMALL_CASES[index]
+    autos = _inner_automorphisms(random.Random(index), H)
+    for p in (0, 2, 3):
+        for monodromy in ((), autos):
+            assert gerbe_rset(H, p, monodromy) == reference_gerbe_rset(H, p, monodromy)
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8", "C12"])
+def test_gerbe_rset_matches_the_reference_under_outer_automorphisms(name):
+    # every automorphism of the band, as generator images: outer ones move
+    # the pair orbits, which inner ones never do
+    H = {"D4": lambda: dihedral_group(4), "Q8": quaternion_group,
+         "C12": lambda: cyclic_group(12)}[name]()
+    autos = []
+    for images in itertools.product(H.elements, repeat=len(H.generators)):
+        if isinstance(_check_outcome(reference_automorphism_map, H, images), dict):
+            autos.append(images)
+    assert all(isinstance(_automorphism_map(H, a), dict) for a in autos)
+    for p in (0, 2, 3):
+        assert gerbe_rset(H, p, autos) == reference_gerbe_rset(H, p, autos)
