@@ -364,7 +364,7 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
     # visited in key order, so a pair not yet reached is the least of its
     # orbit and the orbits come out sorted by their representatives; sorted
     # indices order the subgroups as their sorted image tuples do
-    for pair in sorted(pairs, key=lambda pr: (len(pr[0]), sorted(pr[0]), pr[1])):
+    for pair in sorted(pairs, key=lambda sj: (len(sj[0]), sorted(sj[0]), sj[1])):
         if pair not in orbit_index:
             orbit_index.update(dict.fromkeys(orbit([pair], H._conjugation_rows, move),
                                              len(orbits)))

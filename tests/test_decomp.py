@@ -348,17 +348,12 @@ def test_declared_locus_action_must_cover_normalizer():
 def test_duplicate_locus_rejected():
     C3 = cyclic_group(3)
     g = C3.generators[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two fixed loci declare conjugate subgroups"):
         EquivariantModel(C3, (0, 1), [Perm([0, 1])], kind="cells",
                          fixed_loci=[FixedLocus(g, (0, 0)),
                                      FixedLocus(g * g, (0,))])
-
-
-def test_conjugate_loci_of_distinct_subgroups_rejected():
     # (0 1) and (2 3) generate distinct subgroups of S4, conjugate to each other
-    S4 = symmetric_group(4)
-    ident = Perm.identity(1)
     with pytest.raises(ValueError, match="two fixed loci declare conjugate subgroups"):
-        EquivariantModel(S4, (0,), [ident] * 2, kind="cells",
+        EquivariantModel(symmetric_group(4), (0,), [Perm([0])] * 2, kind="cells",
                          fixed_loci=[FixedLocus(Perm([1, 0, 2, 3]), (0,)),
                                      FixedLocus(Perm([0, 1, 3, 2]), (0,))])

@@ -566,7 +566,7 @@ def reference_gerbe_rset(H, p, monodromy):
     pairs = [(sub, j) for sub in subs for j in character_indices(len(sub))]
     orbit_index = {}
     orbits = []
-    for pair in sorted(pairs, key=lambda pr: _reference_pair_key(*pr)):
+    for pair in sorted(pairs, key=lambda sj: _reference_pair_key(*sj)):
         if pair not in orbit_index:
             orbit_index.update(dict.fromkeys(orbit([pair], _conjugators(H), act_pair),
                                              len(orbits)))
