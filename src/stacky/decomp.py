@@ -36,7 +36,6 @@ from .perms import (
     direct_product,
     orbit,
     _count_orbits,
-    _cyclic_subgroups,
 )
 
 
@@ -119,20 +118,12 @@ def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
             actions[n] = Perm([pos[amb(p)] for p in fixed])
         return tuple(X.dims[p] for p in fixed), actions
 
-    # a class's subgroup is the canonical conjugate, so it is the loci's key
-    canon = frozenset(c.subgroup_elements)
-    if canon not in X.locus_actions:
+    # a class's subgroup is the canonical conjugate, so it keys the loci, whose
+    # actions were moved onto its normalizer when the model was validated
+    locus = X.locus_actions.get(frozenset(c.subgroup_elements))
+    if locus is None:
         return (), {n: Perm(()) for n in c.normalizer.elements}
-    locus, act = X.locus_actions[canon]
-    # transport: x, the first element conjugating the declared subgroup onto
-    # the canonical one, lets n in N_canon act on the declared cells through
-    # x^-1 n x.  Both subgroups are cyclic of one order, so x maps the first
-    # onto the second as soon as it maps the declared generator into it.
-    g = locus.generator
-    x = next(x for x in X.group.elements if x * g * x.inverse() in canon)
-    xinv = x.inverse()
-    actions = {n: act[xinv * n * x] for n in c.normalizer.elements}
-    return locus.dims, actions
+    return locus[0].dims, locus[1]
 
 
 def cyclotomic_inertia(X: EquivariantModel, p: int = 0
@@ -150,19 +141,22 @@ def cyclotomic_inertia(X: EquivariantModel, p: int = 0
 def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
     """One component per conjugacy class of elements of order prime to p.
 
-    Element classes are enumerated inside each cyclic class: the classes of
-    generators of the canonical subgroup under its normalizer.
+    Element classes are found inside each cyclic class: the conjugacy classes
+    of G that meet the generators g^k, gcd(k, m) = 1, of its canonical
+    subgroup.  Neither the conjugation exponents nor the characters are read:
+    this is the second route to the refined ranks.
     """
     G = X.group
+    class_of = {x: i for i, cls in enumerate(conjugacy_classes(G)) for x in cls.members}
     out = []
-    for c in cyclic_subgroup_classes(X.group, p):
+    for c in cyclic_subgroup_classes(G, p):
         dims, action = _locus_cells_and_action(X, c)
-        seen: set[Perm] = set()
-        # in sorted order, a generator not yet seen is the least of its class
-        for h in sorted(g for g in c.subgroup_elements if g.order() == c.order):
-            if h in seen:
+        seen: set[int] = set()
+        # in sorted order, the first generator of a class is its least
+        for h in sorted(c.subgroup_elements[k] for k in character_indices(c.order)):
+            if class_of[h] in seen:
                 continue
-            seen.update(n.inverse() * h * n for n in c.normalizer.elements)
+            seen.add(class_of[h])
             # C(h) lies in N(<h>), so the normalizer's action restricts to it
             Z = centralizer(G, h)
             out.append(InertiaComponent(h, Z, EquivariantModel._restricted(Z, dims, action)))
@@ -343,8 +337,7 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
     generator and each monodromy alike are rows i -> index of the image of e_i.
     """
     index = H.index
-    subs = {frozenset(pw): pw for pw in (tuple(map(index.__getitem__, pw))
-                                         for pw in _cyclic_subgroups(H))
+    subs = {sub: pw for sub, pw in H._cyclic_subgroups.items()
             if p == 0 or math.gcd(len(pw), p) == 1}
 
     def move(pair, row):

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InconsistentActionError, OpaqueTensorError
-from .perms import (FiniteGroup, Perm, Subgroup, _count_orbits, _normalizer,
-                    canonical_conjugate, orbit, powers)
+from .perms import (FiniteGroup, Perm, Subgroup, _count_orbits, canonical_conjugate,
+                    cyclic_subgroup_classes, orbit, powers)
 
 
 @dataclass(frozen=True)
@@ -279,17 +279,25 @@ class EquivariantModel:
 
     def _validate_locus(self, locus: FixedLocus) -> None:
         """Check one declared fixed locus, extend its normalizer action and
-        key both by the locus's cyclic class."""
-        g = locus.generator
-        if g not in self.group:
+        transport it onto the canonical subgroup of the locus's cyclic class,
+        keyed by that subgroup."""
+        G, g = self.group, locus.generator
+        if g not in G:
             raise ValueError("fixed-locus generator is not a group element")
         if g.is_identity():
             raise ValueError("the ambient cells already model the trivial locus")
         sub = powers(g)
-        key = canonical_conjugate(self.group, sub)
+        key = canonical_conjugate(G, sub)
         if key in self.locus_actions:
             raise ValueError("two fixed loci declare conjugate subgroups")
-        N = _normalizer(self.group, sub, [g])  # powers(g) is a subgroup by construction
+        c = next(c for c in cyclic_subgroup_classes(G) if frozenset(c.subgroup_elements) == key)
+        # x maps the declared subgroup onto the canonical one as soon as it maps
+        # g into it (both are cyclic of one order), so n in the canonical
+        # normalizer acts on the declared cells as x^-1 n x does
+        x = next(x for x in G.elements if x * g * x.inverse() in key)
+        xinv = x.inverse()
+        declared = {n: xinv * n * x for n in c.normalizer.elements}
+        N = sorted(declared.values())  # the declared subgroup's normalizer
         n_loc = len(locus.dims)
         if len(locus.action_generators) != len(locus.action_images):
             raise InconsistentActionError("locus action generators and images differ in count")
@@ -304,16 +312,14 @@ class EquivariantModel:
                 if a not in N:
                     raise InconsistentActionError(
                         f"{a.cycle_string()} does not normalize the locus subgroup")
-            act = extend_action(N.elements, locus.action_generators,
-                                locus.action_images, n_loc)
+            act = extend_action(N, locus.action_generators, locus.action_images, n_loc)
         else:
-            ident = Perm.identity(n_loc)
-            act = {n: ident for n in N.elements}
-        for x in sub:
-            if not act[x].is_identity():
+            act = dict.fromkeys(N, Perm.identity(n_loc))
+        for y in sub:
+            if not act[y].is_identity():
                 raise InconsistentActionError(
                     "the fixing subgroup must act trivially on its own fixed cells")
-        self.locus_actions[key] = (locus, act)
+        self.locus_actions[key] = (locus, {n: act[declared[n]] for n in c.normalizer.elements})
 
     @property
     def size(self) -> int:

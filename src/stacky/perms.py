@@ -182,6 +182,22 @@ class FiniteGroup:
         return tuple(tuple(by_images[_conjugate(g.images, e.images)] for e in self.elements)
                      for g in self.generators)
 
+    @cached_property
+    def _cyclic_subgroups(self) -> dict[frozenset[int], tuple[int, ...]]:
+        """Each cyclic subgroup once, as its element-index set mapped to the
+        indices of the powers of its least generator (position k holds the
+        k-th power).  An element is skipped once it generates a subgroup
+        already found, so powers() runs once per subgroup."""
+        subs: dict[frozenset[int], tuple[int, ...]] = {}
+        covered: set[int] = set()
+        # elements are sorted, so the first generator met is the least
+        for i, g in enumerate(self.elements):
+            if i not in covered:
+                pw = tuple(map(self.index.__getitem__, powers(g)))
+                covered.update(pw[k] for k in range(len(pw)) if math.gcd(k, len(pw)) == 1)
+                subs[frozenset(pw)] = pw
+        return subs
+
 
 @dataclass(frozen=True)
 class ConjugacyClass:
@@ -226,23 +242,15 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class CyclicClass:
-    """A conjugacy class of cyclic subgroups, with canonical generator and normalizer."""
+    """A conjugacy class of cyclic subgroups, with canonical generator g, its
+    normalizer and, per normalizer element n in order, the unit a (mod the
+    order) with n^-1 g n = g^a."""
 
     generator: Perm
     order: int
     subgroup_elements: tuple[Perm, ...]  # powers g^0 .. g^(m-1)
     normalizer: Subgroup
-    dlog: dict[Perm, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dlog", {h: k for k, h in enumerate(self.subgroup_elements)})
-
-    def power_index(self, h: Perm) -> int:
-        """Discrete log of h with respect to the canonical generator."""
-        try:
-            return self.dlog[h]
-        except (KeyError, TypeError):
-            raise ValueError("element is not in the cyclic subgroup") from None
+    exponents: dict[Perm, int] = field(repr=False, compare=False)
 
 
 def orbit(seeds: Iterable[Hashable], gens: Sequence[Any],
@@ -368,27 +376,24 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     return result
 
 
-def _cyclic_subgroups(G: FiniteGroup) -> list[tuple[Perm, ...]]:
-    """Each cyclic subgroup once, as the powers of its least generator, so
-    that position k holds the k-th power.  An element is skipped once it
-    generates a subgroup already found, so powers() runs once per subgroup."""
-    subs: list[tuple[Perm, ...]] = []
-    covered: set[Perm] = set()
-    # elements are sorted, so the first generator met is the least
-    for g in G.elements:
-        if g not in covered:
-            pw = powers(g)
-            covered.update(pw[k] for k in range(len(pw)) if math.gcd(k, len(pw)) == 1)
-            subs.append(pw)
-    return subs
-
-
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Deterministic Miller-Rabin: the prime bases up to 37 are exact below 3.18e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in bases:
+        x = pow(b, (n - 1) >> s, n)
+        squares = [x] + [x := x * x % n for _ in range(s - 1)]  # b^d .. b^(d 2^(s-1))
+        if squares[0] != 1 and n - 1 not in squares:
+            return False
+    return True
 
 
 def check_characteristic(p: int) -> None:
-    """Raise BadCharacteristicError unless p is 0 or a prime."""
+    """Raise BadCharacteristicError unless p is 0 or a prime below 2^64."""
+    if p >= 1 << 64:
+        raise BadCharacteristicError(f"characteristic {p} is not below 2^64")
     if p != 0 and not _is_prime(p):
         raise BadCharacteristicError(f"characteristic {p} is neither 0 nor a prime")
 
@@ -401,19 +406,25 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     """
     check_characteristic(p)
     if G._cyclic_classes is None:
-        # as element-index sets, which sort as their sorted image tuples do
-        subs = {frozenset(map(G.index.__getitem__, pw)): pw
-                for pw in _cyclic_subgroups(G)}
         seen: set[frozenset[int]] = set()
         classes = []
-        for key, pw in sorted(subs.items(), key=lambda item: sorted(item[0])):
+        # element-index sets sort as their sorted image tuples do
+        for key, pw in sorted(G._cyclic_subgroups.items(), key=lambda item: sorted(item[0])):
             if key in seen:
                 continue
             # visited in key order, so the first one not yet seen is the least
             # of its conjugacy class: canonical_conjugate(G, canon) == canon
             seen.update(orbit([key], G._conjugation_rows, _conjugate_indices))
-            gens = pw[1:2]  # the least generator; none for the trivial subgroup
-            classes.append(CyclicClass((gens or pw)[0], len(pw), pw, _normalizer(G, pw, gens)))
+            pw = tuple(map(G.elements.__getitem__, pw))
+            m = len(pw)
+            # one pass over G for the least generator g (the identity, a = 1, if
+            # m = 1): n g n^-1 = g^k means n^-1 g n = g^a with a = k^-1 mod m
+            g = pw[1 % m]
+            a_of = {pw[k].images: pow(k, -1, m) for k in range(1, m) if math.gcd(k, m) == 1}
+            exps = ({n: a_of[x] for n in G.elements
+                     if (x := _conjugate(n.images, g.images)) in a_of}
+                    if m > 1 else dict.fromkeys(G.elements, 1))
+            classes.append(CyclicClass(g, m, pw, Subgroup(G, tuple(exps)), exps))
         classes.sort(key=lambda c: (c.order, c.generator.images))
         G._cyclic_classes = tuple(classes)
     return tuple(c for c in G._cyclic_classes if p == 0 or c.order % p != 0)
@@ -435,16 +446,11 @@ def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[Perm, ...]
 
 
 def normalizer(G: FiniteGroup, c: Iterable[Perm]) -> Subgroup:
-    """All g with g c g^-1 = c, by direct membership test."""
+    """All g with g c g^-1 = c: g conjugates the generators of the checked
+    subgroup c into it, on image tuples."""
     elems = _require_subgroup(G, tuple(c))
-    return _normalizer(G, elems, reduce_generators(elems, G.degree))
-
-
-def _normalizer(G: FiniteGroup, elems: Iterable[Perm], gens: Iterable[Perm]) -> Subgroup:
-    """normalizer of a set known to be a subgroup, generated by gens: g is in it
-    when it conjugates the generators into the set, on image tuples."""
     cset = frozenset(x.images for x in elems)
-    gens = [x.images for x in gens]
+    gens = [x.images for x in reduce_generators(elems, G.degree)]
     return Subgroup(G, tuple(g for g in G.elements
                              if all(_conjugate(g.images, x) in cset for x in gens)))
 
@@ -458,12 +464,10 @@ def centralizer(G: FiniteGroup, h: Perm) -> Subgroup:
 
 def conjugation_exponent(n: Perm, c: CyclicClass) -> int:
     """The unit a (mod the subgroup order) with n^-1 g n = g^a for the canonical
-    generator g, conjugated as image tuples."""
+    generator g, as recorded with the normalizer."""
     if c.order == 1:
         return 1
-    a = None
-    if n in c.normalizer:
-        a = c.dlog.get(Perm._trusted(_conjugate(n.inverse().images, c.generator.images)))
+    a = c.exponents.get(n)
     if a is None:
         raise NotInNormalizerError(f"{n.cycle_string()} does not normalize the subgroup")
     if math.gcd(a, c.order) != 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,20 @@ def test_characteristic_must_be_zero_or_prime(capsys, tmp_path, command):
     assert main([*command, "--input", str(SAMPLES / "s3_quotient.json"),
                  "--characteristic", "4"]) == 2
     assert capsys.readouterr().err == "error: characteristic 4 is neither 0 nor a prime\n"
+
+
+def test_64_bit_prime_characteristic_is_checked_at_once(capsys):
+    # trial division would take minutes on a prime this size
+    start = time.perf_counter()
+    assert main(["group", "--input", str(SAMPLES / "s3_quotient.json"),
+                 "--characteristic", "18446744073709551557"]) == 0
+    assert time.perf_counter() - start < 5
+    capsys.readouterr()
+    assert main(["group", "--input", str(SAMPLES / "s3_quotient.json"),
+                 "--characteristic", str(2**64 + 13)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: characteristic 18446744073709551629 is not below 2^64\n"
 
 
 @pytest.mark.parametrize("value", [False, True])

@@ -3,8 +3,12 @@ stacks, gerbes and orbifold curves, with dual-route cross-checks."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+import stacky.perms
+from stacky.cli import load_document
 from stacky.decomp import (
     GerbeDatum,
     bh_motive,
@@ -24,6 +28,7 @@ from stacky.motives import Atom, EquivariantModel, FixedLocus, Motive, chow_dim
 from stacky.perms import (
     Perm,
     alternating_group,
+    conjugacy_classes,
     cyclic_group,
     cyclic_subgroup_classes,
     dihedral_group,
@@ -31,6 +36,10 @@ from stacky.perms import (
     symmetric_group,
     trivial_group,
 )
+from stacky.verify import check_inertia_dimension
+
+NONCANONICAL_DOC = (Path(__file__).resolve().parent / "golden" / "cli_docs"
+                    / "s4_cells_noncanonical.json")
 
 
 def s3_on_points():
@@ -357,3 +366,64 @@ def test_duplicate_locus_rejected():
         EquivariantModel(symmetric_group(4), (0,), [Perm([0])] * 2, kind="cells",
                          fixed_loci=[FixedLocus(Perm([1, 0, 2, 3]), (0,)),
                                      FixedLocus(Perm([0, 1, 3, 2]), (0,))])
+
+
+def test_noncanonical_locus_action_is_keyed_by_the_canonical_normalizer():
+    # both declared generators, (0 1) and (0 1 2), are not the least of their
+    # classes; their actions are stored on the canonical normalizers
+    X = load_document(str(NONCANONICAL_DOC)).model
+    classes = {frozenset(c.subgroup_elements): c for c in cyclic_subgroup_classes(X.group, 0)}
+    assert len(X.locus_actions) == 2
+    for key, (locus, act) in X.locus_actions.items():
+        assert locus.generator not in key
+        N = classes[key].normalizer
+        assert tuple(act) == N.elements
+        assert all(act[a * b] == act[a] * act[b] for a in N.elements for b in N.elements)
+
+
+def test_inertia_routes_form_no_perm_products(monkeypatch):
+    # once the group caches are warm, both inertia routes run on lookups,
+    # image tuples and element indices, and the cyclic subgroups of a band
+    # are formed once
+    models = [load_document(str(NONCANONICAL_DOC)).model,
+              EquivariantModel.point(symmetric_group(5))]
+    band = symmetric_group(4)
+    for G in [X.group for X in models] + [band]:
+        cyclic_subgroup_classes(G, 0)
+        conjugacy_classes(G)
+    first = gerbe_rset(band, 0, ())
+    products = powers = 0
+    mul, pw = Perm.__mul__, stacky.perms.powers
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    def counting_powers(g):
+        nonlocal powers
+        powers += 1
+        return pw(g)
+
+    monkeypatch.setattr(Perm, "__mul__", counting_mul)
+    monkeypatch.setattr(stacky.perms, "powers", counting_powers)
+    for X in models:
+        for p in (0, 2):
+            cyclotomic_inertia(X, p)
+            inertia(X, p)
+            inertia_ranks_by_twist(X, p)
+    assert products == 0
+    assert gerbe_rset(band, 0, ()) == first
+    monkeypatch.undo()
+    assert powers == 0
+
+
+def test_inertia_dimension_second_route_ignores_the_exponents():
+    # a wrong exponent table changes the character route only, so the
+    # element-class route must catch it
+    S3 = symmetric_group(3)
+    c3 = next(c for c in cyclic_subgroup_classes(S3, 0) if c.order == 3)
+    object.__setattr__(c3, "exponents", dict.fromkeys(c3.normalizer.elements, 1))
+    report = check_inertia_dimension(EquivariantModel.point(S3))
+    assert not report.passed
+    assert (report.lhs, report.rhs) == ('{"0":4}', '{"0":3}')

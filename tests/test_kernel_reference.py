@@ -383,11 +383,11 @@ def test_non_normalizing_element_in_a_tampered_normalizer():
 
 
 def test_non_unit_discrete_log_fails_the_gcd_check():
-    # conjugates have the generator's order, so only a tampered discrete-log
+    # conjugates have the generator's order, so only a tampered exponent
     # table can send the generator to a non-generator
     G = cyclic_group(4)
     c = _cyclic_class(G, 4)
-    object.__setattr__(c, "dlog", {h: 2 for h in c.subgroup_elements})
+    object.__setattr__(c, "exponents", {n: 2 for n in c.normalizer.elements})
     with pytest.raises(NotInNormalizerError, match="did not map the generator to a generator"):
         injective_characters(c)
 

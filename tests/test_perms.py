@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -17,7 +18,9 @@ from stacky.errors import (
 )
 from stacky.perms import (
     Perm,
+    _is_prime,
     alternating_group,
+    check_characteristic,
     centralizer,
     conjugacy_classes,
     conjugation_exponent,
@@ -151,6 +154,30 @@ def test_bad_characteristic_rejected():
         cyclic_subgroup_classes(symmetric_group(3), 1)
 
 
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(-3, 200_000))
+
+
+def test_is_prime_on_pseudoprimes_and_64_bit_primes():
+    # 561 is a Carmichael number; 3825123056546413051 is a strong pseudoprime
+    # to every prime base up to 23
+    assert not _is_prime(561)
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(2**64 - 59)
+
+
+def test_characteristic_is_bounded_below_2_to_the_64():
+    check_characteristic(2**64 - 59)
+    with pytest.raises(BadCharacteristicError, match="is not below 2\\^64"):
+        check_characteristic(2**64 + 13)
+    with pytest.raises(BadCharacteristicError, match="characteristic 4 is neither 0 nor a prime"):
+        check_characteristic(4)
+
+
 def test_normalizer_and_centralizer_s3():
     G = symmetric_group(3)
     c3 = [Perm([0, 1, 2]), Perm([1, 2, 0]), Perm([2, 0, 1])]
@@ -195,6 +222,16 @@ def test_conjugation_exponent_is_a_homomorphism():
             for n1 in c.normalizer.elements:
                 for n2 in c.normalizer.elements:
                     assert exps[n1 * n2] % m == (exps[n1] * exps[n2]) % m if m > 1 else True
+
+
+def test_exponent_table_is_keyed_by_the_normalizer():
+    # the exponents are recorded in normalizer order, and each is the a with
+    # n^-1 g n = g^a, checked here with Perm products
+    for G in (symmetric_group(4), quaternion_group(), dihedral_group(6), cyclic_group(12)):
+        for c in cyclic_subgroup_classes(G, 0):
+            assert tuple(c.exponents) == c.normalizer.elements
+            for n, a in c.exponents.items():
+                assert n.inverse() * c.generator * n == c.subgroup_elements[a % c.order]
 
 
 def test_conjugation_exponent_requires_normalizer_membership():
