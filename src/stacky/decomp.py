@@ -19,6 +19,7 @@ from .motives import (
     UNIT,
     Atom,
     EquivariantModel,
+    FixedLocus,
     Motive,
     extend_action,
     invariants,
@@ -108,19 +109,18 @@ def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
     if c.order == 1:
         # the trivial class sees the ambient cells with the full action
         return X.dims, X.element_actions
-    if X.kind == "hset":
-        fixed = tuple(p for p in range(X.size)
-                      if X.action_of(c.generator)(p) == p)
-        pos = {p: i for i, p in enumerate(fixed)}
-        actions = {}
-        for n in c.normalizer.elements:
-            amb = X.action_of(n)
-            actions[n] = Perm([pos[amb(p)] for p in fixed])
-        return tuple(X.dims[p] for p in fixed), actions
-
     # a class's subgroup is the canonical conjugate, so it keys the loci, whose
-    # actions were moved onto its normalizer when the model was validated
-    locus = X.locus_actions.get(frozenset(c.subgroup_elements))
+    # actions were moved onto its normalizer when the model was validated; a
+    # point model's are computed on first use, from image tuples, and kept
+    key = frozenset(c.subgroup_elements)
+    if X.kind == "hset" and key not in X.locus_actions:
+        fixed = tuple(p for p, q in enumerate(X.action_of(c.generator).images) if p == q)
+        pos = {p: i for i, p in enumerate(fixed)}
+        actions = {n: Perm._trusted(tuple(map(pos.__getitem__,
+                                              map(X.action_of(n).images.__getitem__, fixed))))
+                   for n in c.normalizer.elements}
+        X.locus_actions[key] = (FixedLocus(c.generator, (0,) * len(fixed)), actions)
+    locus = X.locus_actions.get(key)
     if locus is None:
         return (), {n: Perm(()) for n in c.normalizer.elements}
     return locus[0].dims, locus[1]
@@ -321,7 +321,7 @@ def _automorphism_map(H: FiniteGroup, images: Sequence[Perm]) -> dict[Perm, Perm
         if img not in H:
             raise NotAnAutomorphismError("generator image is not a group element")
     try:
-        phi = extend_action(H.elements, H.generators, images, H.degree, words=H.words)
+        phi = extend_action(H, images, H.degree)
     except InconsistentActionError as exc:
         raise NotAnAutomorphismError(str(exc)) from exc
     if len(set(phi.values())) != H.order:

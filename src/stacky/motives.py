@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import InconsistentActionError, OpaqueTensorError
+from .errors import InconsistentActionError, NonBijectionError, OpaqueTensorError
 from .perms import (FiniteGroup, Perm, Subgroup, _count_orbits, canonical_conjugate,
                     cyclic_subgroup_classes, orbit, powers)
 
@@ -255,9 +255,7 @@ class EquivariantModel:
                 if self.dims[img(cell)] != self.dims[cell]:
                     raise InconsistentActionError(
                         f"generator image {i} moves cell {cell} across dimensions")
-        self.element_actions = extend_action(
-            group.elements, group.generators, self.generator_images, n,
-            words=group.words)
+        self.element_actions = extend_action(group, self.generator_images, n)
         # per declared locus, keyed by its subgroup's canonical conjugate
         self.locus_actions: dict[frozenset[Perm], tuple[FixedLocus, dict[Perm, Perm]]] = {}
         for locus in self.fixed_loci:
@@ -312,7 +310,12 @@ class EquivariantModel:
                 if a not in N:
                     raise InconsistentActionError(
                         f"{a.cycle_string()} does not normalize the locus subgroup")
-            act = extend_action(N, locus.action_generators, locus.action_images, n_loc)
+            H = FiniteGroup(G.degree, tuple(locus.action_generators), tuple(N),
+                            orbit([G.identity], locus.action_generators, Perm.__mul__))
+            if set(H.words) != set(N):
+                raise InconsistentActionError(
+                    "generators do not generate the expected element set")
+            act = extend_action(H, locus.action_images, n_loc)
         else:
             act = dict.fromkeys(N, Perm.identity(n_loc))
         for y in sub:
@@ -345,33 +348,28 @@ class EquivariantModel:
         return cls.hset(group, 1, [Perm([0])] * len(group.generators))
 
 
-def extend_action(elements: Sequence[Perm], gens: Sequence[Perm],
-                  images: Sequence[Perm], degree: int, *,
-                  words: dict[Perm, tuple[int, ...]] | None = None) -> dict[Perm, Perm]:
-    """Extend generator images to every element, verifying the extension is a
-    group homomorphism (raises InconsistentActionError otherwise)."""
-    if len(gens) != len(images):
+def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int) -> dict[Perm, Perm]:
+    """Extend generator images to every element of the group, verifying the
+    extension is a group homomorphism (raises InconsistentActionError otherwise).
+
+    Along the word tree, each element acts as its parent composed with one
+    generator image; then act(x s) = act(x) img_s is checked at every element,
+    in order, and every generator, by a right-multiplication row lookup."""
+    if len(group.generators) != len(images):
         raise InconsistentActionError("generator and image counts differ")
-    if words is None:
-        ident = Perm.identity(gens[0].degree if gens else elements[0].degree)
-        words = orbit([ident], gens, Perm.__mul__)
-        if set(words) != set(elements):
-            raise InconsistentActionError(
-                "generators do not generate the expected element set")
-    ident_cells = Perm.identity(degree)
-    actions: dict[Perm, Perm] = {}
-    for x in elements:
-        acc = ident_cells
-        for i in words[x]:
-            acc = acc * images[i]
-        actions[x] = acc
-    for x in elements:
-        fx = actions[x]
-        for g, img in zip(gens, images):
-            if actions[x * g] != fx * img:
+    if any(img.degree != degree for img in images):
+        raise NonBijectionError("cannot compose permutations of different degrees")
+    imgs = [img.images for img in images]
+    acts = [tuple(range(degree))] * group.order
+    for i, parent, s in group._word_tree:
+        acts[i] = tuple(map(acts[parent].__getitem__, imgs[s]))
+    rows = group._right_rows
+    for i, (x, fx) in enumerate(zip(group.elements, acts)):
+        for row, img in zip(rows, imgs):
+            if acts[row[i]] != tuple(map(fx.__getitem__, img)):
                 raise InconsistentActionError(
                     f"images do not extend to a group action at {x.cycle_string()}")
-    return actions
+    return {x: Perm._trusted(fx) for x, fx in zip(group.elements, acts)}
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,9 @@ class FiniteGroup:
         self.degree = degree
         self.generators = generators
         self.elements = elements
-        self.words = words  # element -> generator word, product read left to right
+        # element -> generator word, product read left to right; in discovery
+        # order, so every non-empty word's prefix is the word of an earlier element
+        self.words = words
         self.index = {g: i for i, g in enumerate(elements)}
         self._conjugacy_classes: tuple[ConjugacyClass, ...] | None = None
         self._cyclic_classes: tuple[CyclicClass, ...] | None = None
@@ -181,6 +183,25 @@ class FiniteGroup:
         by_images = {e.images: i for i, e in enumerate(self.elements)}
         return tuple(tuple(by_images[_conjugate(g.images, e.images)] for e in self.elements)
                      for g in self.generators)
+
+    @cached_property
+    def _right_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per generator s, the row i -> index of e_i s over the element indices."""
+        by_images = {e.images: i for i, e in enumerate(self.elements)}
+        return tuple(tuple(by_images[tuple(map(e.images.__getitem__, s.images))]
+                           for e in self.elements) for s in self.generators)
+
+    @cached_property
+    def _word_tree(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, parent, s) with e_i = e_parent * generator s for every element
+        but the identity, read off the words in discovery order: parents first."""
+        by_word: dict[tuple[int, ...], int] = {}
+        tree = []
+        for x, w in self.words.items():
+            i = by_word[w] = self.index[x]
+            if w:
+                tree.append((i, by_word[w[:-1]], w[-1]))
+        return tuple(tree)
 
     @cached_property
     def _cyclic_subgroups(self) -> dict[frozenset[int], tuple[int, ...]]:
@@ -408,6 +429,8 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     if G._cyclic_classes is None:
         seen: set[frozenset[int]] = set()
         classes = []
+        # the inverse rows: inv_rows[s][j] is the index of s^-1 e_j s
+        inv_rows = [sorted(range(G.order), key=row.__getitem__) for row in G._conjugation_rows]
         # element-index sets sort as their sorted image tuples do
         for key, pw in sorted(G._cyclic_subgroups.items(), key=lambda item: sorted(item[0])):
             if key in seen:
@@ -415,16 +438,17 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
             # visited in key order, so the first one not yet seen is the least
             # of its conjugacy class: canonical_conjugate(G, canon) == canon
             seen.update(orbit([key], G._conjugation_rows, _conjugate_indices))
-            pw = tuple(map(G.elements.__getitem__, pw))
             m = len(pw)
-            # one pass over G for the least generator g (the identity, a = 1, if
-            # m = 1): n g n^-1 = g^k means n^-1 g n = g^a with a = k^-1 mod m
-            g = pw[1 % m]
-            a_of = {pw[k].images: pow(k, -1, m) for k in range(1, m) if math.gcd(k, m) == 1}
-            exps = ({n: a_of[x] for n in G.elements
-                     if (x := _conjugate(n.images, g.images)) in a_of}
-                    if m > 1 else dict.fromkeys(G.elements, 1))
-            classes.append(CyclicClass(g, m, pw, Subgroup(G, tuple(exps)), exps))
+            # c[i] is the index of e_i^-1 g e_i for the least generator g, walked
+            # down the word tree: (x s)^-1 g (x s) = s^-1 (x^-1 g x) s; it is g^a
+            # for e_i in the normalizer (a = 1 for the trivial class, m = 1)
+            c = [pw[1 % m]] * G.order
+            for i, parent, s in G._word_tree:
+                c[i] = inv_rows[s][c[parent]]
+            a_of = {pw[k % m]: k for k in range(1, m + 1) if math.gcd(k, m) == 1}
+            exps = {G.elements[i]: a_of[x] for i, x in enumerate(c) if x in a_of}
+            pw = tuple(map(G.elements.__getitem__, pw))
+            classes.append(CyclicClass(pw[1 % m], m, pw, Subgroup(G, tuple(exps)), exps))
         classes.sort(key=lambda c: (c.order, c.generator.images))
         G._cyclic_classes = tuple(classes)
     return tuple(c for c in G._cyclic_classes if p == 0 or c.order % p != 0)

@@ -176,20 +176,32 @@ def _random_subgroup(rng: random.Random, G: FiniteGroup, max_index: int) -> list
 def random_coset_model(rng: random.Random, G: FiniteGroup,
                        max_points: int = 20) -> EquivariantModel:
     """Disjoint union of coset spaces of random subgroups, as a point model."""
-    blocks: list[list[tuple[Perm, ...]]] = []
+    # cosets are sorted element-index tuples, which sort as the sorted
+    # elements do; each is formed once, from image tuples
+    by_images = {e.images: i for i, e in enumerate(G.elements)}
+
+    def mul(a: Perm, b: Perm) -> int:
+        return by_images[tuple(map(a.images.__getitem__, b.images))]
+
+    blocks: list[list[tuple[int, ...]]] = []
     total = 0
     for _ in range(rng.randint(1, 3)):
         budget = max_points - total
         if budget < 1:
             break
         sub = _random_subgroup(rng, G, budget)
-        cosets = sorted({tuple(sorted(x * s for s in sub)) for x in G.elements})
+        coset_of: dict[int, tuple[int, ...]] = {}
+        for i, x in enumerate(G.elements):
+            if i not in coset_of:
+                coset = tuple(sorted(mul(x, s) for s in sub))
+                coset_of.update(dict.fromkeys(coset, coset))
+        cosets = sorted(set(coset_of.values()))
         if total + len(cosets) > max_points:
             continue
         blocks.append(cosets)
         total += len(cosets)
     if not blocks:
-        blocks = [[tuple(sorted(G.elements))]]
+        blocks = [[tuple(range(G.order))]]
         total = 1
 
     images = []
@@ -197,10 +209,9 @@ def random_coset_model(rng: random.Random, G: FiniteGroup,
         img: list[int] = []
         offset = 0
         for cosets in blocks:
-            lookup = {c: i for i, c in enumerate(cosets)}
-            for coset in cosets:
-                moved = tuple(sorted(g * x for x in coset))
-                img.append(offset + lookup[moved])
+            # g moves the coset of x to the coset of g x
+            lookup = {i: k for k, c in enumerate(cosets) for i in c}
+            img.extend(offset + lookup[mul(g, G.elements[coset[0]])] for coset in cosets)
             offset += len(cosets)
         images.append(Perm(img))
     return EquivariantModel.hset(G, total, images)

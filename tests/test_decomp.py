@@ -418,6 +418,36 @@ def test_inertia_routes_form_no_perm_products(monkeypatch):
     assert powers == 0
 
 
+def test_point_model_loci_are_built_once(monkeypatch):
+    # a point model keeps the fixed loci of its classes, so the second route
+    # and a second call read them without constructing a Perm
+    X = EquivariantModel.hset(symmetric_group(5), 5, symmetric_group(5).generators)
+    def parts(components):
+        return [(c.representative, c.fixed_model.dims, c.fixed_model.element_actions)
+                for c in components]
+
+    first = parts(inertia(X))
+    made = 0
+    init, trusted = Perm.__init__, Perm._trusted.__func__
+
+    def counting_init(self, images):
+        nonlocal made
+        made += 1
+        init(self, images)
+
+    def counting_trusted(cls, images):
+        nonlocal made
+        made += 1
+        return trusted(cls, images)
+
+    monkeypatch.setattr(Perm, "__init__", counting_init)
+    monkeypatch.setattr(Perm, "_trusted", classmethod(counting_trusted))
+    assert parts(inertia(X)) == first
+    cyclotomic_inertia(X)
+    monkeypatch.undo()
+    assert made == 0
+
+
 def test_inertia_dimension_second_route_ignores_the_exponents():
     # a wrong exponent table changes the character route only, so the
     # element-class route must catch it

@@ -19,6 +19,14 @@ conjugation with discrete logs by ``tuple.index``, its automorphisms checked
 for multiplicativity at every pair of elements.  Results must be equal; a
 tampered action must raise the reference's exception type, and the same
 message where it has a single defect.
+
+``extend_action`` now composes image tuples along the word tree and checks
+the homomorphism by right-multiplication rows, the conjugation exponents are
+walked down the word tree through inverse conjugation rows, and a point
+model's fixed loci are built once per class from image tuples.  Their
+references are the ``Perm`` routes they replace: a full word replay per
+element checked by ``Perm`` products, one ``_conjugate`` per element per
+class, and the loci rebuilt through the validating constructor.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from stacky.decomp import (
     _automorphism_map,
     _bh_rank,
     _component_ranks,
+    _locus_cells_and_action,
     character_indices,
     cyclotomic_inertia,
     gerbe_rset,
@@ -47,17 +56,19 @@ from stacky.decomp import (
     injective_characters,
 )
 from stacky.errors import (
+    InconsistentActionError,
     NonBijectionError,
     NotAnActionError,
     NotAnAutomorphismError,
     NotInNormalizerError,
     ShapeMismatchError,
 )
-from stacky.motives import EquivariantModel, invariants, model_motive
+from stacky.motives import EquivariantModel, FixedLocus, extend_action, invariants, model_motive
 from stacky.perms import (
     ConjugacyClass,
     Perm,
     Subgroup,
+    _conjugate,
     _require_subgroup,
     alternating_group,
     canonical_conjugate,
@@ -67,6 +78,7 @@ from stacky.perms import (
     cyclic_subgroup_classes,
     dihedral_group,
     generate_group,
+    normalizer,
     orbit,
     orbit_count,
     powers,
@@ -321,8 +333,22 @@ NAMED_GROUPS = {
 }
 
 
+def reference_exponents(G, c):
+    """One _conjugate of the canonical generator per element: n g n^-1 = g^k
+    puts n in the normalizer with a = k^-1 mod m."""
+    pw, m = c.subgroup_elements, c.order
+    if m == 1:
+        return dict.fromkeys(G.elements, 1)
+    a_of = {pw[k].images: pow(k, -1, m) for k in range(1, m) if math.gcd(k, m) == 1}
+    return {n: a_of[x] for n in G.elements
+            if (x := _conjugate(n.images, c.generator.images)) in a_of}
+
+
 def assert_classes_match_the_reference(G):
     """G is freshly generated, so nothing is cached before the first call."""
+    for c in cyclic_subgroup_classes(G, 0):
+        # equal in content and in order
+        assert list(c.exponents.items()) == list(reference_exponents(G, c).items())
     for p in (0, 2, 3):
         classes = cyclic_subgroup_classes(G, p)
         ref = reference_cyclic_subgroup_classes(G, p)
@@ -680,3 +706,119 @@ def test_gerbe_rset_matches_the_reference_under_outer_automorphisms(name):
     assert all(isinstance(_automorphism_map(H, a), dict) for a in autos)
     for p in (0, 2, 3):
         assert gerbe_rset(H, p, autos) == reference_gerbe_rset(H, p, autos)
+
+
+# ---------------------------------------------------------------------------
+# Action extension and point-model loci.
+
+def reference_extend_action(elements, gens, images, degree, *, words=None):
+    """Replay each element's word by Perm products, then check act(x g) =
+    act(x) img by Perm products at every element and generator."""
+    if len(gens) != len(images):
+        raise InconsistentActionError("generator and image counts differ")
+    if words is None:
+        ident = Perm.identity(gens[0].degree if gens else elements[0].degree)
+        words = orbit([ident], gens, Perm.__mul__)
+        if set(words) != set(elements):
+            raise InconsistentActionError(
+                "generators do not generate the expected element set")
+    ident_cells = Perm.identity(degree)
+    actions = {}
+    for x in elements:
+        acc = ident_cells
+        for i in words[x]:
+            acc = acc * images[i]
+        actions[x] = acc
+    for x in elements:
+        fx = actions[x]
+        for g, img in zip(gens, images):
+            if actions[x * g] != fx * img:
+                raise InconsistentActionError(
+                    f"images do not extend to a group action at {x.cycle_string()}")
+    return actions
+
+
+def reference_hset_locus(X, c):
+    fixed = tuple(p for p in range(X.size) if X.action_of(c.generator)(p) == p)
+    pos = {p: i for i, p in enumerate(fixed)}
+    actions = {}
+    for n in c.normalizer.elements:
+        amb = X.action_of(n)
+        actions[n] = Perm([pos[amb(p)] for p in fixed])
+    return tuple(X.dims[p] for p in fixed), actions
+
+
+def _extension_outcome(fn, *args, **kwargs):
+    try:
+        return list(fn(*args, **kwargs).items())
+    except (InconsistentActionError, NonBijectionError) as exc:
+        return type(exc), str(exc)
+
+
+REFERENCE_GROUPS = [(f"case{i}", lambda d=d, g=g: generate_group(d, [Perm(x) for x in g]))
+                    for i, (d, g) in enumerate(CASES)] + list(NAMED_GROUPS.items())
+
+
+@pytest.mark.parametrize("name,make", REFERENCE_GROUPS, ids=[n for n, _ in REFERENCE_GROUPS])
+def test_extension_and_loci_match_the_reference(name, make):
+    G = make()
+    models = [EquivariantModel.hset(G, G.degree, G.generators)]
+    if G.order <= 120:
+        models.append(random_coset_model(random.Random(0), G, max_points=12))
+    for X in models:
+        ref = reference_extend_action(G.elements, G.generators, X.generator_images, X.size,
+                                      words=G.words)
+        assert list(X.element_actions.items()) == list(ref.items())
+        for c in cyclic_subgroup_classes(G, 0)[1:]:
+            dims, act = _locus_cells_and_action(X, c)
+            ref_dims, ref_act = reference_hset_locus(X, c)
+            assert dims == ref_dims and list(act.items()) == list(ref_act.items())
+            # kept on the model: the second call returns the same dict
+            assert _locus_cells_and_action(X, c)[1] is act
+
+
+@st.composite
+def bad_image_sets(draw):
+    """A small group and one random permutation of a few points per generator."""
+    index = draw(st.sampled_from(sorted(SMALL_CASES)))
+    H = SMALL_CASES[index]
+    degree = draw(st.integers(1, 5))
+    return H, degree, tuple(Perm(draw(st.permutations(range(degree)))) for _ in H.generators)
+
+
+@given(bad_image_sets())
+def test_extension_errors_match_the_reference_on_random_images(case):
+    H, degree, images = case
+    ours = _extension_outcome(extend_action, H, images, degree)
+    ref = _extension_outcome(reference_extend_action, H.elements, H.generators, images,
+                             degree, words=H.words)
+    assert ours == ref
+
+
+def test_extension_degree_mismatch_matches_the_reference():
+    G = symmetric_group(3)
+    images = (Perm([1, 0]), Perm([0, 1, 2]))
+    ours = _extension_outcome(extend_action, G, images, 3)
+    ref = _extension_outcome(reference_extend_action, G.elements, G.generators, images, 3,
+                             words=G.words)
+    assert ours == ref == (NonBijectionError, "cannot compose permutations of different degrees")
+
+
+@pytest.mark.parametrize("gens,images", [
+    # (2 3) alone does not generate the normalizer of <(0 1)>
+    (((0, 1, 3, 2),), ((1, 0),)),
+    # (0 1)(2 3) must act as (0 1) times (2 3) does
+    (((1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)), ((0, 1), (1, 0), (0, 1))),
+])
+def test_declared_locus_extension_errors_match_the_reference(gens, images):
+    # a declared locus's normalizer action is extended from a closure of its
+    # own generators, which the reference ran without precomputed words
+    G = symmetric_group(4)
+    g = Perm([1, 0, 2, 3])
+    gens, images = tuple(map(Perm, gens)), tuple(map(Perm, images))
+    N = sorted(normalizer(G, powers(g)).elements)
+    ref = _extension_outcome(reference_extend_action, N, gens, images, 2)
+    ours = _extension_outcome(lambda: EquivariantModel(
+        G, (0,), [Perm([0])] * 2, kind="cells",
+        fixed_loci=[FixedLocus(g, (0, 0), gens, images)]).locus_actions)
+    assert ours == ref and ref[0] is InconsistentActionError

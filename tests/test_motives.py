@@ -21,6 +21,7 @@ from stacky.motives import (
     tensor,
 )
 from stacky.perms import Perm, cyclic_group, orbit_count, symmetric_group, trivial_group
+from stacky.verify import random_coset_model
 
 
 def units(*pairs: tuple[int, int]) -> Motive:
@@ -190,3 +191,23 @@ def test_invariants_never_increase_multiplicity():
         inv = invariants(act)
         for (atom, twist, mult) in inv.terms:
             assert mult <= act.motive.unit_multiplicity(twist)
+
+
+def test_coset_model_forms_no_perm_products(monkeypatch):
+    # with the group's rows and word tree built, extending an action composes
+    # image tuples only: no Perm product in the replay or the check
+    G = symmetric_group(5)
+    X = random_coset_model(random.Random(3), G)
+    products = 0
+    mul = Perm.__mul__
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Perm, "__mul__", counting_mul)
+    Y = EquivariantModel.hset(G, X.size, X.generator_images)
+    monkeypatch.undo()
+    assert X.size > 1 and products == 0
+    assert Y.element_actions == X.element_actions

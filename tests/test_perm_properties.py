@@ -68,6 +68,22 @@ def test_orbit_and_generate_group_match_the_closure(group):
     assert list(words.values()) == sorted(words.values(), key=len)
 
 
+def test_words_are_a_tree_in_discovery_order(group):
+    # extend_action and the conjugation exponents walk this tree: each
+    # element's word is an earlier element's word and one generator more
+    G, _ = group
+    words = list(G.words.values())
+    assert words[0] == () and words == sorted(words, key=len)
+    earlier = set()
+    for w in words:
+        assert not w or w[:-1] in earlier
+        earlier.add(w)
+    for i, parent, s in G._word_tree:
+        assert G.elements[i] == G.elements[parent] * G.generators[s]
+        assert G._right_rows[s][parent] == i
+    assert len(G._word_tree) == G.order - 1
+
+
 def test_conjugacy_classes_match_the_oracle(group):
     G, elems = group
     ours = {frozenset(x.images for x in c.members) for c in conjugacy_classes(G)}

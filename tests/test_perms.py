@@ -8,6 +8,7 @@ import random
 import pytest
 
 import oracles
+import stacky.perms
 from stacky.errors import (
     BadCharacteristicError,
     GroupTooLargeError,
@@ -260,6 +261,25 @@ def test_cyclic_subgroup_classes_form_powers_only(monkeypatch):
     classes = cyclic_subgroup_classes(G, 0)
     monkeypatch.undo()
     assert 0 < products <= sum(map(len, subgroups)) + sum(c.order for c in classes)
+
+
+def test_cyclic_subgroup_classes_conjugate_for_the_rows_only(monkeypatch):
+    # one _conjugate per generator and element builds the conjugation rows;
+    # the exponents are then walked down the word tree, not conjugated per class
+    G = symmetric_group(5)
+    calls = 0
+    conj = stacky.perms._conjugate
+
+    def counting_conjugate(g, x):
+        nonlocal calls
+        calls += 1
+        return conj(g, x)
+
+    monkeypatch.setattr(stacky.perms, "_conjugate", counting_conjugate)
+    classes = cyclic_subgroup_classes(G, 0)
+    monkeypatch.undo()
+    assert len(classes) == 7
+    assert 0 < calls <= len(G.generators) * G.order
 
 
 def test_orbit_count_examples():
