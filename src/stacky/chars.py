@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from ._record import record
 from .cyclo import Cyclotomic, _exponent_vector, _reduce_exponents
 from .errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError
 from .perms import (
@@ -42,7 +42,7 @@ from .perms import (
 ClassFunction = Sequence[Union[Cyclotomic, int, Fraction]]
 
 
-@dataclass(frozen=True)
+@record
 class CharacterTable:
     """Irreducible characters of a finite group, one row per character."""
 
@@ -59,7 +59,7 @@ class CharacterTable:
         return self.rows[row][class_index]
 
 
-@dataclass(frozen=True)
+@record
 class RepresentationRing:
     """Tensor-product structure constants over a character table.
 

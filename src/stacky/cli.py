@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Any, Sequence
 
+from ._record import record
 from .chars import character_table
 from .decomp import (
     GerbeDatum,
@@ -44,7 +44,7 @@ from .verify import (
 CHECK_NAMES = ("inertia-dim", "kunneth", "rep-ring", "splitting", "suite", "all")
 
 
-@dataclass(frozen=True)
+@record
 class InputDocument:
     """A parsed input file: the group plus at most one computation target."""
 

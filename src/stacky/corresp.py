@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._record import record
 from .errors import (
     NotEquidegreeError,
     NotIdempotentError,
@@ -83,7 +83,7 @@ def mat_rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-@dataclass(frozen=True)
+@record
 class Correspondence:
     """A morphism between pure-Tate motives, one rational block per twist.
 
@@ -125,8 +125,6 @@ class Correspondence:
             return False
         twists = set(self.blocks) | set(other.blocks)
         return all(self.block(t) == other.block(t) for t in twists)
-
-    __hash__ = None  # type: ignore[assignment]
 
     @classmethod
     def identity(cls, M: Motive) -> "Correspondence":
@@ -183,7 +181,7 @@ def graph_correspondences(f: Sequence[int], n: int, k: int
     return pull, transpose(pull)
 
 
-@dataclass(frozen=True)
+@record
 class SplitFactor:
     """An idempotent split: image motive with inclusion and retraction."""
 

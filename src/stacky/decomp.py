@@ -10,9 +10,9 @@ and one-dimensional orbifolds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from ._record import field, record
 from .chars import character_table, rep_ring
 from .errors import BadOrderError, InconsistentActionError, NotAnAutomorphismError, ValidationError
 from .motives import (
@@ -47,7 +47,7 @@ def character_indices(order: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, order) if math.gcd(j, order) == 1)
 
 
-@dataclass(frozen=True)
+@record
 class InjectiveCharacters:
     """The injective characters of a cyclic class with the normalizer action.
 
@@ -81,7 +81,7 @@ def injective_characters(c: CyclicClass) -> InjectiveCharacters:
     return InjectiveCharacters(c, character_indices(c.order), exps)
 
 
-@dataclass(frozen=True)
+@record
 class CyclotomicInertiaComponent:
     """One component of the cyclotomic inertia of a model: a cyclic class,
     its fixed-point model carrying the normalizer action, and the character
@@ -92,7 +92,7 @@ class CyclotomicInertiaComponent:
     chars: InjectiveCharacters
 
 
-@dataclass(frozen=True)
+@record
 class InertiaComponent:
     """One component of the element-indexed inertia: a class representative,
     its centralizer, and the fixed model with the centralizer action."""
@@ -168,14 +168,14 @@ def quotient_motive(X: EquivariantModel) -> Motive:
     return invariants(model_motive(X))
 
 
-@dataclass(frozen=True)
+@record
 class ComponentContribution:
     component: CyclotomicInertiaComponent
     ranks: tuple[tuple[int, int], ...]  # (twist, multiplicity)
     motive: Motive
 
 
-@dataclass(frozen=True)
+@record
 class InertialMotive:
     """Character-refined motive of a quotient model with its per-component
     breakdown; the trivial-class component is the coarse quotient motive."""
@@ -237,7 +237,7 @@ def inertia_ranks_by_twist(X: EquivariantModel, p: int = 0) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Classifying stacks.
 
-@dataclass(frozen=True)
+@record
 class ClassifyingStackMotive:
     """Refined motive of a classifying stack: a sum of r points, and for
     characteristic 0 the rank-3 tensor of product structure constants."""
@@ -286,7 +286,7 @@ def bh_motive(H: FiniteGroup, p: int = 0) -> ClassifyingStackMotive:
 # ---------------------------------------------------------------------------
 # Gerbes.
 
-@dataclass(frozen=True)
+@record
 class GerbeDatum:
     """A gerbe presentation: the band group, monodromy automorphisms given by
     generator images, the base motive and its display label."""
@@ -297,7 +297,7 @@ class GerbeDatum:
     base_label: str = "X"
 
 
-@dataclass(frozen=True)
+@record
 class CharacterOrbitSet:
     """Conjugation orbits of (cyclic subgroup, injective character) pairs,
     with the permutations induced by a list of outer automorphisms."""
@@ -383,7 +383,7 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
     return CharacterOrbitSet(elements, tuple(aut_perms), distinguished)
 
 
-@dataclass(frozen=True)
+@record
 class GerbeMotive:
     """Refined motive of a gerbe: one base copy per fixed pair orbit, one
     cover atom per nontrivial monodromy orbit; the distinguished copy is the
@@ -417,7 +417,7 @@ def gerbe_motive(datum: GerbeDatum, p: int = 0) -> GerbeMotive:
 # ---------------------------------------------------------------------------
 # One-dimensional orbifolds.
 
-@dataclass(frozen=True)
+@record
 class OrbifoldCurveMotive:
     """Refined motive of a one-dimensional orbifold: the coarse curve motive
     plus one point per nontrivial character of each stacky point."""

@@ -8,15 +8,15 @@ non-Tate constituents stay opaque and are tracked symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from ._record import field, record
 from .errors import InconsistentActionError, NonBijectionError, OpaqueTensorError
 from .perms import (FiniteGroup, Perm, Subgroup, _count_orbits, canonical_conjugate,
                     cyclic_subgroup_classes, orbit, powers)
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     """One indivisible motive constituent.
 
@@ -79,7 +79,7 @@ class Atom:
 UNIT = Atom.unit()
 
 
-@dataclass(frozen=True)
+@record
 class Motive:
     """Formal direct sum of twisted atoms; terms are merged and sorted."""
 
@@ -158,7 +158,7 @@ def tensor(a: Motive, b: Motive) -> Motive:
     return Motive.of(out)
 
 
-@dataclass(frozen=True)
+@record
 class ChowDimensions:
     """Tate dimension of one graded Chow group plus the opaque atoms that may
     also contribute there (never silently dropped)."""
@@ -201,7 +201,7 @@ def poincare_polynomial(M: Motive) -> str:
 # ---------------------------------------------------------------------------
 # Equivariant combinatorial models.
 
-@dataclass(frozen=True)
+@record
 class FixedLocus:
     """Declared fixed-point model for one cyclic subgroup of a cell model.
 
@@ -372,7 +372,7 @@ def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int) -> di
     return {x: Perm._trusted(fx) for x, fx in zip(group.elements, acts)}
 
 
-@dataclass(frozen=True)
+@record
 class MotiveAction:
     """A group acting on a motive by permuting the copies of each (atom, twist)."""
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
+from ._record import field, record
 from .errors import (
     BadCharacteristicError,
     GroupTooLargeError,
@@ -220,7 +220,7 @@ class FiniteGroup:
         return subs
 
 
-@dataclass(frozen=True)
+@record
 class ConjugacyClass:
     """One conjugacy class of group elements."""
 
@@ -233,7 +233,7 @@ class ConjugacyClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@record
 class Subgroup:
     """A subgroup given by its element subset inside a parent group, with a
     FiniteGroup's ``index``, ``identity`` and ``generators``."""
@@ -261,7 +261,7 @@ class Subgroup:
         return g in self.index
 
 
-@dataclass(frozen=True)
+@record
 class CyclicClass:
     """A conjugacy class of cyclic subgroups, with canonical generator g, its
     normalizer and, per normalizer element n in order, the unit a (mod the

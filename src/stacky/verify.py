@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Iterator, Sequence
 
+from ._record import record
 from .chars import character_table, rep_ring
 from .corresp import (
     Correspondence,
@@ -24,7 +24,6 @@ from .corresp import (
 )
 from .decomp import (
     _bh_rank,
-    bh_motive,
     inertia_ranks_by_twist,
     inertial_quotient_motive,
     product_with_point_model,
@@ -42,7 +41,7 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """Outcome of one exact cross-check."""
 
@@ -102,12 +101,8 @@ def _kunneth_report(X: EquivariantModel, H: FiniteGroup, p: int,
                     xr: dict[int, int]) -> VerificationReport:
     prod = product_with_point_model(X, H)
     lhs = inertial_quotient_motive(prod, p).ranks_by_twist()
-    hr = {0: bh_motive(H, p).rank}
-    conv: dict[int, int] = {}
-    for a, ra in xr.items():
-        for b, rb in hr.items():
-            conv[a + b] = conv.get(a + b, 0) + ra * rb
-    conv = {t: r for t, r in conv.items() if r}
+    rank = _bh_rank(H, p)  # BH is `rank` points at twist 0: the convolution scales X's ranks
+    conv = {t: r * rank for t, r in xr.items() if r * rank}
     payload = {"model": _model_payload(X), "p": p,
                "h": [list(g.images) for g in H.generators], "hdeg": H.degree}
     return VerificationReport("kunneth", _digest(payload),

@@ -7,14 +7,13 @@ by hand from the defining constraints (degree squares, orthogonality).
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from stacky import chars
-from stacky.chars import character_table, inner_product, rep_ring
+from stacky.chars import CharacterTable, character_table, inner_product, rep_ring
 from stacky.cyclo import Cyclotomic
 from stacky.errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError
 from stacky.perms import (
@@ -298,7 +297,7 @@ def test_not_rational_message_text_is_unchanged():
 def _perturbed(T, row: int, cls: int, delta):
     rows = [list(r) for r in T.rows]
     rows[row][cls] = rows[row][cls] + delta
-    return dataclasses.replace(T, rows=tuple(tuple(r) for r in rows))
+    return CharacterTable(T.group, T.classes, tuple(tuple(r) for r in rows), T.degrees)
 
 
 def test_tampered_table_fails_verification():

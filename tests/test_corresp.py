@@ -90,6 +90,13 @@ def test_compose_requires_matching_endpoints():
         compose(a, b)
 
 
+def test_correspondence_is_unhashable():
+    # equality reads an absent twist as a zero block, so no hash of the fields
+    # agrees with it; defining __eq__ leaves the class unhashable
+    with pytest.raises(TypeError, match="unhashable type: 'Correspondence'"):
+        hash(Correspondence.single_twist(0, [[1]]))
+
+
 def test_correspondence_rejects_opaque_motives():
     curve = Motive.of([(Atom.h1(1), 0, 1)])
     with pytest.raises(ShapeMismatchError):

@@ -31,7 +31,6 @@ class, and the loci rebuilt through the validating constructor.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
@@ -66,6 +65,7 @@ from stacky.errors import (
 from stacky.motives import EquivariantModel, FixedLocus, extend_action, invariants, model_motive
 from stacky.perms import (
     ConjugacyClass,
+    CyclicClass,
     Perm,
     Subgroup,
     _conjugate,
@@ -401,7 +401,9 @@ def test_non_normalizing_element_in_a_tampered_normalizer():
     # the reference's tuple.index leaked a ValueError here; the element does
     # not normalize the subgroup, and that is what is raised now
     G = symmetric_group(3)
-    c = dataclasses.replace(_cyclic_class(G, 2), normalizer=Subgroup(G, G.elements))
+    c = _cyclic_class(G, 2)
+    c = CyclicClass(c.generator, c.order, c.subgroup_elements, Subgroup(G, G.elements),
+                    c.exponents)
     with pytest.raises(NotInNormalizerError, match="does not normalize the subgroup"):
         injective_characters(c)
     with pytest.raises(ValueError, match="element is not in the cyclic subgroup"):
