@@ -30,7 +30,7 @@ def record(cls):
     compared = tuple(n for n, f in fields.items() if f.compare)
     key = attrgetter(*compared) if len(compared) > 1 else (
         lambda obj: tuple(getattr(obj, n) for n in compared))
-    post_init, arity, setter = hasattr(cls, "__post_init__"), len(init_names), object.__setattr__
+    post_init, arity = hasattr(cls, "__post_init__"), len(init_names)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != arity:  # exact positional calls skip the binding
@@ -39,8 +39,7 @@ def record(cls):
                     or values.keys() != set(init_names)):
                 raise TypeError(f"{cls.__qualname__}() takes the fields {init_names}")
             args = [values[n] for n in init_names]
-        for name, value in zip(init_names, args):
-            setter(self, name, value)
+        self.__dict__.update(zip(init_names, args))
         if post_init:
             self.__post_init__()
 

@@ -53,31 +53,37 @@ class InjectiveCharacters:
 
     Characters are indexed by exponents j prime to the order; an element n of
     the normalizer with conjugation exponent a sends index j to j*a mod m.
+    ``rows`` holds that permutation of the positions once per distinct a.
     """
 
     cyclic: CyclicClass
     indices: tuple[int, ...]
     exponents: dict[Perm, int]
-    positions: dict[int, int] = field(init=False, repr=False, compare=False)
+    rows: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", {j: i for i, j in enumerate(self.indices)})
+        pos, m = {j: i for i, j in enumerate(self.indices)}, self.cyclic.order
+        object.__setattr__(self, "rows", {a: tuple(pos[j * a % m] for j in self.indices)
+                                          for a in set(self.exponents.values())})
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
     def act(self, n: Perm, pos: int) -> int:
-        return self.positions[self.indices[pos] * self.exponents[n] % self.cyclic.order]
+        return self.rows[self.exponents[n]][pos]
 
     def image_row(self, n: Perm) -> tuple[int, ...]:
         """The permutation of the character positions by n."""
-        a, m = self.exponents[n], self.cyclic.order
-        return tuple(self.positions[j * a % m] for j in self.indices)
+        return self.rows[self.exponents[n]]
 
 
 def injective_characters(c: CyclicClass) -> InjectiveCharacters:
-    exps = {n: conjugation_exponent(n, c) for n in c.normalizer.elements}
+    """The characters, with the class's exponents checked to be units once
+    per distinct value; on a bad class, conjugation_exponent raises."""
+    exps, N = c.exponents, c.normalizer.elements
+    if tuple(exps) != N or any(math.gcd(a, c.order) != 1 for a in set(exps.values())):
+        exps = {n: conjugation_exponent(n, c) for n in N}
     return InjectiveCharacters(c, character_indices(c.order), exps)
 
 
@@ -115,11 +121,12 @@ def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
     key = frozenset(c.subgroup_elements)
     if X.kind == "hset" and key not in X.locus_actions:
         fixed = tuple(p for p, q in enumerate(X.action_of(c.generator).images) if p == q)
-        pos = {p: i for i, p in enumerate(fixed)}
-        actions = {n: Perm._trusted(tuple(map(pos.__getitem__,
-                                              map(X.action_of(n).images.__getitem__, fixed))))
-                   for n in c.normalizer.elements}
-        X.locus_actions[key] = (FixedLocus(c.generator, (0,) * len(fixed)), actions)
+        pos, N = {p: i for i, p in enumerate(fixed)}, c.normalizer.elements
+        imgs = [tuple(map(pos.__getitem__, map(X.element_actions[n].images.__getitem__, fixed)))
+                for n in N]
+        perm_of = {t: Perm._trusted(t) for t in set(imgs)}  # one per distinct action
+        X.locus_actions[key] = (FixedLocus(c.generator, (0,) * len(fixed)),
+                                dict(zip(N, map(perm_of.__getitem__, imgs))))
     locus = X.locus_actions.get(key)
     if locus is None:
         return (), {n: Perm(()) for n in c.normalizer.elements}
@@ -197,7 +204,7 @@ def _component_ranks(comp: CyclotomicInertiaComponent) -> dict[int, int]:
     model = comp.fixed_model
     elems = model.group.elements
     k = comp.chars.size
-    pairs = [(model.action_of(n).images, comp.chars.image_row(n)) for n in elems]
+    pairs = [(model.element_actions[n].images, comp.chars.image_row(n)) for n in elems]
     out = {}
     for d, cells in sorted(model.cells_of_dim().items()):
         pos = {cell: i for i, cell in enumerate(cells)}
@@ -226,7 +233,7 @@ def inertia_ranks_by_twist(X: EquivariantModel, p: int = 0) -> dict[int, int]:
     for comp in inertia(X, p):
         model = comp.fixed_model
         elems = model.group.elements
-        imgs = [model.action_of(z).images for z in elems]
+        imgs = [model.element_actions[z].images for z in elems]
         for d, cells in model.cells_of_dim().items():
             pos = {cell: i for i, cell in enumerate(cells)}
             count = _count_orbits(elems, [[pos[img[c]] for c in cells] for img in imgs])
@@ -337,7 +344,7 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
     generator and each monodromy alike are rows i -> index of the image of e_i.
     """
     index = H.index
-    subs = {sub: pw for sub, pw in H._cyclic_subgroups.items()
+    subs = {frozenset(pw): pw for pw in dict.fromkeys(H._cyclic_subgroups.values())
             if p == 0 or math.gcd(len(pw), p) == 1}
 
     def move(pair, row):

@@ -147,6 +147,7 @@ class FiniteGroup:
         # order, so every non-empty word's prefix is the word of an earlier element
         self.words = words
         self.index = {g: i for i, g in enumerate(elements)}
+        self._by_images = {g.images: i for i, g in enumerate(elements)}
         self._conjugacy_classes: tuple[ConjugacyClass, ...] | None = None
         self._cyclic_classes: tuple[CyclicClass, ...] | None = None
 
@@ -179,17 +180,16 @@ class FiniteGroup:
 
     @cached_property
     def _conjugation_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per generator g, the row i -> index of g e_i g^-1 over the element indices."""
-        by_images = {e.images: i for i, e in enumerate(self.elements)}
-        return tuple(tuple(by_images[_conjugate(g.images, e.images)] for e in self.elements)
-                     for g in self.generators)
+        """Per generator s, the row i -> index of s^-1 e_i s over the element indices."""
+        by_images = self._by_images
+        return tuple(tuple(by_images[_compose(t, _compose(e.images, s))] for e in self.elements)
+                     for s, t in ((g.images, g.inverse().images) for g in self.generators))
 
     @cached_property
     def _right_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per generator s, the row i -> index of e_i s over the element indices."""
-        by_images = {e.images: i for i, e in enumerate(self.elements)}
-        return tuple(tuple(by_images[tuple(map(e.images.__getitem__, s.images))]
-                           for e in self.elements) for s in self.generators)
+        return tuple(tuple(self._by_images[_compose(e.images, s.images)] for e in self.elements)
+                     for s in self.generators)
 
     @cached_property
     def _word_tree(self) -> tuple[tuple[int, int, int], ...]:
@@ -203,20 +203,25 @@ class FiniteGroup:
                 tree.append((i, by_word[w[:-1]], w[-1]))
         return tuple(tree)
 
+    def _conjugates(self, x: int) -> list[int]:
+        """c[i] is the index of e_i^-1 e_x e_i, walked down the word tree:
+        (y s)^-1 e_x (y s) = s^-1 (y^-1 e_x y) s is one conjugation-row lookup."""
+        c, rows = [x] * self.order, self._conjugation_rows
+        for i, parent, s in self._word_tree:
+            c[i] = rows[s][c[parent]]
+        return c
+
     @cached_property
-    def _cyclic_subgroups(self) -> dict[frozenset[int], tuple[int, ...]]:
-        """Each cyclic subgroup once, as its element-index set mapped to the
+    def _cyclic_subgroups(self) -> dict[int, tuple[int, ...]]:
+        """Each element index mapped to the cyclic subgroup it generates: the
         indices of the powers of its least generator (position k holds the
-        k-th power).  An element is skipped once it generates a subgroup
-        already found, so powers() runs once per subgroup."""
-        subs: dict[frozenset[int], tuple[int, ...]] = {}
-        covered: set[int] = set()
+        k-th power), one tuple per subgroup, whose powers are taken once."""
+        subs: dict[int, tuple[int, ...]] = {}
         # elements are sorted, so the first generator met is the least
         for i, g in enumerate(self.elements):
-            if i not in covered:
-                pw = tuple(map(self.index.__getitem__, powers(g)))
-                covered.update(pw[k] for k in range(len(pw)) if math.gcd(k, len(pw)) == 1)
-                subs[frozenset(pw)] = pw
+            if i not in subs:
+                pw = tuple(map(self._by_images.__getitem__, _power_images(g.images)))
+                subs.update((x, pw) for k, x in enumerate(pw) if math.gcd(k, len(pw)) == 1)
         return subs
 
 
@@ -303,15 +308,22 @@ def orbit(seeds: Iterable[Hashable], gens: Sequence[Any],
     return words
 
 
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of a * b, from those of a and b."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _power_images(g: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The image tuples of g^0, g^1, ..., g^(m-1), m the order of g."""
+    out = [tuple(range(len(g)))]
+    while (x := _compose(out[-1], g)) != out[0]:
+        out.append(x)
+    return out
+
+
 def powers(g: Perm) -> tuple[Perm, ...]:
     """The powers g^0, g^1, ..., g^(m-1) of g, m its order."""
-    ident = Perm.identity(g.degree)
-    out = [ident]
-    x = g
-    while x != ident:
-        out.append(x)
-        x = x * g
-    return tuple(out)
+    return tuple(map(Perm._trusted, _power_images(g.images)))
 
 
 def _conjugate(g: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
@@ -322,10 +334,6 @@ def _conjugate(g: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _conjugate_indices(s: frozenset[int], row: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(map(row.__getitem__, s))
-
-
 def canonical_conjugate(G: FiniteGroup, sub: Iterable[Perm]) -> frozenset[Perm]:
     """The least conjugate of a subgroup by its sorted image tuples: one
     canonical representative, and so a key, for its conjugacy class.  Sorted
@@ -333,7 +341,8 @@ def canonical_conjugate(G: FiniteGroup, sub: Iterable[Perm]) -> frozenset[Perm]:
     s = frozenset(sub)
     if all(x in G.index for x in s):
         rows = G._conjugation_rows
-        conj = orbit([frozenset(map(G.index.__getitem__, s))], rows, _conjugate_indices)
+        conj = orbit([frozenset(map(G.index.__getitem__, s))], rows,
+                     lambda t, row: frozenset(map(row.__getitem__, t)))
         return frozenset(map(G.elements.__getitem__, min(conj, key=sorted)))
     conj = orbit([s], G.generators, lambda t, g: frozenset(g * x * g.inverse() for x in t))
     return min(conj, key=lambda t: sorted(x.images for x in t))
@@ -356,24 +365,21 @@ def generate_group(degree: int, generators: Sequence[Perm], *,
         if g.degree != degree:
             raise NonBijectionError(f"generator {i} has degree {g.degree}, expected {degree}")
 
-    words = orbit([Perm.identity(degree)], gens, Perm.__mul__, cap=element_cap)
-    elements = tuple(sorted(words))
-    return FiniteGroup(degree, gens, elements, words)
+    closed = orbit([tuple(range(degree))], [g.images for g in gens], _compose, cap=element_cap)
+    words = {Perm._trusted(x): w for x, w in closed.items()}
+    return FiniteGroup(degree, gens, tuple(sorted(words)), words)
 
 
 def reduce_generators(elements: Sequence[Perm], degree: int) -> tuple[Perm, ...]:
     """Greedily pick a small generating subset of a closed element list."""
-    target = len(elements)
-    ident = Perm.identity(degree)
-    chosen: list[Perm] = []
-    closure = {ident}
+    ident = tuple(range(degree))
+    chosen, closure = [], {ident}
     for g in sorted(elements):
-        if g in closure:
-            continue
-        chosen.append(g)
-        closure = orbit([ident], chosen, Perm.__mul__)
-        if len(closure) == target:
-            break
+        if g.images not in closure:
+            chosen.append(g)
+            closure = orbit([ident], [x.images for x in chosen], _compose)
+            if len(closure) == len(elements):
+                break
     return tuple(chosen)
 
 
@@ -381,8 +387,7 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     """Partition the group into conjugacy classes, canonically ordered."""
     if G._conjugacy_classes is not None:
         return G._conjugacy_classes
-    seen: set[int] = set()
-    classes = []
+    seen, classes = set(), []
     for i, seed in enumerate(G.elements):
         if i in seen:
             continue
@@ -427,24 +432,17 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     """
     check_characteristic(p)
     if G._cyclic_classes is None:
-        seen: set[frozenset[int]] = set()
-        classes = []
-        # the inverse rows: inv_rows[s][j] is the index of s^-1 e_j s
-        inv_rows = [sorted(range(G.order), key=row.__getitem__) for row in G._conjugation_rows]
+        subs, seen, classes = G._cyclic_subgroups, set(), []
         # element-index sets sort as their sorted image tuples do
-        for key, pw in sorted(G._cyclic_subgroups.items(), key=lambda item: sorted(item[0])):
-            if key in seen:
+        for pw in sorted(dict.fromkeys(subs.values()), key=sorted):
+            if pw in seen:
                 continue
-            # visited in key order, so the first one not yet seen is the least
-            # of its conjugacy class: canonical_conjugate(G, canon) == canon
-            seen.update(orbit([key], G._conjugation_rows, _conjugate_indices))
             m = len(pw)
-            # c[i] is the index of e_i^-1 g e_i for the least generator g, walked
-            # down the word tree: (x s)^-1 g (x s) = s^-1 (x^-1 g x) s; it is g^a
-            # for e_i in the normalizer (a = 1 for the trivial class, m = 1)
-            c = [pw[1 % m]] * G.order
-            for i, parent, s in G._word_tree:
-                c[i] = inv_rows[s][c[parent]]
+            # visited in key order, so the first one not yet seen is the least of its
+            # conjugacy class; c[i] = e_i^-1 g e_i for the least generator g generates
+            # a conjugate, and is g^a for e_i in the normalizer (a = 1 if m = 1)
+            c = G._conjugates(pw[1 % m])
+            seen.update(map(subs.__getitem__, c))
             a_of = {pw[k % m]: k for k in range(1, m + 1) if math.gcd(k, m) == 1}
             exps = {G.elements[i]: a_of[x] for i, x in enumerate(c) if x in a_of}
             pw = tuple(map(G.elements.__getitem__, pw))
@@ -480,10 +478,11 @@ def normalizer(G: FiniteGroup, c: Iterable[Perm]) -> Subgroup:
 
 
 def centralizer(G: FiniteGroup, h: Perm) -> Subgroup:
-    """All g commuting with h, that is g h g^-1 = h on image tuples."""
+    """All g commuting with h, that is g^-1 h g = h, walked down the word tree."""
     if h not in G:
         raise NotASubgroupError("element is not in the group")
-    return Subgroup(G, tuple(g for g in G.elements if _conjugate(g.images, h.images) == h.images))
+    x = G.index[h]
+    return Subgroup(G, tuple(g for g, y in zip(G.elements, G._conjugates(x)) if y == x))
 
 
 def conjugation_exponent(n: Perm, c: CyclicClass) -> int:
@@ -502,15 +501,17 @@ def conjugation_exponent(n: Perm, c: CyclicClass) -> int:
 def orbit_count(elements: Sequence[Perm], action: Callable[[Perm, int], int], points: int) -> int:
     """Number of orbits of a group action on {0..points-1}.
 
-    ``elements`` must be the full group: the result is double-checked against
-    the Burnside fixed-point average, which needs every element.  The action
-    axioms are spot-checked on a bounded sample; a violation raises
+    ``elements`` must be the full group, each element once (else
+    NotASubgroupError): the Burnside fixed-point average checks the result.
+    The action axioms are spot-checked on a bounded sample; a violation raises
     NotAnActionError, a Burnside mismatch is an internal error.  ``action`` is
     called once per (element, point) to tabulate one image row per element.
     """
+    elems = list(elements)
+    if not elems or Perm.identity(elems[0].degree) not in elems or len(set(elems)) < len(elems):
+        raise NotASubgroupError("element list lacks the identity or repeats an element")
     if points == 0:
         return 0
-    elems = list(elements)
     return _count_orbits(elems, [[action(g, pt) for pt in range(points)] for g in elems])
 
 
@@ -521,22 +522,23 @@ def _count_orbits(elems: Sequence[Perm], rows: Sequence[Sequence[int]]) -> int:
     points = len(rows[0])
     index = {g.images: i for i, g in enumerate(elems)}
     i = index.get(tuple(range(elems[0].degree)))
-    if i is not None:
-        for pt, y in enumerate(rows[i]):
-            if y != pt:
-                raise NotAnActionError(f"identity moves point {pt}")
+    if i is not None and any(map(operator.ne, rows[i], range(points))):
+        pt = next(pt for pt, y in enumerate(rows[i]) if y != pt)
+        raise NotAnActionError(f"identity moves point {pt}")
     # before any value is used as an index, so a negative one cannot wrap round
-    for row in rows:
-        if row and (min(row) < 0 or max(row) >= points):
-            pt = next(pt for pt, y in enumerate(row) if not 0 <= y < points)
-            raise NotAnActionError(f"action maps point {pt} out of range")
-    sample = elems[:6]
-    for a, ra in zip(sample, rows):
-        for b, rb in zip(sample, rows):
-            k = index.get(tuple(map(a.images.__getitem__, b.images)))
+    if points and (min(map(min, rows)) < 0 or max(map(max, rows)) >= points):
+        pt = next(pt for row in rows for pt, y in enumerate(row) if not 0 <= y < points)
+        raise NotAnActionError(f"action maps point {pt} out of range")
+    # pairs with the identity hold once its row does, and on one point all do
+    sample = [(elems[j].images, rows[j]) for j in range(min(len(elems), 6))
+              if j != i and points > 1]
+    for a, ra in sample:
+        for b, rb in sample:
+            k = index.get(tuple(map(a.__getitem__, b)))
             if k is not None:
+                rk = rows[k]
                 for pt in range(min(points, 6)):
-                    if rows[k][pt] != ra[rb[pt]]:
+                    if rk[pt] != ra[rb[pt]]:
                         raise NotAnActionError(
                             f"action violates (a*b)(x) = a(b(x)) at point {pt}")
 

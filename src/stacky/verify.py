@@ -32,6 +32,7 @@ from .motives import EquivariantModel
 from .perms import (
     FiniteGroup,
     Perm,
+    _compose,
     alternating_group,
     cyclic_group,
     dihedral_group,
@@ -161,10 +162,10 @@ def _group_pool() -> list[tuple[str, Callable[[], FiniteGroup]]]:
 def _random_subgroup(rng: random.Random, G: FiniteGroup, max_index: int) -> list[Perm]:
     """A random subgroup whose coset space fits the point budget."""
     for _ in range(30):
-        seeds = [rng.choice(G.elements) for _ in range(rng.randint(1, 2))]
-        elems = orbit([G.identity], seeds, Perm.__mul__)
+        seeds = [rng.choice(G.elements).images for _ in range(rng.randint(1, 2))]
+        elems = orbit([G.identity.images], seeds, _compose)
         if G.order // len(elems) <= max_index:
-            return sorted(elems)
+            return [G.elements[i] for i in sorted(map(G._by_images.__getitem__, elems))]
     return sorted(G.elements)
 
 
@@ -173,7 +174,7 @@ def random_coset_model(rng: random.Random, G: FiniteGroup,
     """Disjoint union of coset spaces of random subgroups, as a point model."""
     # cosets are sorted element-index tuples, which sort as the sorted
     # elements do; each is formed once, from image tuples
-    by_images = {e.images: i for i, e in enumerate(G.elements)}
+    by_images = G._by_images
 
     def mul(a: Perm, b: Perm) -> int:
         return by_images[tuple(map(a.images.__getitem__, b.images))]

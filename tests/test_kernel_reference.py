@@ -27,6 +27,12 @@ model's fixed loci are built once per class from image tuples.  Their
 references are the ``Perm`` routes they replace: a full word replay per
 element checked by ``Perm`` products, one ``_conjugate`` per element per
 class, and the loci rebuilt through the validating constructor.
+
+Group generation, ``powers`` and ``reduce_generators`` close image tuples
+and wrap each element once, and ``centralizer`` walks the word tree through
+the conjugation rows (i -> index of s^-1 e_i s).  Their references are the
+``Perm`` routes they replace: the closures and the powers by ``Perm``
+products, and one ``_conjugate`` per element for the centralizer.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ from stacky.perms import (
     cyclic_group,
     cyclic_subgroup_classes,
     dihedral_group,
+    direct_product,
     generate_group,
     normalizer,
     orbit,
@@ -824,3 +831,71 @@ def test_declared_locus_extension_errors_match_the_reference(gens, images):
         G, (0,), [Perm([0])] * 2, kind="cells",
         fixed_loci=[FixedLocus(g, (0, 0), gens, images)]).locus_actions)
     assert ours == ref and ref[0] is InconsistentActionError
+
+
+# ---------------------------------------------------------------------------
+# Group generation, powers and centralizers.
+
+def reference_generate_group(degree, gens):
+    """(elements, words): the closure by Perm products, sorted as Perms."""
+    words = orbit([Perm.identity(degree)], tuple(gens), Perm.__mul__)
+    return tuple(sorted(words)), words
+
+
+def reference_powers(g):
+    ident = Perm.identity(g.degree)
+    out = [ident]
+    x = g
+    while x != ident:
+        out.append(x)
+        x = x * g
+    return tuple(out)
+
+
+def reference_centralizer(G, h):
+    return tuple(g for g in G.elements if _conjugate(g.images, h.images) == h.images)
+
+
+def reference_reduce_generators(elements, degree):
+    target = len(elements)
+    ident = Perm.identity(degree)
+    chosen = []
+    closure = {ident}
+    for g in sorted(elements):
+        if g in closure:
+            continue
+        chosen.append(g)
+        closure = orbit([ident], chosen, Perm.__mul__)
+        if len(closure) == target:
+            break
+    return tuple(chosen)
+
+
+KERNEL_GROUPS = dict(NAMED_GROUPS, **{
+    "S3xC4": lambda: direct_product(symmetric_group(3), cyclic_group(4)),
+    "Q8xC3": lambda: direct_product(quaternion_group(), cyclic_group(3)),
+})
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_tuple_closures_and_centralizers_match_the_reference(name):
+    G = KERNEL_GROUPS[name]()
+    elements, words = reference_generate_group(G.degree, G.generators)
+    # equal elements in the same order, and equal words in discovery order
+    assert G.elements == elements
+    assert list(G.words.items()) == list(words.items())
+    assert all(type(x) is Perm for x in G.words)
+    for g in G.elements:
+        assert powers(g) == reference_powers(g)
+    # the rows the centralizer walks: s^-1 e_i s by Perm products
+    for s, row in zip(G.generators, G._conjugation_rows):
+        assert row == tuple(G.index[s.inverse() * x * s] for x in G.elements)
+    assert reduce_generators(G.elements, G.degree) == reference_reduce_generators(G.elements,
+                                                                                 G.degree)
+    for c in cyclic_subgroup_classes(G, 0):
+        N = c.normalizer.elements
+        assert reduce_generators(N, G.degree) == reference_reduce_generators(N, G.degree)
+    hs = G.elements if G.order <= 120 else [c.representative for c in conjugacy_classes(G)]
+    for h in hs:
+        Z = centralizer(G, h)
+        assert Z.elements == reference_centralizer(G, h)

@@ -243,43 +243,67 @@ def test_conjugation_exponent_requires_normalizer_membership():
         conjugation_exponent(outside, c2)
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name to count its calls; returns the one-element counter."""
+    calls = [0]
+    inner = getattr(owner, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def test_cyclic_subgroup_classes_form_powers_only(monkeypatch):
-    # Perm products are allowed for one powers() per cyclic subgroup and one
-    # per class; an all-pairs subgroup check or powers() of every element
-    # would exceed the bound
+    # powers are closed on image tuples once per cyclic subgroup, and no Perm
+    # product is formed; an all-pairs subgroup check or the powers of every
+    # element would break the counts
     G = symmetric_group(5)
     subgroups = {frozenset(powers(g)) for g in G.elements}
-    products = 0
-    mul = Perm.__mul__
-
-    def counting_mul(a, b):
-        nonlocal products
-        products += 1
-        return mul(a, b)
-
-    monkeypatch.setattr(Perm, "__mul__", counting_mul)
-    classes = cyclic_subgroup_classes(G, 0)
+    products = _count_calls(monkeypatch, Perm, "__mul__")
+    power_runs = _count_calls(monkeypatch, stacky.perms, "_power_images")
+    cyclic_subgroup_classes(G, 0)
     monkeypatch.undo()
-    assert 0 < products <= sum(map(len, subgroups)) + sum(c.order for c in classes)
+    assert products[0] == 0
+    assert power_runs[0] == len(subgroups)
+
+
+def test_generate_group_forms_no_perm_products(monkeypatch):
+    # the closure runs on image tuples and wraps each element once
+    products = _count_calls(monkeypatch, Perm, "__mul__")
+    wraps = _count_calls(monkeypatch, Perm, "_trusted")
+    G = generate_group(5, [Perm([1, 0, 2, 3, 4]), Perm([1, 2, 3, 4, 0])])
+    monkeypatch.undo()
+    assert G.order == 120
+    assert products[0] == 0
+    assert wraps[0] == G.order
+
+
+def test_centralizer_conjugates_nothing(monkeypatch):
+    # the conjugation rows are built first; the centralizer then walks the
+    # word tree through them and calls _conjugate no more
+    G = symmetric_group(5)
+    G._conjugation_rows
+    conjugations = _count_calls(monkeypatch, stacky.perms, "_conjugate")
+    products = _count_calls(monkeypatch, Perm, "__mul__")
+    sizes = [centralizer(G, cls.representative).order for cls in conjugacy_classes(G)]
+    monkeypatch.undo()
+    assert sizes == [120, 12, 8, 6, 4, 5, 6]
+    assert conjugations[0] == products[0] == 0
 
 
 def test_cyclic_subgroup_classes_conjugate_for_the_rows_only(monkeypatch):
-    # one _conjugate per generator and element builds the conjugation rows;
+    # the conjugation rows compose image tuples, one per generator and element;
     # the exponents are then walked down the word tree, not conjugated per class
     G = symmetric_group(5)
-    calls = 0
-    conj = stacky.perms._conjugate
-
-    def counting_conjugate(g, x):
-        nonlocal calls
-        calls += 1
-        return conj(g, x)
-
-    monkeypatch.setattr(stacky.perms, "_conjugate", counting_conjugate)
+    conjugations = _count_calls(monkeypatch, stacky.perms, "_conjugate")
     classes = cyclic_subgroup_classes(G, 0)
     monkeypatch.undo()
     assert len(classes) == 7
-    assert 0 < calls <= len(G.generators) * G.order
+    assert conjugations[0] == 0
+    assert all(len(row) == G.order for row in G._conjugation_rows)
 
 
 def test_orbit_count_examples():
@@ -318,6 +342,30 @@ def test_orbit_count_rejects_non_action():
     S3 = symmetric_group(3)
     with pytest.raises(NotAnActionError):
         orbit_count(S3.elements, lambda g, p: (g(p) + 1) % 3, 3)
+
+
+@pytest.mark.parametrize("points", [0, 1, 3])
+def test_orbit_count_rejects_an_empty_element_list(points):
+    with pytest.raises(NotASubgroupError, match="lacks the identity or repeats an element"):
+        orbit_count([], lambda g, p: p, points)
+
+
+@pytest.mark.parametrize("points", [0, 3])
+def test_orbit_count_rejects_an_element_list_that_is_not_a_group(points):
+    # such a list would otherwise reach the Burnside self-check, an internal error
+    S3 = symmetric_group(3)
+    calls = []
+
+    def act(g, p):
+        calls.append(g)
+        return g(p)
+
+    for elems in (S3.elements[1:], S3.elements + S3.elements[-1:]):
+        with pytest.raises(NotASubgroupError, match="lacks the identity or repeats an element"):
+            orbit_count(elems, act, points)
+    # refused before the action is tabulated
+    assert calls == []
+    assert orbit_count(S3.elements, act, points) == min(points, 1)
 
 
 def test_closure_property_random_groups():
