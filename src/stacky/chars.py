@@ -242,7 +242,8 @@ def _abelian_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]
     # the generators commute, so it counts each generator in the element's word
     words = orbit([G.identity], gens, Perm.__mul__)
     vecs = {x: tuple(w.count(j) % o for j, o in enumerate(orders)) for x, w in words.items()}
-    assert len(vecs) == G.order
+    if len(vecs) != G.order:
+        raise RuntimeError("internal error: generator words do not reach every element")
 
     phases_of: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -270,7 +271,8 @@ def _abelian_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]
         for c in classes:
             sg = values[G.index[c.representative]]
             step = e // c.order
-            assert sg % step == 0
+            if sg % step != 0:
+                raise RuntimeError(f"internal error: zeta_{e}^{sg} is no power of zeta_{c.order}")
             key = (c.order, sg // step)
             if key not in roots:
                 roots[key] = Cyclotomic.zeta(*key)

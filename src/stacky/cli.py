@@ -520,7 +520,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except StackyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
+    except RuntimeError as exc:
         # a self-check failed: a fault of the program, not of the input
         text = str(exc) or type(exc).__name__
         if not text.startswith("internal error:"):

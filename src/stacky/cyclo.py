@@ -21,44 +21,37 @@ def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
-    """Coefficients of Phi_e, low degree first.  Monic, integral."""
+    """Coefficients of Phi_e, low degree first.  Monic, integral: for e > 1, the
+    product of (1 - x^d)^mu(e/d) over the divisors d of e.  That is a polynomial
+    of degree phi(e), so the power series truncated there is exact, and a
+    factor with d > phi(e) is 1 in it."""
     if e == 1:
         return (-1, 1)
-    # divide x^e - 1 by the product of Phi_d over proper divisors d
-    num = [0] * (e + 1)
-    num[0], num[e] = -1, 1
-    den = [1]
-    for d in range(1, e):
-        if e % d == 0:
-            den = _poly_mul_int(den, list(cyclotomic_polynomial(d)))
-    quot, rem = _poly_divmod_int(num, den)
-    assert not any(rem), f"cyclotomic division left a remainder for e={e}"
-    return tuple(quot)
-
-
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den is monic up to sign of the leading coefficient, division stays integral
-    num = list(num)
-    dlead = den[-1]
-    quot = [0] * (len(num) - len(den) + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        c, r = divmod(num[i + len(den) - 1], dlead)
-        assert r == 0
-        quot[i] = c
-        for j, dv in enumerate(den):
-            num[i + j] -= c * dv
-    return quot, num[: len(den) - 1]
+    n = euler_phi(e) + 1
+    out = [1] + [0] * (n - 1)
+    for d in range(1, n):
+        mu = _mobius(e // d) if e % d == 0 else 0
+        if mu == 1:  # multiply by 1 - x^d
+            for k in range(n - 1, d - 1, -1):
+                out[k] -= out[k - d]
+        elif mu == -1:  # divide by 1 - x^d: multiply by 1 + x^d + x^2d + ...
+            for k in range(d, n):
+                out[k] += out[k - d]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +260,3 @@ class Cyclotomic:
             else:
                 parts.append(f"{c}*z{self.conductor}" + (f"^{i}" if i > 1 else ""))
         return " + ".join(parts) if parts else "0"
-
-
-ZERO = Cyclotomic.from_rational(0)
-ONE = Cyclotomic.from_rational(1)

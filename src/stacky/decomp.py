@@ -70,9 +70,6 @@ class InjectiveCharacters:
     def size(self) -> int:
         return len(self.indices)
 
-    def act(self, n: Perm, pos: int) -> int:
-        return self.rows[self.exponents[n]][pos]
-
     def image_row(self, n: Perm) -> tuple[int, ...]:
         """The permutation of the character positions by n."""
         return self.rows[self.exponents[n]]
@@ -217,12 +214,11 @@ def inertial_quotient_motive(X: EquivariantModel, p: int = 0) -> InertialMotive:
     """The character-refined motive: sum over cyclotomic inertia components
     of the normalizer-invariants of (fixed cells) x (injective characters)."""
     contribs = []
-    total = Motive.zero()
     for comp in cyclotomic_inertia(X, p):
         ranks = _component_ranks(comp)
         mot = Motive.of([(UNIT, d, r) for d, r in ranks.items()])
         contribs.append(ComponentContribution(comp, tuple(sorted(ranks.items())), mot))
-        total = total + mot
+    total = Motive.of(t for cc in contribs for t in cc.motive.terms)
     return InertialMotive(total, tuple(contribs))
 
 
@@ -404,21 +400,17 @@ class GerbeMotive:
 def gerbe_motive(datum: GerbeDatum, p: int = 0) -> GerbeMotive:
     rset = gerbe_rset(datum.group, p, datum.monodromy)
     seen: set[int] = set()
-    sizes = []
-    total = Motive.zero()
+    sizes, terms = [], []
     for start in range(rset.size):
         if start in seen:
             continue
-        # the monodromy group is finite, so closing under its generators
-        # gives the orbit
+        # the monodromy group is finite: closing under its generators gives the orbit
         orb = orbit([start], rset.aut_perms, lambda q, a: a(q))
         seen.update(orb)
         sizes.append(len(orb))
-        if len(orb) == 1:
-            total = total + datum.base
-        else:
-            total = total + Motive.of([(Atom.cover(datum.base_label, len(orb)), 0, 1)])
-    return GerbeMotive(total, datum.base, tuple(sizes))
+        terms += datum.base.terms if len(orb) == 1 else [
+            (Atom.cover(datum.base_label, len(orb)), 0, 1)]
+    return GerbeMotive(Motive.of(terms), datum.base, tuple(sizes))
 
 
 # ---------------------------------------------------------------------------

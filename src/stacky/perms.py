@@ -326,14 +326,6 @@ def powers(g: Perm) -> tuple[Perm, ...]:
     return tuple(map(Perm._trusted, _power_images(g.images)))
 
 
-def _conjugate(g: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
-    """The image tuple of g x g^-1, from those of g and x: (g x g^-1)(g(p)) = g(x(p))."""
-    out = [0] * len(g)
-    for p, q in zip(g, map(g.__getitem__, x)):
-        out[p] = q
-    return tuple(out)
-
-
 def canonical_conjugate(G: FiniteGroup, sub: Iterable[Perm]) -> frozenset[Perm]:
     """The least conjugate of a subgroup by its sorted image tuples: one
     canonical representative, and so a key, for its conjugacy class.  Sorted
@@ -468,13 +460,13 @@ def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[Perm, ...]
 
 
 def normalizer(G: FiniteGroup, c: Iterable[Perm]) -> Subgroup:
-    """All g with g c g^-1 = c: g conjugates the generators of the checked
-    subgroup c into it, on image tuples."""
+    """All g with g^-1 c g = c: g conjugates the generators of the checked
+    subgroup c into it, each generator's conjugates walked down the word tree."""
     elems = _require_subgroup(G, tuple(c))
-    cset = frozenset(x.images for x in elems)
-    gens = [x.images for x in reduce_generators(elems, G.degree)]
-    return Subgroup(G, tuple(g for g in G.elements
-                             if all(_conjugate(g.images, x) in cset for x in gens)))
+    cset = set(map(G.index.__getitem__, elems))
+    rows = [G._conjugates(G.index[x]) for x in reduce_generators(elems, G.degree)]
+    return Subgroup(G, tuple(g for i, g in enumerate(G.elements)
+                             if all(r[i] in cset for r in rows)))
 
 
 def centralizer(G: FiniteGroup, h: Perm) -> Subgroup:
@@ -603,31 +595,11 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """The quaternion group of order 8 in its left-regular representation."""
-    # elements 1,-1,i,-i,j,-j,k,-k encoded as (basis, sign) with basis 0..3
-    def enc(b: int, s: int) -> int:
-        return 2 * b + s
-
-    table = {}
-    signs = {(1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
-             (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
-             (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1)}
-    for b1 in range(4):
-        for s1 in range(2):
-            for b2 in range(4):
-                for s2 in range(2):
-                    if b1 == 0:
-                        b, extra = b2, 0
-                    elif b2 == 0:
-                        b, extra = b1, 0
-                    else:
-                        b, extra = signs[(b1, b2)]
-                    table[(enc(b1, s1), enc(b2, s2))] = enc(b, (s1 + s2 + extra) % 2)
-
-    def left_mul(x: int) -> Perm:
-        return Perm([table[(x, y)] for y in range(8)])
-
-    return generate_group(8, [left_mul(enc(1, 0)), left_mul(enc(2, 0))])
+    """The quaternion group of order 8 in its left-regular representation:
+    1, -1, i, -i, j, -j, k, -k are the points 0..7, and the generators are
+    left multiplication by i and by j."""
+    return generate_group(8, [Perm.from_cycles(8, [(0, 2, 1, 3), (4, 6, 5, 7)]),
+                              Perm.from_cycles(8, [(0, 4, 1, 5), (2, 7, 3, 6)])])
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, *,

@@ -17,7 +17,9 @@ from stacky.chars import CharacterTable, character_table, inner_product, rep_rin
 from stacky.cyclo import Cyclotomic
 from stacky.errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError
 from stacky.perms import (
+    ConjugacyClass,
     alternating_group,
+    conjugacy_classes,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -329,3 +331,25 @@ def test_lift_rejects_multiplicities_not_summing_to_degree():
         chars._lift_value([3, 0, 0, 0], [0, 1, 2, 3], 4, 5, 2, 3)
     # the values of the 1-dimensional character g -> i lift to zeta_4
     assert chars._lift_value([1, 2, 4, 3], [0, 1, 2, 3], 4, 5, 2, 1) == Cyclotomic.zeta(4)
+
+
+def test_abelian_words_that_miss_an_element_fail_the_self_check(monkeypatch):
+    # the reduced generators of V4 are cut to one, so their words reach two
+    # of its four elements
+    reduce = chars.reduce_generators
+    monkeypatch.setattr(chars, "reduce_generators", lambda elems, deg: reduce(elems, deg)[:1])
+    with pytest.raises(RuntimeError,
+                       match="^internal error: generator words do not reach every element$"):
+        character_table(dihedral_group(2))
+
+
+def test_abelian_value_outside_the_class_roots_fails_the_self_check(monkeypatch):
+    # the class of the generator of C4 claims order 2, so the faithful
+    # characters' value zeta_4 there is no power of zeta_2
+    G = cyclic_group(4)
+    classes = tuple(c if c.order != 4 else ConjugacyClass(c.representative, c.members, 2)
+                    for c in conjugacy_classes(G))
+    monkeypatch.setattr(chars, "conjugacy_classes", lambda _: classes)
+    with pytest.raises(RuntimeError,
+                       match=r"^internal error: zeta_4\^(1|3) is no power of zeta_2$"):
+        character_table(G)

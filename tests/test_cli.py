@@ -292,6 +292,25 @@ def test_exit_code_3_on_internal_error(capsys, monkeypatch):
     assert captured.err == "internal error: rows 0,1 fail orthogonality\n"
 
 
+def test_exit_code_3_when_an_abelian_self_check_fires(capsys, monkeypatch, tmp_path):
+    # a former assert: it must fire under python -O too, and reach the CLI as
+    # an internal error; the generators of V4 are cut to one, which reaches
+    # two of its four elements
+    import stacky.chars as chars_mod
+
+    reduce = chars_mod.reduce_generators
+    monkeypatch.setattr(chars_mod, "reduce_generators",
+                        lambda elems, deg: reduce(elems, deg)[:1])
+    doc = tmp_path / "v4.json"
+    doc.write_text(json.dumps({"characteristic": 0, "group": {
+        "degree": 4, "generators": [[1, 0, 2, 3], [0, 1, 3, 2]]}}), encoding="utf-8")
+    code = main(["group", "--input", str(doc), "--chars"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: generator words do not reach every element\n"
+
+
 # a monodromy that is not an automorphism of its band: S3 with the images of
 # its two generators swapped (not multiplicative), and C4 with its generator
 # sent to its square (not bijective)

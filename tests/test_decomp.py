@@ -310,8 +310,8 @@ def test_injective_characters_action():
     chars = injective_characters(c3)
     assert chars.indices == (1, 2)
     swap = next(n for n in c3.normalizer.elements if n.order() == 2)
-    assert chars.act(swap, 0) == 1 and chars.act(swap, 1) == 0
-    assert chars.act(S3.identity, 0) == 0
+    assert chars.image_row(swap)[0] == 1 and chars.image_row(swap)[1] == 0
+    assert chars.image_row(S3.identity)[0] == 0
 
 
 def test_declared_locus_with_nontrivial_normalizer_action():

@@ -33,6 +33,11 @@ and wrap each element once, and ``centralizer`` walks the word tree through
 the conjugation rows (i -> index of s^-1 e_i s).  Their references are the
 ``Perm`` routes they replace: the closures and the powers by ``Perm``
 products, and one ``_conjugate`` per element for the centralizer.
+
+The public ``normalizer`` walks the word tree once per generator of the
+subgroup, and ``quaternion_group`` writes its two generators in cycle form.
+Their references are the scan with one ``_conjugate`` per element and
+generator, and the construction from Q8's multiplication table.
 """
 
 from __future__ import annotations
@@ -74,7 +79,6 @@ from stacky.perms import (
     CyclicClass,
     Perm,
     Subgroup,
-    _conjugate,
     _require_subgroup,
     alternating_group,
     canonical_conjugate,
@@ -229,22 +233,22 @@ def reference_conjugacy_classes(G):
     return tuple(classes)
 
 
+def _conjugate(g, x):
+    """The image tuple of g x g^-1, from those of g and x: (g x g^-1)(g(p)) = g(x(p))."""
+    out = [0] * len(g)
+    for p, q in zip(g, map(g.__getitem__, x)):
+        out[p] = q
+    return tuple(out)
+
+
 def reference_normalizer(G, c):
+    """All g that conjugate the generators of the checked subgroup c into it,
+    one _conjugate per element and generator."""
     elems = _require_subgroup(G, tuple(c))
     cset = frozenset(x.images for x in elems)
     gens = [x.images for x in reduce_generators(elems, G.degree)]
-    members = []
-    for g in G.elements:
-        gi = g.images
-        for x in gens:
-            conj = [0] * G.degree
-            for p, q in zip(gi, map(gi.__getitem__, x)):
-                conj[p] = q
-            if tuple(conj) not in cset:
-                break
-        else:
-            members.append(g)
-    return Subgroup(G, tuple(members))
+    return Subgroup(G, tuple(g for g in G.elements
+                             if all(_conjugate(g.images, x) in cset for x in gens)))
 
 
 def reference_cyclic_subgroup_classes(G, p):
@@ -318,9 +322,10 @@ def test_character_actions_match_the_reference(index):
             chars = injective_characters(c)
             ref = reference_char_act(chars)
             elems = c.normalizer.elements
-            assert all(chars.act(n, i) == ref(n, i) for n in elems for i in range(chars.size))
+            assert all(chars.image_row(n)[i] == ref(n, i)
+                       for n in elems for i in range(chars.size))
             count = reference_orbit_count(elems, ref, chars.size)
-            assert orbit_count(elems, chars.act, chars.size) == count
+            assert orbit_count(elems, lambda n, i: chars.image_row(n)[i], chars.size) == count
             via_chars += count
         assert _bh_rank(G, p) == via_chars == sum(
             1 for cls in conjugacy_classes(G) if p == 0 or cls.order % p != 0)
@@ -899,3 +904,54 @@ def test_tuple_closures_and_centralizers_match_the_reference(name):
     for h in hs:
         Z = centralizer(G, h)
         assert Z.elements == reference_centralizer(G, h)
+
+
+# ---------------------------------------------------------------------------
+# Normalizers and the quaternion group.
+
+def reference_quaternion_group():
+    """Q8 from its multiplication table: left multiplication by i and by j on
+    1, -1, i, -i, j, -j, k, -k, encoded as 2 * basis + sign."""
+    def enc(b, s):
+        return 2 * b + s
+
+    table = {}
+    signs = {(1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
+             (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
+             (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1)}
+    for b1, s1, b2, s2 in itertools.product(range(4), range(2), range(4), range(2)):
+        if b1 == 0:
+            b, extra = b2, 0
+        elif b2 == 0:
+            b, extra = b1, 0
+        else:
+            b, extra = signs[(b1, b2)]
+        table[(enc(b1, s1), enc(b2, s2))] = enc(b, (s1 + s2 + extra) % 2)
+
+    def left_mul(x):
+        return Perm([table[(x, y)] for y in range(8)])
+
+    return generate_group(8, [left_mul(enc(1, 0)), left_mul(enc(2, 0))])
+
+
+def test_quaternion_group_matches_its_multiplication_table():
+    G, ref = quaternion_group(), reference_quaternion_group()
+    assert G.generators == ref.generators
+    assert G.elements == ref.elements
+    assert list(G.words.items()) == list(ref.words.items())
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_normalizer_matches_the_reference_scan(index):
+    degree, gens = CASES[index]
+    G = generate_group(degree, [Perm(g) for g in gens])
+    classes = cyclic_subgroup_classes(G, 0)
+    # every cyclic-class subgroup, then subgroups that are in general not cyclic:
+    # the normalizers and centralizers met on the way, and G itself; both
+    # routes check the subgroup with all products, so at most 120 elements
+    subs = [c.subgroup_elements for c in classes] + [G.elements]
+    subs += [c.normalizer.elements for c in classes]
+    subs += [centralizer(G, c.generator).elements for c in classes]
+    for sub in subs:
+        if len(sub) <= 120:
+            assert normalizer(G, sub).elements == reference_normalizer(G, sub).elements

@@ -18,6 +18,7 @@ from stacky.errors import (
     NotInNormalizerError,
 )
 from stacky.perms import (
+    FiniteGroup,
     Perm,
     _is_prime,
     alternating_group,
@@ -34,6 +35,7 @@ from stacky.perms import (
     orbit_count,
     powers,
     quaternion_group,
+    reduce_generators,
     symmetric_group,
     trivial_group,
 )
@@ -283,27 +285,44 @@ def test_generate_group_forms_no_perm_products(monkeypatch):
 
 def test_centralizer_conjugates_nothing(monkeypatch):
     # the conjugation rows are built first; the centralizer then walks the
-    # word tree through them and calls _conjugate no more
+    # word tree through them, one walk per call and no Perm product
     G = symmetric_group(5)
     G._conjugation_rows
-    conjugations = _count_calls(monkeypatch, stacky.perms, "_conjugate")
+    walks = _count_calls(monkeypatch, FiniteGroup, "_conjugates")
     products = _count_calls(monkeypatch, Perm, "__mul__")
     sizes = [centralizer(G, cls.representative).order for cls in conjugacy_classes(G)]
     monkeypatch.undo()
     assert sizes == [120, 12, 8, 6, 4, 5, 6]
-    assert conjugations[0] == products[0] == 0
+    assert walks[0] == len(sizes)
+    assert products[0] == 0
 
 
 def test_cyclic_subgroup_classes_conjugate_for_the_rows_only(monkeypatch):
     # the conjugation rows compose image tuples, one per generator and element;
-    # the exponents are then walked down the word tree, not conjugated per class
+    # the exponents are then walked down the word tree, one walk per class and
+    # no Perm product
     G = symmetric_group(5)
-    conjugations = _count_calls(monkeypatch, stacky.perms, "_conjugate")
+    walks = _count_calls(monkeypatch, FiniteGroup, "_conjugates")
+    products = _count_calls(monkeypatch, Perm, "__mul__")
     classes = cyclic_subgroup_classes(G, 0)
     monkeypatch.undo()
     assert len(classes) == 7
-    assert conjugations[0] == 0
+    assert walks[0] == len(classes)
+    assert products[0] == 0
     assert all(len(row) == G.order for row in G._conjugation_rows)
+
+
+def test_normalizer_walks_once_per_generator(monkeypatch):
+    # the normalizer walks the word tree once per reduced generator of the
+    # subgroup, through the conjugation rows, and forms no Perm product there
+    G = symmetric_group(5)
+    G._conjugation_rows
+    sub = [G.identity, Perm([1, 0, 2, 3, 4]), Perm([0, 1, 3, 2, 4]), Perm([1, 0, 3, 2, 4])]
+    walks = _count_calls(monkeypatch, FiniteGroup, "_conjugates")
+    N = normalizer(G, sub)
+    monkeypatch.undo()
+    assert N.order == 8
+    assert walks[0] == len(reduce_generators(sorted(sub), 5)) == 2
 
 
 def test_orbit_count_examples():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
+from stacky import corresp
+from stacky.corresp import Correspondence
 from stacky.motives import EquivariantModel
 from stacky.perms import (
     Perm,
@@ -64,6 +68,31 @@ def test_degree_splitting_check():
     # a wrong degree claim is reported, not raised
     rep = check_degree_splitting([0, 0], 2, 1, 1)
     assert not rep.passed
+    rep = check_degree_splitting([0, 0], 2, 1, 2)
+    assert (rep.lhs, rep.rhs) == ("pushforward o pullback = 2*id", "round trips hold")
+
+
+def test_degree_splitting_reports_unequal_fibers():
+    rep = check_degree_splitting([0, 0, 1], 3, 2, 2)
+    assert (rep.check_name, rep.lhs, rep.rhs, rep.passed) == (
+        "splitting", "fiber sizes [2, 1]", "claimed degree 2", False)
+
+
+def test_degree_splitting_raises_when_the_certificate_fails(monkeypatch):
+    # the verdict comes from splitting_certificate: with the pushforward
+    # doubled, (1/m) * pushforward o pullback is 2 * id, and its left-inverse
+    # check raises instead of a failing report being returned
+    graphs = corresp.graph_correspondences
+
+    def doubled_push(f, n, k):
+        pull, push = graphs(f, n, k)
+        blocks = {t: tuple(tuple(2 * x for x in row) for row in b) for t, b in push.blocks.items()}
+        return pull, Correspondence(push.source, push.target, blocks)
+
+    monkeypatch.setattr(corresp, "graph_correspondences", doubled_push)
+    with pytest.raises(RuntimeError,
+                       match="^internal error: scaled pushforward is not a left inverse$"):
+        check_degree_splitting([0, 0, 1, 1], 4, 2, 2)
 
 
 def test_standard_splitting_covers_all_shapes():
