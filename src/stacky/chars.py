@@ -26,12 +26,12 @@ from typing import Sequence, Union
 
 from ._record import record
 from .cyclo import Cyclotomic, _exponent_vector, _reduce_exponents
-from .errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError
+from .errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError, check
 from .perms import (
     DEFAULT_ELEMENT_CAP,
     ConjugacyClass,
     FiniteGroup,
-    Perm,
+    _compose,
     conjugacy_classes,
     orbit,
     powers,
@@ -89,13 +89,13 @@ def character_table(G: FiniteGroup, *, cap: int = DEFAULT_ELEMENT_CAP) -> Charac
     ident_idx = next(i for i, c in enumerate(classes) if c.order == 1)
     decorated = []
     for row in raw_rows:
-        deg = row[ident_idx].rational_part()
-        if deg.denominator != 1 or deg <= 0:
-            raise RuntimeError(f"internal error: character degree {deg} is not a positive integer")
+        value = row[ident_idx]
+        deg = value.coeffs[0]
+        check("chars.degree_positive", value.is_rational() and deg.denominator == 1 and deg > 0,
+              "character degree {} is not a positive integer", value)
         decorated.append((int(deg), row))
     trivial = [row for deg, row in decorated if deg == 1 and all(v == 1 for v in row)]
-    if len(trivial) != 1:
-        raise RuntimeError("internal error: trivial character not found exactly once")
+    check("chars.trivial_character", len(trivial) == 1, "trivial character not found exactly once")
     # order by degree, then by the values' coefficients at conductor exp(G),
     # the lcm of the class orders (as Cyclotomic.sort_key gives them), read
     # off the integer kernel over one common denominator
@@ -167,10 +167,9 @@ def rep_ring(T: CharacterTable) -> RepresentationRing:
 
 def _verify_table(T: CharacterTable) -> None:
     r = T.rank
-    if r != len(T.classes):
-        raise RuntimeError("internal error: row count differs from class count")
-    if sum(d * d for d in T.degrees) != T.group.order:
-        raise RuntimeError("internal error: degree squares do not sum to the group order")
+    check("chars.row_count", r == len(T.classes), "row count differs from class count")
+    check("chars.degree_squares", sum(d * d for d in T.degrees) == T.group.order,
+          "degree squares do not sum to the group order")
     # X diag(|C|) conj(X)^T = |G| I; the matrix is Hermitian, so i <= j suffices
     K = _KernelRows(T.rows)
     scale = T.group.order * K.den ** 2
@@ -179,8 +178,8 @@ def _verify_table(T: CharacterTable) -> None:
             acc = _pairing(T.classes, K.vecs[i], K.vecs[j], K.conductor)
             n = _rational_value(acc, K.conductor, scale,
                                 math.lcm(K.conductors[i], K.conductors[j]))
-            if n != (1 if i == j else 0):
-                raise RuntimeError(f"internal error: rows {i},{j} fail orthogonality")
+            check("chars.orthogonality", n == (1 if i == j else 0),
+                  "rows {},{} fail orthogonality", i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -240,27 +239,22 @@ def _abelian_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]
 
     # exponent vector of every element with respect to the reduced generators:
     # the generators commute, so it counts each generator in the element's word
-    words = orbit([G.identity], gens, Perm.__mul__)
+    words = orbit([G.identity.images], [g.images for g in gens], _compose)
     vecs = {x: tuple(w.count(j) % o for j, o in enumerate(orders)) for x, w in words.items()}
-    if len(vecs) != G.order:
-        raise RuntimeError("internal error: generator words do not reach every element")
+    check("chars.abelian_words", len(vecs) == G.order,
+          "generator words do not reach every element")
 
-    phases_of: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    # each character's values over the element indices, once; s(x g) = s(x) +
+    # phase of g is checked through one right-multiplication row per generator
+    rows = [[G._by_images[_compose(x.images, g.images)] for x in G.elements] for g in gens]
+    phases_of: dict[tuple[int, ...], None] = {}
     for assignment in itertools.product(*(range(o) for o in orders)):
         phases = [(e // o) * t % e for o, t in zip(orders, assignment)]
-
-        def s(x: Perm) -> int:
-            return sum(v * p for v, p in zip(vecs[x], phases)) % e
-
-        if all(s(x * g) == (s(x) + phases[j]) % e
-               for x in G.elements for j, g in enumerate(gens)):
-            values = tuple(s(x) for x in G.elements)
-            if values not in seen:
-                seen.add(values)
-                phases_of.append(values)
-    if len(phases_of) != G.order:
-        raise RuntimeError("internal error: abelian character count mismatch")
+        values = tuple(sum(v * p for v, p in zip(vecs[x.images], phases)) % e for x in G.elements)
+        if all(values[k] == (values[i] + p) % e
+               for row, p in zip(rows, phases) for i, k in enumerate(row)):
+            phases_of[values] = None
+    check("chars.abelian_count", len(phases_of) == G.order, "abelian character count mismatch")
 
     # each value is a root of unity zeta_m^k, m the order of the class; build
     # each distinct one once
@@ -271,8 +265,8 @@ def _abelian_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]
         for c in classes:
             sg = values[G.index[c.representative]]
             step = e // c.order
-            if sg % step != 0:
-                raise RuntimeError(f"internal error: zeta_{e}^{sg} is no power of zeta_{c.order}")
+            check("chars.abelian_root", sg % step == 0,
+                  "zeta_{}^{} is no power of zeta_{}", e, sg, c.order)
             key = (c.order, sg // step)
             if key not in roots:
                 roots[key] = Cyclotomic.zeta(*key)
@@ -323,8 +317,8 @@ def _prime_field_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, .
                 continue
             nxt.extend(_split_invariant_subspace(mats[i], B, q))
         spaces = nxt
-    if len(spaces) != r or any(len(B) != 1 for B in spaces):
-        raise RuntimeError("internal error: eigen splitting did not isolate all characters")
+    check("chars.eigen_splitting", len(spaces) == r and all(len(B) == 1 for B in spaces),
+          "eigen splitting did not isolate all characters")
 
     rows = []
     for B in spaces:
@@ -334,15 +328,14 @@ def _prime_field_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, .
             w = _matvec(mats[i], v, q)
             t = next(t for t in range(r) if v[t] != 0)
             lam = w[t] * pow(v[t], -1, q) % q
-            if any((lam * v[s] - w[s]) % q for s in range(r)):
-                raise RuntimeError("internal error: joint eigenvector verification failed")
+            check("chars.joint_eigenvector", all((lam * v[s] - w[s]) % q == 0 for s in range(r)),
+                  "joint eigenvector verification failed")
             omega.append(lam)
 
         denom = sum(omega[i] * omega[inv_class[i]] * pow(sizes[i], -1, q) for i in range(r)) % q
         d_sq = n % q * pow(denom, -1, q) % q
         deg = next((d for d in range(1, math.isqrt(n) + 1) if d * d % q == d_sq), None)
-        if deg is None:
-            raise RuntimeError("internal error: could not identify a character degree")
+        check("chars.degree_found", deg is not None, "could not identify a character degree")
         chi_q = [deg * omega[i] % q * pow(sizes[i], -1, q) % q for i in range(r)]
 
         row = [_lift_value(chi_q, power_class[i], e, q, theta, deg) for i in range(r)]
@@ -366,12 +359,11 @@ def _lift_value(chi_q, powers, e, q, theta, deg) -> Cyclotomic:
     for t in range(m):
         acc = sum(v * inv_powers[j * t % m] for j, v in enumerate(vals))
         mk = acc % q * m_inv % q
-        if mk > deg:
-            raise RuntimeError(f"internal error: eigenvalue multiplicity {mk} exceeds degree {deg}")
+        check("chars.multiplicity_bound", mk <= deg,
+              "eigenvalue multiplicity {} exceeds degree {}", mk, deg)
         mults.append(mk)
-    if sum(mults) != deg:
-        raise RuntimeError(
-            f"internal error: lifted multiplicities sum to {sum(mults)}, not the degree {deg}")
+    check("chars.multiplicity_sum", (total := sum(mults)) == deg,
+          "lifted multiplicities sum to {}, not the degree {}", total, deg)
     return Cyclotomic(m, _reduce_exponents(enumerate(mults), m))
 
 
@@ -393,8 +385,7 @@ def _split_invariant_subspace(M, B, q) -> list[list[list[int]]]:
         found += len(kernel)
         if found == d:
             break
-    if found != d:
-        raise RuntimeError("internal error: invariant subspace is not diagonalizable")
+    check("chars.diagonalizable", found == d, "invariant subspace is not diagonalizable")
     return grouped
 
 
@@ -407,16 +398,14 @@ def _coords_in_basis(B, imgs, q):
     d, n = len(B), len(B[0])
     aug = [[B[s][t] for s in range(d)] + [img[t] for img in imgs] for t in range(n)]
     pivots = _row_reduce(aug, d, q)
-    if len(pivots) != d:
-        raise RuntimeError("internal error: subspace basis is degenerate")
+    check("chars.basis_rank", len(pivots) == d, "subspace basis is degenerate")
     A = [[0] * d for _ in range(d)]
     for row, col in enumerate(pivots):
         for j in range(d):
             A[col][j] = aug[row][d + j]
     # consistency: rows beyond the pivots must be zero in the augmented part
-    for row in range(len(pivots), n):
-        if any(aug[row][d + j] for j in range(d)):
-            raise RuntimeError("internal error: subspace is not invariant")
+    check("chars.invariant_subspace", not any(any(row[d:]) for row in aug[len(pivots):]),
+          "subspace is not invariant")
     return A
 
 
@@ -466,22 +455,7 @@ def _choose_prime(e: int, n: int) -> int:
 
 
 def _element_of_order(q: int, e: int) -> int:
-    """A fixed element of multiplicative order e in F_q (q = 1 mod e)."""
-    primes = _prime_factors(q - 1)
-    g = next(g for g in range(2, q)
-             if all(pow(g, (q - 1) // p, q) != 1 for p in primes))
-    return pow(g, (q - 1) // e, q)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """A fixed element of multiplicative order e in F_q (q = 1 mod e): the first
+    (q-1)/e-th power of 2, 3, ... that has that order."""
+    return next(t for t in (pow(g, (q - 1) // e, q) for g in range(2, q))
+                if all(pow(t, k, q) != 1 for k in range(1, e)))

@@ -22,7 +22,8 @@ from .decomp import (
     orbifold_curve_motive,
     _automorphism_map,
 )
-from .errors import NotAnAutomorphismError, ParseError, StackyError, ValidationError
+from .errors import (NotAnAutomorphismError, ParseError, StackyError, ValidationError,
+                     internal_error_text)
 from .motives import Atom, EquivariantModel, FixedLocus, Motive, chow_dim, poincare_polynomial
 from .perms import (
     FiniteGroup,
@@ -522,10 +523,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except RuntimeError as exc:
         # a self-check failed: a fault of the program, not of the input
-        text = str(exc) or type(exc).__name__
-        if not text.startswith("internal error:"):
-            text = f"internal error: {text}"
-        print(text, file=sys.stderr)
+        print(internal_error_text(exc), file=sys.stderr)
         return 3
     sys.stdout.write(render_json(out) if args.format == "json" else render_text(out))
     if args.command == "verify" and not out["allPassed"]:

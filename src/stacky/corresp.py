@@ -19,6 +19,7 @@ from .errors import (
     NotIdempotentError,
     NotTotalError,
     ShapeMismatchError,
+    check,
 )
 from .motives import UNIT, Motive
 
@@ -173,12 +174,18 @@ def graph_correspondences(f: Sequence[int], n: int, k: int
     along fibers; the pushforward is its transpose.
     """
     f = list(f)
-    if len(f) != n or any(not 0 <= v < k for v in f):
-        raise NotTotalError(f"map must send all {n} points into 0..{k - 1}")
+    _fiber_sizes(f, n, k)  # raises NotTotalError unless f is total into 0..k-1
     pull_block = tuple(tuple(Fraction(1 if f[i] == j else 0) for j in range(k))
                        for i in range(n))
     pull = Correspondence(Motive.point(k), Motive.point(n), {0: pull_block})
     return pull, transpose(pull)
+
+
+def _fiber_sizes(f: Sequence[int], n: int, k: int) -> list[int]:
+    """Fiber sizes of a map f: {0..n-1} -> {0..k-1}; NotTotalError if f is not one."""
+    if len(f) != n or any(not 0 <= v < k for v in f):
+        raise NotTotalError(f"map must send all {n} points into 0..{k - 1}")
+    return [f.count(j) for j in range(k)]
 
 
 @record
@@ -215,10 +222,11 @@ def split_idempotent(p: Correspondence) -> SplitFactor:
     image = Motive.of([(UNIT, t, r) for t, r in image_terms])
     inclusion = Correspondence(image, p.source, inc_blocks)
     retraction = Correspondence(p.source, image, ret_blocks)
-    if compose(inclusion, retraction) != p:
-        raise RuntimeError("internal error: inclusion o retraction differs from the idempotent")
-    if compose(retraction, inclusion) != Correspondence.identity(image):
-        raise RuntimeError("internal error: retraction o inclusion is not the identity")
+    check("corresp.inclusion_retraction", compose(inclusion, retraction) == p,
+          "inclusion o retraction differs from the idempotent")
+    check("corresp.retraction_inclusion",
+          compose(retraction, inclusion) == Correspondence.identity(image),
+          "retraction o inclusion is not the identity")
     return SplitFactor(image, inclusion, retraction)
 
 
@@ -229,19 +237,17 @@ def splitting_certificate(f: Sequence[int], n: int, k: int, m: int) -> SplitFact
     is a left inverse of the pullback and the target motive becomes a direct
     factor of the source motive.
     """
-    pull, push = graph_correspondences(f, n, k)
-    fibers = [0] * k
-    for v in f:
-        fibers[v] += 1
+    fibers = _fiber_sizes(f, n, k)
     if any(size != m for size in fibers):
         raise NotEquidegreeError(f"fiber sizes {fibers} are not all {m}")
+    pull, push = graph_correspondences(f, n, k)
     retraction = Correspondence(push.source, push.target,
                                 {t: tuple(tuple(x / m for x in row) for row in b)
                                  for t, b in push.blocks.items()})
-    if compose(retraction, pull) != Correspondence.identity(pull.source):
-        raise RuntimeError("internal error: scaled pushforward is not a left inverse")
-    projector = compose(pull, retraction)
-    if not is_idempotent(projector):
-        raise RuntimeError("internal error: cover projector is not idempotent")
+    check("corresp.left_inverse",
+          compose(retraction, pull) == Correspondence.identity(pull.source),
+          "scaled pushforward is not a left inverse")
+    check("corresp.cover_idempotent", is_idempotent(compose(pull, retraction)),
+          "cover projector is not idempotent")
     factor = SplitFactor(pull.source, pull, retraction)
     return factor

@@ -14,7 +14,8 @@ from typing import Sequence
 
 from ._record import field, record
 from .chars import character_table, rep_ring
-from .errors import BadOrderError, InconsistentActionError, NotAnAutomorphismError, ValidationError
+from .errors import (BadOrderError, InconsistentActionError, NotAnAutomorphismError,
+                     ValidationError, check)
 from .motives import (
     UNIT,
     Atom,
@@ -262,10 +263,8 @@ def _bh_rank(H: FiniteGroup, p: int) -> int:
         chars = injective_characters(c)
         elems = c.normalizer.elements
         via_chars += _count_orbits(elems, [chars.image_row(n) for n in elems])
-    if via_chars != rank:
-        raise RuntimeError(
-            f"internal error: class count {rank} and character-orbit count "
-            f"{via_chars} disagree")
+    check("decomp.bh_rank_vs_chars", via_chars == rank,
+          "class count {} and character-orbit count {} disagree", rank, via_chars)
     return rank
 
 
@@ -280,8 +279,7 @@ def bh_motive(H: FiniteGroup, p: int = 0) -> ClassifyingStackMotive:
     constants = None
     if p == 0:
         ring = rep_ring(character_table(H))
-        if ring.rank != rank:
-            raise RuntimeError("internal error: table rank differs from class count")
+        check("decomp.table_rank", ring.rank == rank, "table rank differs from class count")
         constants = ring.constants
     return ClassifyingStackMotive(Motive.point(rank), rank, constants)
 
@@ -367,9 +365,8 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
             orbits.append(pair)
 
     # cross-check: orbit count must match the sum of per-class character orbits
-    if _bh_rank(H, p) != len(orbits):
-        raise RuntimeError("internal error: pair-orbit count disagrees with "
-                           "per-class character orbits")
+    check("decomp.pair_orbits", _bh_rank(H, p) == len(orbits),
+          "pair-orbit count disagrees with per-class character orbits")
 
     aut_perms = []
     for images in monodromy:
@@ -378,9 +375,8 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
         aut_perms.append(Perm([orbit_index[move(pair, row)] for pair in orbits]))
 
     distinguished = orbit_index[(frozenset([index[H.identity]]), 0)]
-    for perm in aut_perms:
-        if perm(distinguished) != distinguished:
-            raise RuntimeError("internal error: an automorphism moved the trivial pair")
+    check("decomp.trivial_pair_fixed", all(a(distinguished) == distinguished for a in aut_perms),
+          "an automorphism moved the trivial pair")
 
     elements = tuple((tuple(H.elements[i].images for i in sorted(sub)), j) for sub, j in orbits)
     return CharacterOrbitSet(elements, tuple(aut_perms), distinguished)

@@ -77,3 +77,25 @@ class ParseError(StackyError):
 
 class ValidationError(StackyError):
     """Input document is well-formed but violates a schema constraint."""
+
+
+class InternalError(RuntimeError):
+    """A named self-check failed: a fault of the program, not of its input."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(f"internal error: {message}")
+        self.name = name
+
+
+def check(name: str, ok: object, message: str, *args: object) -> None:
+    """Raise InternalError ``name`` unless ``ok``; the text
+    ``message.format(*args)`` is built only on failure."""
+    if not ok:
+        raise InternalError(name, message.format(*args))
+
+
+def internal_error_text(exc: RuntimeError) -> str:
+    """The report line of a RuntimeError: a failed check's own text; any other
+    RuntimeError's text, or its type name, under the same prefix."""
+    text = str(exc) or type(exc).__name__
+    return text if text.startswith("internal error:") else f"internal error: {text}"

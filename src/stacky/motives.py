@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from ._record import field, record
 from .errors import InconsistentActionError, NonBijectionError, OpaqueTensorError
-from .perms import (FiniteGroup, Perm, Subgroup, _count_orbits, canonical_conjugate,
+from .perms import (FiniteGroup, Perm, Subgroup, _compose, _count_orbits, canonical_conjugate,
                     cyclic_subgroup_classes, orbit, powers)
 
 
@@ -391,14 +391,17 @@ class MotiveAction:
             if any(p.degree != mult for p in perms):
                 raise InconsistentActionError(
                     f"slot ({atom.render()}, {twist}) permutations must have degree {mult}")
-        idx = self.group.index
+        # act(x g) = act(x) act(g) on image tuples, as (index of x, of g, of x g)
+        G = self.group
+        idx = {x.images: i for i, x in enumerate(G.elements)}
+        steps = [(i, idx[g.images], idx[_compose(x.images, g.images)])
+                 for i, x in enumerate(G.elements) for g in G.generators]
         for perms in self.slot_actions:
-            if not perms[idx[self.group.identity]].is_identity():
+            if not perms[G.index[G.identity]].is_identity():
                 raise InconsistentActionError("identity must act trivially")
-            for x in self.group.elements:
-                for g in self.group.generators:
-                    if perms[idx[x * g]] != perms[idx[x]] * perms[idx[g]]:
-                        raise InconsistentActionError("slot action is not a homomorphism")
+            imgs = [p.images for p in perms]
+            if any(imgs[xg] != _compose(imgs[x], imgs[g]) for x, g, xg in steps):
+                raise InconsistentActionError("slot action is not a homomorphism")
 
 
 def invariants(act: MotiveAction) -> Motive:
@@ -419,6 +422,7 @@ def model_motive(X: EquivariantModel) -> MotiveAction:
     for _, twist, _ in motive.terms:
         cells = by_dim[twist]
         pos = {c: i for i, c in enumerate(cells)}
-        slots.append(tuple(Perm([pos[X.action_of(g)(c)] for c in cells])
-                           for g in X.group.elements))
+        # restrictions of the verified action to the cells of one dimension
+        slots.append(tuple(Perm._trusted(tuple(map(pos.__getitem__, map(img.__getitem__, cells))))
+                           for img in (X.action_of(g).images for g in X.group.elements)))
     return MotiveAction(motive, X.group, tuple(slots))

@@ -21,6 +21,7 @@ from .errors import (
     NotAnActionError,
     NotASubgroupError,
     NotInNormalizerError,
+    check,
 )
 
 DEFAULT_ELEMENT_CAP = 10_000
@@ -453,10 +454,12 @@ def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[Perm, ...]
     for a in s:
         if a.inverse() not in s:
             raise NotASubgroupError(f"subset not closed under inverse at {a.cycle_string()}")
-        for b in s:
-            if a * b not in s:
-                raise NotASubgroupError("subset not closed under composition")
-    return tuple(sorted(s))
+    # closed iff the closure of its reduced generators, from the identity, is s
+    elems = tuple(sorted(s))
+    gens = [x.images for x in reduce_generators(elems, G.degree)]
+    if orbit([tuple(range(G.degree))], gens, _compose).keys() != {x.images for x in s}:
+        raise NotASubgroupError("subset not closed under composition")
+    return elems
 
 
 def normalizer(G: FiniteGroup, c: Iterable[Perm]) -> Subgroup:
@@ -548,10 +551,8 @@ def _count_orbits(elems: Sequence[Perm], rows: Sequence[Sequence[int]]) -> int:
             stack.extend(fresh)
 
     fixed_total = sum(sum(map(operator.eq, row, range(points))) for row in rows)
-    if fixed_total % len(elems) != 0 or fixed_total // len(elems) != orbits:
-        raise RuntimeError(
-            f"internal error: Burnside average {fixed_total}/{len(elems)} "
-            f"disagrees with orbit count {orbits}")
+    check("perms.burnside", fixed_total == orbits * len(elems),
+          "Burnside average {}/{} disagrees with orbit count {}", fixed_total, len(elems), orbits)
     return orbits
 
 

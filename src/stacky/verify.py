@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 from ._record import record
 from .chars import character_table, rep_ring
-from .corresp import splitting_certificate
+from .corresp import _fiber_sizes, splitting_certificate
 from .decomp import (
     _bh_rank,
     inertia_ranks_by_twist,
@@ -123,9 +123,7 @@ def check_degree_splitting(f: Sequence[int], n: int, k: int, m: int) -> Verifica
     identity and the averaging idempotent must split exactly."""
     payload = {"map": list(f), "n": n, "k": k, "m": m}
     digest = _digest(payload)
-    fibers = [0] * k
-    for v in f:
-        fibers[v] += 1
+    fibers = _fiber_sizes(list(f), n, k)  # raises NotTotalError on a bad map
     if any(size != m for size in fibers):
         return VerificationReport("splitting", digest,
                                   f"fiber sizes {fibers}", f"claimed degree {m}", False)

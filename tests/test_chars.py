@@ -333,6 +333,18 @@ def test_lift_rejects_multiplicities_not_summing_to_degree():
     assert chars._lift_value([1, 2, 4, 3], [0, 1, 2, 3], 4, 5, 2, 1) == Cyclotomic.zeta(4)
 
 
+def test_irrational_degree_fails_the_degree_check(monkeypatch):
+    # a row whose value at the identity is zeta_3 reaches the named check,
+    # not a ValueError from reading the value as rational
+    real = chars._abelian_characters
+    monkeypatch.setattr(chars, "_abelian_characters", lambda G, classes: [
+        (Cyclotomic.zeta(3),) + row[1:] if i == 2 else row
+        for i, row in enumerate(real(G, classes))])
+    with pytest.raises(RuntimeError,
+                       match=r"^internal error: character degree z3 is not a positive integer$"):
+        character_table(cyclic_group(3))
+
+
 def test_abelian_words_that_miss_an_element_fail_the_self_check(monkeypatch):
     # the reduced generators of V4 are cut to one, so their words reach two
     # of its four elements

@@ -67,6 +67,7 @@ from stacky.decomp import (
 )
 from stacky.errors import (
     InconsistentActionError,
+    InternalError,
     NonBijectionError,
     NotAnActionError,
     NotAnAutomorphismError,
@@ -141,9 +142,9 @@ def reference_orbit_count(elements, action, points: int) -> int:
 
     fixed_total = sum(sum(1 for pt in range(points) if action(g, pt) == pt) for g in elems)
     if fixed_total % len(elems) != 0 or fixed_total // len(elems) != orbits:
-        raise RuntimeError(
-            f"internal error: Burnside average {fixed_total}/{len(elems)} "
-            f"disagrees with orbit count {orbits}")
+        raise InternalError(
+            "perms.burnside",
+            f"Burnside average {fixed_total}/{len(elems)} disagrees with orbit count {orbits}")
     return orbits
 
 
@@ -508,8 +509,8 @@ def test_partial_element_list_fails_the_burnside_check():
     # without a transposition the fixed points still average to one orbit;
     # without a 3-cycle they do not
     assert outcomes.count(1) == 3
-    assert outcomes.count((RuntimeError, "internal error: Burnside average 6/5 "
-                                         "disagrees with orbit count 1")) == 2
+    assert outcomes.count((InternalError, "internal error: Burnside average 6/5 "
+                                          "disagrees with orbit count 1")) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from stacky.motives import (
     Atom,
     EquivariantModel,
     Motive,
+    MotiveAction,
     chow_dim,
     direct_sum,
     invariants,
@@ -191,6 +192,37 @@ def test_invariants_never_increase_multiplicity():
         inv = invariants(act)
         for (atom, twist, mult) in inv.terms:
             assert mult <= act.motive.unit_multiplicity(twist)
+
+
+def test_motive_action_rejects_a_non_homomorphism():
+    S3 = symmetric_group(3)
+    M = Motive.point(2)
+    swap, ident = Perm([1, 0]), Perm([0, 1])
+    # the sign action is one; swapping the copies for every non-identity element is not
+    sign = [swap if sum(len(c) - 1 for c in g.cycles()) % 2 else ident for g in S3.elements]
+    assert MotiveAction(M, S3, (tuple(sign),)).slot_actions == (tuple(sign),)
+    bad = [ident if g == S3.identity else swap for g in S3.elements]
+    with pytest.raises(InconsistentActionError, match="^slot action is not a homomorphism$"):
+        MotiveAction(M, S3, (tuple(bad),))
+    with pytest.raises(InconsistentActionError, match="^identity must act trivially$"):
+        MotiveAction(M, S3, ((swap,) * S3.order,))
+
+
+def test_model_motive_forms_and_validates_no_perm(monkeypatch):
+    # slot permutations restrict the verified action, and the homomorphism is
+    # checked on image tuples: no Perm product and no validating constructor
+    X = random_coset_model(random.Random(3), symmetric_group(5))
+    counts = {"__mul__": 0, "__init__": 0}
+    for name in counts:
+        def counting(*args, name=name, inner=getattr(Perm, name)):
+            counts[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(Perm, name, counting)
+    act = model_motive(X)
+    monkeypatch.undo()
+    assert counts == {"__mul__": 0, "__init__": 0}
+    # a point model has one slot, on which each element acts as on the points
+    assert act.slot_actions == (tuple(X.action_of(g) for g in X.group.elements),)
 
 
 def test_coset_model_forms_no_perm_products(monkeypatch):

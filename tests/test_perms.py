@@ -325,6 +325,28 @@ def test_normalizer_walks_once_per_generator(monkeypatch):
     assert walks[0] == len(reduce_generators(sorted(sub), 5)) == 2
 
 
+def test_normalizer_checks_the_subgroup_without_perm_products(monkeypatch):
+    # closure is one orbit of the reduced generators on image tuples, not an
+    # all-pairs product check
+    G = symmetric_group(5)
+    A5 = alternating_group(5).elements
+    products = _count_calls(monkeypatch, Perm, "__mul__")
+    N = normalizer(G, A5)
+    monkeypatch.undo()
+    assert N.order == 120
+    assert products[0] == 0
+
+
+def test_normalizer_names_the_first_subgroup_axiom_that_fails():
+    G = symmetric_group(3)
+    # every inverse is checked before closure: (0 1 2) lacks its inverse, and
+    # (1 2) (0 1 2) is not in the set either
+    with pytest.raises(NotASubgroupError, match=r"^subset not closed under inverse at \(0 1 2\)$"):
+        normalizer(G, [G.identity, Perm([0, 2, 1]), Perm([1, 2, 0])])
+    with pytest.raises(NotASubgroupError, match="^subset not closed under composition$"):
+        normalizer(G, [G.identity, Perm([1, 0, 2]), Perm([0, 2, 1])])
+
+
 def test_orbit_count_examples():
     C2 = cyclic_group(2)
     assert orbit_count(C2.elements, lambda g, p: g(p), 2) == 1

@@ -1,0 +1,338 @@
+"""Census of the package's named self-checks: each one is made to fire.
+
+Every ``check(name, ...)`` call in ``src/stacky`` is collected with ``ast``;
+the names must be unique and equal the keys of CASES.  Each case corrupts
+one input, or the output of one kernel, with ``monkeypatch`` and calls a
+public function, which must raise InternalError with that name and message.
+Where a CLI document reaches the check, the case also runs the command:
+exit code 3, nothing on stdout and the message as the one line on stderr.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+from fractions import Fraction
+from pathlib import Path
+from typing import Any, Callable, NamedTuple
+
+import pytest
+
+import stacky.chars as chars
+import stacky.corresp as corresp
+import stacky.decomp as decomp
+from stacky.chars import CharacterTable, character_table
+from stacky.cli import main
+from stacky.corresp import Correspondence, split_idempotent, splitting_certificate
+from stacky.decomp import bh_motive, gerbe_rset
+from stacky.errors import InternalError, check
+from stacky.perms import (
+    ConjugacyClass,
+    FiniteGroup,
+    Perm,
+    alternating_group,
+    cyclic_group,
+    dihedral_group,
+    orbit_count,
+    quaternion_group,
+    symmetric_group,
+)
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "stacky"
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+
+
+def check_names() -> list[str]:
+    """The name of every check call in the package, in source order."""
+    names = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check":
+                first = node.args[0] if node.args else None
+                assert isinstance(first, ast.Constant) and isinstance(first.value, str), \
+                    f"{path.name}:{node.lineno}: a check needs a literal name"
+                names.append(first.value)
+    return names
+
+
+class Case(NamedTuple):
+    tamper: Callable[[Any], None]  # given monkeypatch
+    call: Callable[[], object]     # a public function, after the tamper
+    message: str                   # the text after "internal error: "
+    command: tuple[str, ...] = ()  # CLI arguments reaching the same check
+    doc: dict | Path | None = None  # the --input document for them
+
+
+def group_doc(G: FiniteGroup, **extra) -> dict:
+    return {"characteristic": 0, **extra, "group": {
+        "degree": G.degree, "generators": [list(g.images) for g in G.generators]}}
+
+
+def wrap(monkeypatch, module, name: str, corrupt: Callable) -> None:
+    """Replace module.name by a function that corrupts its real result."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: corrupt(real(*args), *args))
+
+
+def first_call(monkeypatch, module, name: str, corrupt: Callable) -> None:
+    """Corrupt only the result of the first call of module.name."""
+    real, calls = getattr(module, name), []
+
+    def fn(*args):
+        calls.append(args)
+        out = real(*args)
+        return corrupt(out, *args) if len(calls) == 1 else out
+
+    monkeypatch.setattr(module, name, fn)
+
+
+def abelian_rows(corrupt: Callable[[list], list]) -> Callable:
+    """A tamper corrupting the rows the abelian path hands to character_table."""
+    return lambda mp: wrap(mp, chars, "_abelian_characters", lambda rows, G, cl: corrupt(rows))
+
+
+def swapped_last(rows: list) -> list:
+    last = list(rows[-1])
+    last[1], last[2] = last[2], last[1]
+    return rows[:-1] + [tuple(last)]
+
+
+def retagged_classes(change: Callable) -> Callable:
+    """A tamper handing chars each conjugacy class through change(class)."""
+    return lambda mp: wrap(mp, chars, "conjugacy_classes",
+                           lambda classes, G: tuple(map(change, classes)))
+
+
+def c4_generator_claims_order_2(c: ConjugacyClass) -> ConjugacyClass:
+    return ConjugacyClass(c.representative, c.members, 2) if c.order == 4 else c
+
+
+def central_class_listed_twice(c: ConjugacyClass) -> ConjugacyClass:
+    # in Q8 only -1 is central and of order 2
+    return ConjugacyClass(c.representative, c.members * 2, 2) if c.order == 2 else c
+
+
+def scaled(x: Correspondence, factor: int) -> Correspondence:
+    return Correspondence(x.source, x.target, {
+        t: tuple(tuple(factor * v for v in row) for row in b) for t, b in x.blocks.items()})
+
+
+def doubled_push(monkeypatch) -> None:
+    wrap(monkeypatch, corresp, "graph_correspondences",
+         lambda pp, *args: (pp[0], scaled(pp[1], 2)))
+
+
+def doubled_projector(monkeypatch) -> None:
+    # pull o retraction is the one product whose middle, the target points, is
+    # smaller than its ends; once R o P = id is checked, (P o R)^2 = P o R
+    # holds exactly, so only a wrong product can fail this check
+    def corrupt(z, x, y):
+        smaller = x.source.total_unit_multiplicity() < x.target.total_unit_multiplicity()
+        return scaled(z, 2) if smaller else z
+
+    wrap(monkeypatch, corresp, "compose", corrupt)
+
+
+def rotated_perm(monkeypatch) -> None:
+    # every automorphism fixes the trivial pair, so only a wrongly built
+    # induced permutation can fail this check
+    monkeypatch.setattr(decomp, "Perm", lambda images: Perm(images[1:] + images[:1]))
+
+
+def without_last_row(T: CharacterTable, H) -> CharacterTable:
+    return CharacterTable(T.group, T.classes, T.rows[:-1], T.degrees[:-1])
+
+
+S3_GERBE = group_doc(symmetric_group(3), gerbe={"monodromy": []})
+IDEMPOTENT = Correspondence.single_twist(0, [[1, 0], [0, 0]])
+GROUP_CHARS = ("group", "--chars")
+
+CASES: dict[str, Case] = {
+    # --- character tables: the abelian path's rows, corrupted on C3
+    "chars.degree_positive": Case(
+        abelian_rows(lambda rows: rows[:-1] + [tuple(-v for v in rows[-1])]),
+        lambda: character_table(cyclic_group(3)),
+        "character degree -1 is not a positive integer",
+        GROUP_CHARS, group_doc(cyclic_group(3))),
+    "chars.trivial_character": Case(
+        abelian_rows(lambda rows: rows[:-1] + rows[:1]),
+        lambda: character_table(cyclic_group(3)),
+        "trivial character not found exactly once",
+        GROUP_CHARS, group_doc(cyclic_group(3))),
+    "chars.row_count": Case(
+        abelian_rows(lambda rows: rows[:-1]),
+        lambda: character_table(cyclic_group(3)),
+        "row count differs from class count",
+        GROUP_CHARS, group_doc(cyclic_group(3))),
+    "chars.degree_squares": Case(
+        abelian_rows(lambda rows: rows[:-1] + [tuple(2 * v for v in rows[-1])]),
+        lambda: character_table(cyclic_group(3)),
+        "degree squares do not sum to the group order",
+        GROUP_CHARS, group_doc(cyclic_group(3))),
+    "chars.orthogonality": Case(
+        abelian_rows(swapped_last),
+        lambda: character_table(cyclic_group(3)),
+        "rows 1,2 fail orthogonality",
+        GROUP_CHARS, group_doc(cyclic_group(3))),
+    # --- the abelian path itself
+    "chars.abelian_words": Case(
+        # the reduced generators of V4 cut to one, whose words reach two elements
+        lambda mp: wrap(mp, chars, "reduce_generators", lambda gens, *args: gens[:1]),
+        lambda: character_table(dihedral_group(2)),
+        "generator words do not reach every element",
+        GROUP_CHARS, group_doc(dihedral_group(2))),
+    "chars.abelian_count": Case(
+        # S3 taken for abelian: only two of its six assignments are characters
+        lambda mp: mp.setattr(FiniteGroup, "is_abelian", lambda self: True),
+        lambda: character_table(symmetric_group(3)),
+        "abelian character count mismatch",
+        GROUP_CHARS, group_doc(symmetric_group(3))),
+    "chars.abelian_root": Case(
+        # the class of the generator of C4 claims order 2, so zeta_4 is no root there
+        retagged_classes(c4_generator_claims_order_2),
+        lambda: character_table(cyclic_group(4)),
+        "zeta_4^1 is no power of zeta_2",
+        GROUP_CHARS, group_doc(cyclic_group(4))),
+    # --- the prime-field path
+    "chars.eigen_splitting": Case(
+        lambda mp: mp.setattr(chars, "_split_invariant_subspace", lambda M, B, q: [B]),
+        lambda: character_table(symmetric_group(3)),
+        "eigen splitting did not isolate all characters",
+        GROUP_CHARS, group_doc(symmetric_group(3))),
+    "chars.joint_eigenvector": Case(
+        # one space per basis vector: split, but not into eigenvectors
+        lambda mp: mp.setattr(chars, "_split_invariant_subspace",
+                              lambda M, B, q: [[b] for b in B]),
+        lambda: character_table(symmetric_group(3)),
+        "joint eigenvector verification failed",
+        GROUP_CHARS, group_doc(symmetric_group(3))),
+    "chars.degree_found": Case(
+        retagged_classes(central_class_listed_twice),
+        lambda: character_table(quaternion_group()),
+        "could not identify a character degree",
+        GROUP_CHARS, group_doc(quaternion_group())),
+    "chars.multiplicity_bound": Case(
+        # D4 lifts over F_13; 2 has order 12 there, not exp(D4) = 4
+        lambda mp: mp.setattr(chars, "_element_of_order", lambda q, e: 2),
+        lambda: character_table(dihedral_group(4)),
+        "eigenvalue multiplicity 4 exceeds degree 2",
+        GROUP_CHARS, group_doc(dihedral_group(4))),
+    "chars.multiplicity_sum": Case(
+        lambda mp: mp.setattr(chars, "_element_of_order", lambda q, e: 1),
+        lambda: character_table(symmetric_group(3)),
+        "lifted multiplicities sum to 0, not the degree 2",
+        GROUP_CHARS, group_doc(symmetric_group(3))),
+    "chars.diagonalizable": Case(
+        # 11 is not 1 mod 3, so the values zeta_3 of A4 are not in F_11
+        lambda mp: mp.setattr(chars, "_choose_prime", lambda e, n: 11),
+        lambda: character_table(alternating_group(4)),
+        "invariant subspace is not diagonalizable",
+        GROUP_CHARS, group_doc(alternating_group(4))),
+    "chars.basis_rank": Case(
+        # the first split hands on a space whose basis repeats a vector
+        lambda mp: first_call(mp, chars, "_split_invariant_subspace",
+                              lambda spaces, M, B, q: [[B[0], B[0], *B[2:]], [B[1]]]),
+        lambda: character_table(symmetric_group(4)),
+        "subspace basis is degenerate",
+        GROUP_CHARS, group_doc(symmetric_group(4))),
+    "chars.invariant_subspace": Case(
+        # the first split pairs up the coordinate vectors, not eigenvectors
+        lambda mp: first_call(mp, chars, "_split_invariant_subspace",
+                              lambda spaces, M, B, q: [B[i:i + 2] for i in range(0, len(B), 2)]),
+        lambda: character_table(symmetric_group(4)),
+        "subspace is not invariant",
+        GROUP_CHARS, group_doc(symmetric_group(4))),
+    # --- correspondences
+    "corresp.inclusion_retraction": Case(
+        lambda mp: wrap(mp, corresp, "rref", lambda res, a: (
+            tuple(tuple(2 * x for x in row) for row in res[0]), res[1])),
+        lambda: split_idempotent(IDEMPOTENT),
+        "inclusion o retraction differs from the idempotent"),
+    "corresp.retraction_inclusion": Case(
+        # every column reported as a pivot: the image is too large
+        lambda mp: wrap(mp, corresp, "rref", lambda res, a: (res[0], tuple(range(len(a[0]))))),
+        lambda: split_idempotent(IDEMPOTENT),
+        "retraction o inclusion is not the identity"),
+    "corresp.left_inverse": Case(
+        doubled_push,
+        lambda: splitting_certificate([0, 0, 1, 1], 4, 2, 2),
+        "scaled pushforward is not a left inverse",
+        ("verify", "--check", "splitting"), SAMPLES / "s3_quotient.json"),
+    "corresp.cover_idempotent": Case(
+        doubled_projector,
+        lambda: splitting_certificate([0, 0, 1, 1], 4, 2, 2),
+        "cover projector is not idempotent",
+        ("verify", "--check", "splitting"), SAMPLES / "s3_quotient.json"),
+    # --- classifying stacks and gerbes
+    "decomp.bh_rank_vs_chars": Case(
+        lambda mp: wrap(mp, decomp, "cyclic_subgroup_classes", lambda cs, *args: cs[:-1]),
+        lambda: bh_motive(symmetric_group(3)),
+        "class count 3 and character-orbit count 2 disagree",
+        ("motive", "bh"), SAMPLES / "s3_quotient.json"),
+    "decomp.table_rank": Case(
+        lambda mp: wrap(mp, decomp, "character_table", without_last_row),
+        lambda: bh_motive(symmetric_group(3)),
+        "table rank differs from class count",
+        ("motive", "bh"), SAMPLES / "s3_quotient.json"),
+    "decomp.pair_orbits": Case(
+        # no pair is moved by conjugation: six orbits on S3 where there are three
+        lambda mp: mp.setattr(decomp, "orbit", lambda seeds, gens, act: dict.fromkeys(seeds, ())),
+        lambda: gerbe_rset(symmetric_group(3), 0, []),
+        "pair-orbit count disagrees with per-class character orbits",
+        ("motive", "gerbe"), S3_GERBE),
+    "decomp.trivial_pair_fixed": Case(
+        rotated_perm,
+        lambda: gerbe_rset(cyclic_group(3), 0, [[Perm([2, 0, 1])]]),
+        "an automorphism moved the trivial pair",
+        ("motive", "gerbe"), SAMPLES / "z3_gerbe.json"),
+    # --- orbit counting: S3 without the 3-cycle (1 2 0), not a group
+    "perms.burnside": Case(
+        lambda mp: None,
+        lambda: orbit_count([g for g in symmetric_group(3).elements if g.images != (1, 2, 0)],
+                            lambda g, pt: g(pt), 3),
+        "Burnside average 6/5 disagrees with orbit count 1"),
+}
+
+
+def test_check_names_are_unique_and_each_has_a_case():
+    names = check_names()
+    assert len(names) >= 25, "the census found too few checks to be reading the source"
+    assert sorted(set(names)) == sorted(names), "a check name is used twice"
+    assert sorted(names) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_check_fires(monkeypatch, name):
+    case = CASES[name]
+    case.tamper(monkeypatch)
+    with pytest.raises(InternalError) as exc:
+        case.call()
+    assert exc.value.name == name
+    assert str(exc.value) == f"internal error: {case.message}"
+    assert isinstance(exc.value, RuntimeError)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, case in CASES.items() if case.command))
+def test_each_check_fires_through_the_cli(monkeypatch, capsys, tmp_path, name):
+    case = CASES[name]
+    doc = case.doc
+    if isinstance(doc, dict):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(case.doc), encoding="utf-8")
+    case.tamper(monkeypatch)
+    code = main([*case.command, "--input", str(doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"internal error: {case.message}\n"
+
+
+def test_a_passing_check_builds_no_message():
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("formatted on the passing path")
+
+    check("census.pass", True, "{}", Unformattable())
+    with pytest.raises(InternalError, match=r"^internal error: value 1/2$") as exc:
+        check("census.fail", 0, "value {}", Fraction(1, 2))
+    assert exc.value.name == "census.fail"

@@ -6,6 +6,7 @@ import pytest
 
 from stacky import corresp
 from stacky.corresp import Correspondence
+from stacky.errors import NotTotalError
 from stacky.motives import EquivariantModel
 from stacky.perms import (
     Perm,
@@ -76,6 +77,14 @@ def test_degree_splitting_reports_unequal_fibers():
     rep = check_degree_splitting([0, 0, 1], 3, 2, 2)
     assert (rep.check_name, rep.lhs, rep.rhs, rep.passed) == (
         "splitting", "fiber sizes [2, 1]", "claimed degree 2", False)
+
+
+@pytest.mark.parametrize("f", [[5, 0], [-1, -1, 0, 0]])
+def test_degree_splitting_refuses_a_map_out_of_range(f):
+    # the map is checked before its fibers are counted: a value past the end
+    # cannot raise IndexError, and a negative one cannot land in the last fiber
+    with pytest.raises(NotTotalError, match=r"^map must send all \d points into 0\.\.1$"):
+        check_degree_splitting(f, len(f), 2, 1)
 
 
 def test_degree_splitting_raises_when_the_certificate_fails(monkeypatch):
