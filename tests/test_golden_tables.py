@@ -32,6 +32,9 @@ TABLE_GROUPS = {
     "Q8": quaternion_group,
     "C24": lambda: cyclic_group(24),
     "C2xC6": lambda: direct_product(cyclic_group(2), cyclic_group(6)),
+    # 20 classes against q = 13: eigenspaces of dimension d >= q occur
+    "D4xC2xC2": lambda: direct_product(dihedral_group(4),
+                                       direct_product(cyclic_group(2), cyclic_group(2))),
 }
 
 RING_GROUPS = {
