@@ -1,20 +1,22 @@
 """Character tables of finite groups and the representation ring.
 
 Tables are computed by the classical prime-field method (Dixon 1967, as
-revised by Schneider 1990): class-algebra structure constants, simultaneous
-eigenvectors over F_q with q = 1 mod exp(G) and q > 2*sqrt(|G|), then lifting
-each value to an exact cyclotomic number by an inverse discrete Fourier
-transform of length m, the order of the class representative, against
-theta^(exp(G)/m) for a fixed element theta of order exp(G) in F_q.  Abelian
-groups take a direct fast path.  Every produced table is verified against
-the orthogonality identity X diag(|C|) conj(X)^T = |G| I before it is
-returned.
+revised by Schneider 1990): class-algebra structure constants, counted on
+element indices with one word-tree walk per class; simultaneous eigenvectors
+over F_q with q = 1 mod exp(G) and q > 2*sqrt(|G|), each invariant subspace
+split at the roots of one characteristic polynomial, which a division-free
+Hessenberg recurrence gives in any characteristic; then lifting each value to
+an exact cyclotomic number by an inverse discrete Fourier transform of length
+m, the order of the class representative, against theta^(exp(G)/m) for a
+fixed element theta of order exp(G) in F_q.  Abelian groups take a direct
+fast path.  Every produced table is verified against the orthogonality
+identity X diag(|C|) conj(X)^T = |G| I before it is returned.
 
 Inner products, the orthogonality check and the representation-ring
-constants run on the integer kernel of stacky.cyclo: each row is converted
-once to integer exponent vectors over zeta_e, conjugation negates exponents,
-and each inner product is reduced modulo Phi_e and divided by |G| once.
-Rows stay Cyclotomic values.
+constants run on the integer kernel of stacky.cyclo: a table's rows are
+converted once, and kept with it, to integer exponent vectors over zeta_e;
+conjugation negates exponents, and each inner product is reduced modulo
+Phi_e and divided by |G| once.  Rows stay Cyclotomic values.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from ._record import record
+from ._record import field, record
 from .cyclo import Cyclotomic, _exponent_vector, _reduce_exponents
 from .errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError, check
 from .perms import (
@@ -50,6 +52,8 @@ class CharacterTable:
     classes: tuple[ConjugacyClass, ...]
     rows: tuple[tuple[Cyclotomic, ...], ...]
     degrees: tuple[int, ...]
+    # the rows on the integer kernel, kept by character_table; None if built by hand
+    kernel: _KernelRows | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -81,10 +85,7 @@ def character_table(G: FiniteGroup, *, cap: int = DEFAULT_ELEMENT_CAP) -> Charac
     if G.order > cap:
         raise GroupTooLargeError(f"group order {G.order} exceeds cap {cap}")
     classes = conjugacy_classes(G)
-    if G.is_abelian():
-        raw_rows = _abelian_characters(G, classes)
-    else:
-        raw_rows = _prime_field_characters(G, classes)
+    raw_rows = (_abelian_characters if G.is_abelian() else _prime_field_characters)(G, classes)
 
     ident_idx = next(i for i, c in enumerate(classes) if c.order == 1)
     decorated = []
@@ -94,7 +95,8 @@ def character_table(G: FiniteGroup, *, cap: int = DEFAULT_ELEMENT_CAP) -> Charac
         check("chars.degree_positive", value.is_rational() and deg.denominator == 1 and deg > 0,
               "character degree {} is not a positive integer", value)
         decorated.append((int(deg), row))
-    trivial = [row for deg, row in decorated if deg == 1 and all(v == 1 for v in row)]
+    trivial = [i for i, (deg, row) in enumerate(decorated)
+               if deg == 1 and all(v == 1 for v in row)]
     check("chars.trivial_character", len(trivial) == 1, "trivial character not found exactly once")
     # order by degree, then by the values' coefficients at conductor exp(G),
     # the lcm of the class orders (as Cyclotomic.sort_key gives them), read
@@ -102,12 +104,13 @@ def character_table(G: FiniteGroup, *, cap: int = DEFAULT_ELEMENT_CAP) -> Charac
     K = _KernelRows([row for _, row in decorated])
     keys = [(deg, tuple(tuple(_reduce_exponents(v, K.conductor)) for v in vecs))
             for (deg, _), vecs in zip(decorated, K.vecs)]
-    rest = sorted((i for i, (_, row) in enumerate(decorated) if row is not trivial[0]),
-                  key=keys.__getitem__)
-    rows = (tuple(trivial[0]),) + tuple(tuple(decorated[i][1]) for i in rest)
-    degrees = (1,) + tuple(decorated[i][0] for i in rest)
-
+    order = trivial + sorted((i for i in range(len(decorated)) if i != trivial[0]),
+                             key=keys.__getitem__)
+    rows = tuple(tuple(decorated[i][1]) for i in order)
+    degrees = tuple(decorated[i][0] for i in order)
+    K.vecs, K.conductors = [K.vecs[i] for i in order], [K.conductors[i] for i in order]
     table = CharacterTable(G, classes, rows, degrees)
+    object.__setattr__(table, "kernel", K)  # its rows, now in table order
     _verify_table(table)
     return table
 
@@ -121,14 +124,15 @@ def inner_product(T: CharacterTable, phi: ClassFunction, psi: ClassFunction) -> 
     e = math.lcm(*(v.conductor for v in xs + ys))
     xv, dx = _exponent_vector(xs, e)
     yv, dy = _exponent_vector(ys, e)
-    acc = _pairing(T.classes, xv, yv, e)
+    acc = _pairing([c.size for c in T.classes], xv, yv, e)
     return _rational_value(acc, e, T.group.order * dx * dy, e)
 
 
 def rep_ring(T: CharacterTable) -> RepresentationRing:
     """Structure constants of the representation ring, fully verified."""
     r = T.rank
-    K = _KernelRows(T.rows)
+    K = T.kernel or _KernelRows(T.rows)
+    sizes = [c.size for c in T.classes]
     e, den, order = K.conductor, K.den, T.group.order
     constants = [[()] * r for _ in range(r)]
     for i in range(r):
@@ -144,7 +148,7 @@ def rep_ring(T: CharacterTable) -> RepresentationRing:
                 prod.append(tuple(terms.items()))
             coeffs = []
             for k in range(r):
-                acc = _pairing(T.classes, prod, K.vecs[k], e)
+                acc = _pairing(sizes, prod, K.vecs[k], e)
                 n = _rational_value(acc, e, order * den ** 3,
                                     math.lcm(K.conductors[i], K.conductors[j], K.conductors[k]))
                 if n.denominator != 1 or n < 0:
@@ -171,11 +175,12 @@ def _verify_table(T: CharacterTable) -> None:
     check("chars.degree_squares", sum(d * d for d in T.degrees) == T.group.order,
           "degree squares do not sum to the group order")
     # X diag(|C|) conj(X)^T = |G| I; the matrix is Hermitian, so i <= j suffices
-    K = _KernelRows(T.rows)
+    K = T.kernel or _KernelRows(T.rows)
+    sizes = [c.size for c in T.classes]
     scale = T.group.order * K.den ** 2
     for i in range(r):
         for j in range(i, r):
-            acc = _pairing(T.classes, K.vecs[i], K.vecs[j], K.conductor)
+            acc = _pairing(sizes, K.vecs[i], K.vecs[j], K.conductor)
             n = _rational_value(acc, K.conductor, scale,
                                 math.lcm(K.conductors[i], K.conductors[j]))
             check("chars.orthogonality", n == (1 if i == j else 0),
@@ -201,12 +206,11 @@ class _KernelRows:
         self.vecs = [flat[i * width:(i + 1) * width] for i in range(len(rows))]
 
 
-def _pairing(classes, xs, ys, e: int) -> list[int]:
+def _pairing(sizes, xs, ys, e: int) -> list[int]:
     """sum over classes of |class| * x * conj(y), unreduced: entry k is the
     integer coefficient of zeta_e^k.  Conjugation negates exponents."""
     acc = [0] * e
-    for c, x, y in zip(classes, xs, ys):
-        s = c.size
+    for s, x, y in zip(sizes, xs, ys):
         for a, u in x:
             su = s * u
             for b, w in y:
@@ -279,54 +283,34 @@ def _abelian_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]
 # Prime-field route for nonabelian groups.
 
 def _prime_field_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, ...]]:
-    r = len(classes)
-    n = G.order
-    e = G.exponent()
-    reps = [c.representative for c in classes]
+    r, n, e = len(classes), G.order, G.exponent()
     sizes = [c.size for c in classes]
-    class_of = {g: i for i, c in enumerate(classes) for g in c.members}
-    inv_class = [class_of[rep.inverse()] for rep in reps]
+    a, class_of, inv_class = _class_sum_matrices(G, classes)
+    ident_idx = class_of[G.index[G.identity]]
 
     q = _choose_prime(e, n)
     theta = _element_of_order(q, e)
+    mats = [[[x % q for x in row] for row in M] for M in a]
 
-    # power map: class of reps[i]^j for j in 0..order(reps[i])-1
-    power_class = [[class_of[x] for x in powers(rep)] for rep in reps]
+    # power map: class of z_i^j for j in 0..order(z_i)-1, z_i the representatives
+    power_class = [[class_of[G.index[x]] for x in powers(c.representative)] for c in classes]
 
-    # structure constants a[i][j][k] = #{x in C_i : x^-1 z_k in C_j}
-    a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i, cls in enumerate(classes):
-        for x in cls.members:
-            xinv = x.inverse()
-            for k, z in enumerate(reps):
-                a[i][class_of[xinv * z]][k] += 1
-    # mult-by-class-sum matrices acting on coefficient vectors: M_i[k][j] = a[i][j][k]
-    mats = [[[a[i][j][k] % q for j in range(r)] for k in range(r)] for i in range(r)]
-
-    spaces: list[list[list[int]]] = [[[1 if t == s else 0 for t in range(r)] for s in range(r)]]
-    ident_idx = class_of[G.identity]
+    spaces = [[[1 if t == s else 0 for t in range(r)] for s in range(r)]]
     for i in range(r):
-        if i == ident_idx:
-            continue
         if all(len(B) == 1 for B in spaces):
             break
-        nxt: list[list[list[int]]] = []
-        for B in spaces:
-            if len(B) == 1:
-                nxt.append(B)
-                continue
-            nxt.extend(_split_invariant_subspace(mats[i], B, q))
-        spaces = nxt
+        if i != ident_idx:  # the identity's class sum splits nothing
+            spaces = [S for B in spaces for S in
+                      ([B] if len(B) == 1 else _split_invariant_subspace(mats[i], B, q))]
     check("chars.eigen_splitting", len(spaces) == r and all(len(B) == 1 for B in spaces),
           "eigen splitting did not isolate all characters")
 
     rows = []
     for B in spaces:
-        v = B[0]
-        omega = []
+        v, omega = B[0], []
+        t = next(t for t in range(r) if v[t] != 0)
         for i in range(r):
             w = _matvec(mats[i], v, q)
-            t = next(t for t in range(r) if v[t] != 0)
             lam = w[t] * pow(v[t], -1, q) % q
             check("chars.joint_eigenvector", all((lam * v[s] - w[s]) % q == 0 for s in range(r)),
                   "joint eigenvector verification failed")
@@ -338,9 +322,37 @@ def _prime_field_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, .
         check("chars.degree_found", deg is not None, "could not identify a character degree")
         chi_q = [deg * omega[i] % q * pow(sizes[i], -1, q) % q for i in range(r)]
 
-        row = [_lift_value(chi_q, power_class[i], e, q, theta, deg) for i in range(r)]
-        rows.append(tuple(row))
+        rows.append(tuple(_lift_value(chi_q, power_class[i], e, q, theta, deg)
+                          for i in range(r)))
     return rows
+
+
+def _class_sum_matrices(G: FiniteGroup, classes) -> tuple[list, list[int], list[int]]:
+    """Per class C_i the matrix M_i[k][j] = #{x in C_i : x^-1 z_k in C_j}, z_k
+    the representatives, of multiplication by its class sum on coefficient
+    vectors; the class of each element index; and the class i* of inverses."""
+    n, r = G.order, len(classes)
+    members = [[G.index[g] for g in c.members] for c in classes]
+    class_of = [-1] * n
+    for i, ws in enumerate(members):
+        for w in ws:
+            class_of[w] = i
+    # each element in exactly one class, before anything is inverted mod q
+    check("chars.class_partition", sum(map(len, members)) == n and -1 not in class_of,
+          "the listed classes do not partition the group")
+    # x^-1 z_k is conjugate to z_k x^-1: M_i = counts[i*], counts[t][k][j] = #{w in C_t :
+    # z_k w in C_j} from one row i -> index of z_k e_i per class, down the word tree
+    counts = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for k, c in enumerate(classes):
+        row = G._walk(G.index[c.representative], G._right_rows)
+        for t, ws in enumerate(members):
+            tally = counts[t][k]
+            for w in ws:
+                tally[class_of[row[w]]] += 1
+    # z_i w = 1 only for w = z_i^-1, which lies in C_i*
+    ident = class_of[G.index[G.identity]]
+    inv_class = [next(t for t in range(r) if counts[t][i][ident]) for i in range(r)]
+    return [counts[t] for t in inv_class], class_of, inv_class
 
 
 def _lift_value(chi_q, powers, e, q, theta, deg) -> Cyclotomic:
@@ -368,17 +380,20 @@ def _lift_value(chi_q, powers, e, q, theta, deg) -> Cyclotomic:
 
 
 def _split_invariant_subspace(M, B, q) -> list[list[list[int]]]:
-    """Split an M-invariant subspace (basis B) into eigenspaces of M over F_q."""
+    """Split an M-invariant subspace (basis B) into eigenspaces of M over F_q,
+    by increasing eigenvalue: the roots in 0..q-1 of the characteristic
+    polynomial of M on the subspace, each evaluated by Horner's rule."""
     d = len(B)
-    imgs = [_matvec(M, b, q) for b in B]
-    A = _coords_in_basis(B, imgs, q)  # d x d, columns are coordinates of images
-    grouped: list[list[list[int]]] = []
-    found = 0
+    A = _coords_in_basis(B, [_matvec(M, b, q) for b in B], q)  # columns: the images
+    poly, grouped, found = _charpoly(A, q), [], 0
     for lam in range(q):
+        value = 0
+        for c in poly:
+            value = (value * lam + c) % q
+        if value:
+            continue
         shifted = [[(A[u][t] - (lam if u == t else 0)) % q for t in range(d)] for u in range(d)]
         kernel = _nullspace(shifted, q)
-        if not kernel:
-            continue
         grouped.append([
             [sum(coord[s] * B[s][t] for s in range(d)) % q for t in range(len(B[0]))]
             for coord in kernel])
@@ -387,6 +402,38 @@ def _split_invariant_subspace(M, B, q) -> list[list[list[int]]]:
             break
     check("chars.diagonalizable", found == d, "invariant subspace is not diagonalizable")
     return grouped
+
+
+def _charpoly(A, q) -> list[int]:
+    """det(x I - A) over F_q, leading coefficient first.  A similarity brings A
+    to upper Hessenberg form H; then p_m = det(x I - H_m), H_m the leading
+    m x m block, follows from the earlier ones by expanding along column m.
+    Nothing is divided by an integer, so every characteristic q will do."""
+    d, H = len(A), [[x % q for x in row] for row in A]
+    for m in range(1, d - 1):
+        pivot = next((i for i in range(m, d) if H[i][m - 1]), None)
+        if pivot is None:
+            continue
+        H[m], H[pivot] = H[pivot], H[m]  # swap rows, then columns, m and pivot
+        for row in H:
+            row[m], row[pivot] = row[pivot], row[m]
+        inv = pow(H[m][m - 1], -1, q)
+        for i in range(m + 1, d):
+            if u := H[i][m - 1] * inv % q:  # row i -= u row m, column m += u column i
+                H[i] = [(x - u * y) % q for x, y in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % q
+    p = [[1]]  # p[m], lowest coefficient first
+    for m in range(d):
+        # x p_m - sum over i <= m of H[i][m] H[i+1][i] ... H[m][m-1] p_i
+        nxt, sub = [0] + p[m], 1
+        for i in range(m, -1, -1):
+            f = H[i][m] * sub % q
+            for t, c in enumerate(p[i]):
+                nxt[t] -= f * c
+            sub = sub * H[i][i - 1] % q
+        p.append([c % q for c in nxt])
+    return p[d][::-1]
 
 
 def _matvec(M, v, q):
@@ -399,10 +446,7 @@ def _coords_in_basis(B, imgs, q):
     aug = [[B[s][t] for s in range(d)] + [img[t] for img in imgs] for t in range(n)]
     pivots = _row_reduce(aug, d, q)
     check("chars.basis_rank", len(pivots) == d, "subspace basis is degenerate")
-    A = [[0] * d for _ in range(d)]
-    for row, col in enumerate(pivots):
-        for j in range(d):
-            A[col][j] = aug[row][d + j]
+    A = [row[d:] for row in aug[:d]]  # the pivots are the columns 0..d-1, in order
     # consistency: rows beyond the pivots must be zero in the augmented part
     check("chars.invariant_subspace", not any(any(row[d:]) for row in aug[len(pivots):]),
           "subspace is not invariant")
@@ -411,9 +455,9 @@ def _coords_in_basis(B, imgs, q):
 
 def _row_reduce(rows, limit_cols, q):
     """In-place RREF over F_q on the first limit_cols columns; returns pivot columns."""
-    pivots = []
-    rank = 0
+    pivots: list[int] = []
     for col in range(limit_cols):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % q), None)
         if pivot is None:
             continue
@@ -421,22 +465,18 @@ def _row_reduce(rows, limit_cols, q):
         inv = pow(rows[rank][col], -1, q)
         rows[rank] = [x * inv % q for x in rows[rank]]
         for i in range(len(rows)):
-            if i != rank and rows[i][col] % q:
-                f = rows[i][col]
+            if i != rank and (f := rows[i][col] % q):
                 rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
-        rank += 1
     return pivots
 
 
 def _nullspace(M, q):
     """Basis of the kernel of a square matrix over F_q."""
-    d = len(M)
-    rows = [list(r) for r in M]
+    d, rows = len(M), [list(r) for r in M]
     pivots = _row_reduce(rows, d, q)
-    free = [c for c in range(d) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(d) if c not in pivots):
         vec = [0] * d
         vec[fc] = 1
         for row, pc in enumerate(pivots):

@@ -173,11 +173,12 @@ class FiniteGroup:
         return f"<FiniteGroup degree={self.degree} order={self.order}>"
 
     def exponent(self) -> int:
-        return math.lcm(*(g.order() for g in self.elements))
+        """The lcm of the element orders, read off the conjugacy classes."""
+        return math.lcm(*(c.order for c in conjugacy_classes(self)))
 
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(a * b == b * a for a in gens for b in gens)
+        gens = [g.images for g in self.generators]
+        return all(_compose(a, b) == _compose(b, a) for a in gens for b in gens)
 
     @cached_property
     def _conjugation_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -204,13 +205,18 @@ class FiniteGroup:
                 tree.append((i, by_word[w[:-1]], w[-1]))
         return tuple(tree)
 
-    def _conjugates(self, x: int) -> list[int]:
-        """c[i] is the index of e_i^-1 e_x e_i, walked down the word tree:
-        (y s)^-1 e_x (y s) = s^-1 (y^-1 e_x y) s is one conjugation-row lookup."""
-        c, rows = [x] * self.order, self._conjugation_rows
+    def _walk(self, x: int, rows: Sequence[Sequence[int]]) -> list[int]:
+        """c[i] = rows[s][c[parent]] down the word tree, from c = x at the identity.
+        Through the right rows c[i] is the index of e_x e_i: e_x (y s) = (e_x y) s."""
+        c = [x] * self.order
         for i, parent, s in self._word_tree:
             c[i] = rows[s][c[parent]]
         return c
+
+    def _conjugates(self, x: int) -> list[int]:
+        """c[i] is the index of e_i^-1 e_x e_i, walked down the word tree:
+        (y s)^-1 e_x (y s) = s^-1 (y^-1 e_x y) s is one conjugation-row lookup."""
+        return self._walk(x, self._conjugation_rows)
 
     @cached_property
     def _cyclic_subgroups(self) -> dict[int, tuple[int, ...]]:
@@ -445,7 +451,8 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     return tuple(c for c in G._cyclic_classes if p == 0 or c.order % p != 0)
 
 
-def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[Perm, ...]:
+def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[tuple[Perm, ...], ...]:
+    """The checked subgroup's sorted elements and its reduced generators."""
     s = set(elems)
     if not s or any(x not in G for x in s):
         raise NotASubgroupError("element set is not contained in the group")
@@ -456,18 +463,19 @@ def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[Perm, ...]
             raise NotASubgroupError(f"subset not closed under inverse at {a.cycle_string()}")
     # closed iff the closure of its reduced generators, from the identity, is s
     elems = tuple(sorted(s))
-    gens = [x.images for x in reduce_generators(elems, G.degree)]
-    if orbit([tuple(range(G.degree))], gens, _compose).keys() != {x.images for x in s}:
+    gens = reduce_generators(elems, G.degree)
+    if orbit([tuple(range(G.degree))], [x.images for x in gens],
+             _compose).keys() != {x.images for x in s}:
         raise NotASubgroupError("subset not closed under composition")
-    return elems
+    return elems, gens
 
 
 def normalizer(G: FiniteGroup, c: Iterable[Perm]) -> Subgroup:
     """All g with g^-1 c g = c: g conjugates the generators of the checked
     subgroup c into it, each generator's conjugates walked down the word tree."""
-    elems = _require_subgroup(G, tuple(c))
+    elems, gens = _require_subgroup(G, tuple(c))
     cset = set(map(G.index.__getitem__, elems))
-    rows = [G._conjugates(G.index[x]) for x in reduce_generators(elems, G.degree)]
+    rows = [G._conjugates(G.index[x]) for x in gens]
     return Subgroup(G, tuple(g for i, g in enumerate(G.elements)
                              if all(r[i] in cset for r in rows)))
 

@@ -18,6 +18,7 @@ from stacky.cyclo import Cyclotomic
 from stacky.errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError
 from stacky.perms import (
     ConjugacyClass,
+    Perm,
     alternating_group,
     conjugacy_classes,
     cyclic_group,
@@ -365,3 +366,37 @@ def test_abelian_value_outside_the_class_roots_fails_the_self_check(monkeypatch)
     with pytest.raises(RuntimeError,
                        match=r"^internal error: zeta_4\^(1|3) is no power of zeta_2$"):
         character_table(G)
+
+
+def test_s5_table_forms_no_perm_product_and_one_nullspace_per_eigenspace(monkeypatch):
+    # structure constants walk element-index rows; each split takes the
+    # characteristic polynomial once and a nullspace only at its roots
+    G = symmetric_group(5)
+    products, nullspaces, eigenspaces = [], [], []
+    mul, nullspace, split = Perm.__mul__, chars._nullspace, chars._split_invariant_subspace
+    monkeypatch.setattr(Perm, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(chars, "_nullspace", lambda M, q: nullspaces.append(1) or nullspace(M, q))
+
+    def counting_split(M, B, q):
+        spaces = split(M, B, q)
+        eigenspaces.extend(spaces)
+        return spaces
+
+    monkeypatch.setattr(chars, "_split_invariant_subspace", counting_split)
+    T = character_table(G)
+    monkeypatch.undo()
+    assert T.rank == 7
+    assert products == []
+    assert 0 < len(nullspaces) == len(eigenspaces)
+
+
+@pytest.mark.parametrize("name,make", ALL_GROUPS)
+def test_table_keeps_its_rows_converted_in_row_order(name, make):
+    # the kernel built for sorting, permuted to row order, is the conversion
+    # of the finished rows
+    T = character_table(make())
+    K, fresh = T.kernel, chars._KernelRows(T.rows)
+    assert (K.vecs, K.conductors, K.conductor, K.den) == (
+        fresh.vecs, fresh.conductors, fresh.conductor, fresh.den)
+    # a table built by hand has none, and is converted where it is read
+    assert CharacterTable(T.group, T.classes, T.rows, T.degrees).kernel is None

@@ -38,6 +38,13 @@ The public ``normalizer`` walks the word tree once per generator of the
 subgroup, and ``quaternion_group`` writes its two generators in cycle form.
 Their references are the scan with one ``_conjugate`` per element and
 generator, and the construction from Q8's multiplication table.
+
+Character tables count the class-algebra structure constants on element
+indices, one row i -> index of z e_i per class representative z walked down
+the word tree, and split each invariant subspace at the roots of one
+characteristic polynomial.  Their references are the count by ``Perm``
+inverses and products per element and class, and the split that takes a
+nullspace at every lambda in F_q.
 """
 
 from __future__ import annotations
@@ -51,6 +58,17 @@ import pytest
 
 from hypothesis import given, strategies as st
 
+import stacky.chars
+from stacky.chars import (
+    _charpoly,
+    _class_sum_matrices,
+    _coords_in_basis,
+    _matvec,
+    _nullspace,
+    _row_reduce,
+    _split_invariant_subspace,
+    character_table,
+)
 from stacky.corresp import mat_mul
 from stacky.decomp import (
     CharacterOrbitSet,
@@ -245,7 +263,7 @@ def _conjugate(g, x):
 def reference_normalizer(G, c):
     """All g that conjugate the generators of the checked subgroup c into it,
     one _conjugate per element and generator."""
-    elems = _require_subgroup(G, tuple(c))
+    elems, _ = _require_subgroup(G, tuple(c))
     cset = frozenset(x.images for x in elems)
     gens = [x.images for x in reduce_generators(elems, G.degree)]
     return Subgroup(G, tuple(g for g in G.elements
@@ -956,3 +974,160 @@ def test_normalizer_matches_the_reference_scan(index):
     for sub in subs:
         if len(sub) <= 120:
             assert normalizer(G, sub).elements == reference_normalizer(G, sub).elements
+
+
+# ---------------------------------------------------------------------------
+# Character-table kernels: class-sum matrices and eigenspace splits.
+
+def reference_structure_constants(G, classes):
+    """a[i][j][k] = #{x in C_i : x^-1 z_k in C_j} by Perm inverses and products."""
+    class_of = {g: i for i, c in enumerate(classes) for g in c.members}
+    r = len(classes)
+    a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i, cls in enumerate(classes):
+        for x in cls.members:
+            xinv = x.inverse()
+            for k, c in enumerate(classes):
+                a[i][class_of[xinv * c.representative]][k] += 1
+    return a
+
+
+def reference_split(M, B, q):
+    """The eigenspaces of M on span(B), a nullspace taken at every lambda in F_q."""
+    d = len(B)
+    A = _coords_in_basis(B, [_matvec(M, b, q) for b in B], q)
+    grouped, found = [], 0
+    for lam in range(q):
+        shifted = [[(A[u][t] - (lam if u == t else 0)) % q for t in range(d)] for u in range(d)]
+        kernel = _nullspace(shifted, q)
+        if not kernel:
+            continue
+        grouped.append([
+            [sum(coord[s] * B[s][t] for s in range(d)) % q for t in range(len(B[0]))]
+            for coord in kernel])
+        found += len(kernel)
+        if found == d:
+            break
+    if found != d:
+        raise InternalError("chars.diagonalizable", "invariant subspace is not diagonalizable")
+    return grouped
+
+
+def d4_c2_c2():
+    """20 classes against q = 13: the first split is of a space of dimension d > q."""
+    return direct_product(dihedral_group(4), direct_product(cyclic_group(2), cyclic_group(2)))
+
+
+TABLE_GROUPS = [(f"case{i}", lambda d=d, g=g: generate_group(d, [Perm(x) for x in g]))
+                for i, (d, g) in enumerate(CASES)] + [("D4xC2xC2", d4_c2_c2)]
+
+
+@pytest.mark.parametrize("name,make", TABLE_GROUPS)
+def test_structure_constants_match_the_perm_products(name, make):
+    G = make()
+    classes = conjugacy_classes(G)
+    mats, class_of, inv_class = _class_sum_matrices(G, classes)
+    r = len(classes)
+    # M_i[k][j] = a[i][j][k]
+    assert [[[mats[i][k][j] for k in range(r)] for j in range(r)]
+            for i in range(r)] == reference_structure_constants(G, classes)
+    assert class_of == [next(i for i, c in enumerate(classes) if g in c.members)
+                        for g in G.elements]
+    assert inv_class == [class_of[G.index[c.representative.inverse()]] for c in classes]
+
+
+SPLIT_GROUPS = {**KERNEL_GROUPS, "A4": lambda: alternating_group(4),
+                "D8": lambda: dihedral_group(8), "D4xC2xC2": d4_c2_c2}
+
+
+@pytest.mark.parametrize("name", SPLIT_GROUPS)
+def test_table_splits_match_the_q_scan(monkeypatch, name):
+    # every split character_table makes, the first one of D4 x C2 x C2 on a
+    # space of dimension 20 over F_13
+    G, seen = SPLIT_GROUPS[name](), []
+
+    def recording(M, B, q):
+        spaces = _split_invariant_subspace(M, B, q)
+        seen.append((M, B, q, spaces))
+        return spaces
+
+    monkeypatch.setattr(stacky.chars, "_split_invariant_subspace", recording)
+    character_table(G)
+    monkeypatch.undo()
+    assert seen or G.is_abelian()
+    for M, B, q, spaces in seen:
+        assert spaces == reference_split(M, B, q)
+    if name == "D4xC2xC2":
+        assert max(len(B) - q for _, B, q, _ in seen) == 7
+
+
+def _evaluate(poly, lam, q):
+    value = 0
+    for c in poly:
+        value = (value * lam + c) % q
+    return value
+
+
+def _inverse(P, q):
+    """P^-1 over F_q, or None if P is singular."""
+    d = len(P)
+    aug = [list(row) + [1 if t == u else 0 for t in range(d)] for u, row in enumerate(P)]
+    if len(_row_reduce(aug, d, q)) < d:
+        return None
+    return [row[d:] for row in aug]
+
+
+def _product(X, Y, q):
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*Y)] for row in X]
+
+
+def _random_square(rng, d, q, kind):
+    """A random matrix, or one similar to a diagonal matrix with few distinct
+    eigenvalues, or to one with a 2 x 2 Jordan block."""
+    if kind == "plain":
+        return [[rng.randrange(q) for _ in range(d)] for _ in range(d)]
+    values = [rng.randrange(q) for _ in range(3)]
+    D = [[rng.choice(values) if t == u else 0 for t in range(d)] for u in range(d)]
+    if kind == "jordan" and d > 1:
+        D[1][1] = D[0][0]
+        D[0][1] = 1
+    while (P_inv := _inverse(P := [[rng.randrange(q) for _ in range(d)]
+                                   for _ in range(d)], q)) is None:
+        pass
+    return _product(_product(P, D, q), P_inv, q)
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_charpoly_roots_are_the_eigenvalues(q):
+    rng = random.Random(1000 + q)
+    for d in (1, 2, q - 1, q, q + 2):
+        identity = [[1 if t == u else 0 for t in range(d)] for u in range(d)]
+        for kind in ("plain", "diagonal", "jordan"):
+            for _ in range(3):
+                A = _random_square(rng, d, q, kind)
+                poly = _charpoly(A, q)
+                assert len(poly) == d + 1 and poly[0] == 1
+                roots = [lam for lam in range(q) if _evaluate(poly, lam, q) == 0]
+                assert roots == [lam for lam in range(q) if _nullspace(
+                    [[(A[u][t] - (lam if u == t else 0)) % q for t in range(d)]
+                     for u in range(d)], q)]
+                # Cayley-Hamilton: p(A) = 0, by Horner's rule on matrices
+                value = [[0] * d for _ in range(d)]
+                for c in poly:
+                    value = _product(value, A, q)
+                    value = [[(x + c * e) % q for x, e in zip(row, unit)]
+                             for row, unit in zip(value, identity)]
+                assert not any(map(any, value))
+                # the q-scan and the roots split the whole space alike
+                B = [list(row) for row in identity]
+                outcomes = []
+                for split in (_split_invariant_subspace, reference_split):
+                    try:
+                        outcomes.append(split(A, B, q))
+                    except InternalError as exc:
+                        outcomes.append(exc.name)
+                assert outcomes[0] == outcomes[1]
+                if kind == "diagonal":
+                    assert outcomes[0] != "chars.diagonalizable"
+                elif kind == "jordan" and d > 1:
+                    assert outcomes[0] == "chars.diagonalizable"

@@ -337,6 +337,17 @@ def test_normalizer_checks_the_subgroup_without_perm_products(monkeypatch):
     assert products[0] == 0
 
 
+def test_normalizer_reduces_the_subgroup_generators_once(monkeypatch):
+    # the subgroup check hands its reduced generators on to the walk
+    G = symmetric_group(5)
+    subs = [alternating_group(5).elements, G.elements, [G.identity, Perm([1, 0, 2, 3, 4])]]
+    reductions = _count_calls(monkeypatch, stacky.perms, "reduce_generators")
+    orders = [normalizer(G, sub).order for sub in subs]
+    monkeypatch.undo()
+    assert orders == [120, 120, 12]
+    assert reductions[0] == len(subs)
+
+
 def test_normalizer_names_the_first_subgroup_axiom_that_fails():
     G = symmetric_group(3)
     # every inverse is checked before closure: (0 1 2) lacks its inverse, and

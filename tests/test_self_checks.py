@@ -108,9 +108,20 @@ def c4_generator_claims_order_2(c: ConjugacyClass) -> ConjugacyClass:
     return ConjugacyClass(c.representative, c.members, 2) if c.order == 4 else c
 
 
-def central_class_listed_twice(c: ConjugacyClass) -> ConjugacyClass:
-    # in Q8 only -1 is central and of order 2
-    return ConjugacyClass(c.representative, c.members * 2, 2) if c.order == 2 else c
+def first_class_listed_twice(monkeypatch) -> None:
+    wrap(monkeypatch, chars, "conjugacy_classes", lambda classes, G: classes[:1] + classes)
+
+
+def two_classes_merged(monkeypatch) -> None:
+    # Q8 with the classes of i and j listed as one: still a partition of the
+    # group into unions of classes, but the eigenvalues of chi_i and chi_j
+    # coincide there, and their joint row gives d^2 = 2
+    def merge(classes, G):
+        first, second = classes[2:4]
+        return classes[:2] + (ConjugacyClass(first.representative,
+                                             first.members + second.members, 4),) + classes[4:]
+
+    wrap(monkeypatch, chars, "conjugacy_classes", merge)
 
 
 def scaled(x: Correspondence, factor: int) -> Correspondence:
@@ -207,8 +218,14 @@ CASES: dict[str, Case] = {
         lambda: character_table(symmetric_group(3)),
         "joint eigenvector verification failed",
         GROUP_CHARS, group_doc(symmetric_group(3))),
+    "chars.class_partition": Case(
+        # the identity class of A4 listed twice: its one element lies in two classes
+        first_class_listed_twice,
+        lambda: character_table(alternating_group(4)),
+        "the listed classes do not partition the group",
+        GROUP_CHARS, group_doc(alternating_group(4))),
     "chars.degree_found": Case(
-        retagged_classes(central_class_listed_twice),
+        two_classes_merged,
         lambda: character_table(quaternion_group()),
         "could not identify a character degree",
         GROUP_CHARS, group_doc(quaternion_group())),
