@@ -384,7 +384,7 @@ def _split_invariant_subspace(M, B, q) -> list[list[list[int]]]:
     by increasing eigenvalue: the roots in 0..q-1 of the characteristic
     polynomial of M on the subspace, each evaluated by Horner's rule."""
     d = len(B)
-    A = _coords_in_basis(B, [_matvec(M, b, q) for b in B], q)  # columns: the images
+    A = _coords_in_basis(B, [_matvec(M, b, q) for b in B], q)  # column s: M b_s in basis B
     poly, grouped, found = _charpoly(A, q), [], 0
     for lam in range(q):
         value = 0
@@ -431,7 +431,7 @@ def _charpoly(A, q) -> list[int]:
             f = H[i][m] * sub % q
             for t, c in enumerate(p[i]):
                 nxt[t] -= f * c
-            sub = sub * H[i][i - 1] % q
+            sub = sub * H[i][i - 1] % q if i else 0
         p.append([c % q for c in nxt])
     return p[d][::-1]
 
