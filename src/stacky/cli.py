@@ -121,8 +121,7 @@ def _parse_perm(obj: Any, path: str, degree: int) -> Perm:
     arr = _get_list(obj, path)
     _expect(len(arr) == degree, path, f"expected {degree} entries, got {len(arr)}")
     for i, x in enumerate(arr):
-        _expect(isinstance(x, int) and not isinstance(x, bool), f"{path}[{i}]",
-                "expected an integer")
+        _get_int(x, f"{path}[{i}]")
         _expect(0 <= x < degree, f"{path}[{i}]", f"index {x} out of range 0..{degree - 1}")
     try:
         return Perm(arr)
@@ -158,9 +157,7 @@ def motive_from_json(obj: Any, path: str) -> Motive:
         tpath = f"{path}[{i}]"
         spec = _get_dict(term, tpath)
         atom = atom_from_json(spec.get("atom"), f"{tpath}.atom")
-        twist = spec.get("twist", 0)
-        _expect(isinstance(twist, int) and not isinstance(twist, bool),
-                f"{tpath}.twist", "expected an integer")
+        twist = _get_int(spec.get("twist", 0), f"{tpath}.twist")
         mult = _get_int(spec.get("mult", 1), f"{tpath}.mult", minimum=1)
         terms.append((atom, twist, mult))
     return Motive.of(terms)
@@ -292,7 +289,9 @@ def load_document(path: str) -> InputDocument:
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, a file that is not UTF-8, an integer literal past the
+    # digit limit (ValueError) or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return parse_document(raw)
 

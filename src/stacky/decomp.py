@@ -107,9 +107,9 @@ class InertiaComponent:
 
 
 def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
-                            ) -> tuple[tuple[int, ...], dict[Perm, Perm]]:
+                            ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Fixed cells of the class representative subgroup plus the action of
-    every normalizer element on them (local cell indices)."""
+    every normalizer element on them (local cell indices), in normalizer order."""
     if c.order == 1:
         # the trivial class sees the ambient cells with the full action
         return X.dims, X.element_actions
@@ -118,16 +118,15 @@ def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
     # point model's are computed on first use, from image tuples, and kept
     key = frozenset(c.subgroup_elements)
     if X.kind == "hset" and key not in X.locus_actions:
-        fixed = tuple(p for p, q in enumerate(X.action_of(c.generator).images) if p == q)
-        pos, N = {p: i for i, p in enumerate(fixed)}, c.normalizer.elements
-        imgs = [tuple(map(pos.__getitem__, map(X.element_actions[n].images.__getitem__, fixed)))
-                for n in N]
-        perm_of = {t: Perm._trusted(t) for t in set(imgs)}  # one per distinct action
-        X.locus_actions[key] = (FixedLocus(c.generator, (0,) * len(fixed)),
-                                dict(zip(N, map(perm_of.__getitem__, imgs))))
+        rows, index = X.element_actions, X.group.index
+        fixed = tuple(p for p, q in enumerate(rows[index[c.generator]]) if p == q)
+        pos = {p: i for i, p in enumerate(fixed)}
+        X.locus_actions[key] = (FixedLocus(c.generator, (0,) * len(fixed)), tuple(
+            tuple(map(pos.__getitem__, map(rows[index[n]].__getitem__, fixed)))
+            for n in c.normalizer.elements))
     locus = X.locus_actions.get(key)
     if locus is None:
-        return (), {n: Perm(()) for n in c.normalizer.elements}
+        return (), ((),) * c.normalizer.order
     return locus[0].dims, locus[1]
 
 
@@ -164,7 +163,8 @@ def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
             seen.add(class_of[h])
             # C(h) lies in N(<h>), so the normalizer's action restricts to it
             Z = centralizer(G, h)
-            out.append(InertiaComponent(h, Z, EquivariantModel._restricted(Z, dims, action)))
+            rows = tuple(action[c.normalizer.index[z]] for z in Z.elements)
+            out.append(InertiaComponent(h, Z, EquivariantModel._restricted(Z, dims, rows)))
     return tuple(out)
 
 
@@ -202,7 +202,7 @@ def _component_ranks(comp: CyclotomicInertiaComponent) -> dict[int, int]:
     model = comp.fixed_model
     elems = model.group.elements
     k = comp.chars.size
-    pairs = [(model.element_actions[n].images, comp.chars.image_row(n)) for n in elems]
+    pairs = list(zip(model.element_actions, map(comp.chars.image_row, elems)))
     out = {}
     for d, cells in sorted(model.cells_of_dim().items()):
         pos = {cell: i for i, cell in enumerate(cells)}
@@ -230,10 +230,10 @@ def inertia_ranks_by_twist(X: EquivariantModel, p: int = 0) -> dict[int, int]:
     for comp in inertia(X, p):
         model = comp.fixed_model
         elems = model.group.elements
-        imgs = [model.element_actions[z].images for z in elems]
         for d, cells in model.cells_of_dim().items():
             pos = {cell: i for i, cell in enumerate(cells)}
-            count = _count_orbits(elems, [[pos[img[c]] for c in cells] for img in imgs])
+            count = _count_orbits(elems, [[pos[img[c]] for c in cells]
+                                          for img in model.element_actions])
             out[d] = out.get(d, 0) + count
     return {d: r for d, r in out.items() if r}
 
@@ -312,9 +312,10 @@ class CharacterOrbitSet:
         return len(self.elements)
 
 
-def _automorphism_map(H: FiniteGroup, images: Sequence[Perm]) -> dict[Perm, Perm]:
-    """Extend generator images to an automorphism of H, fully verified: the
-    extension is checked at every element and generator, then for bijectivity."""
+def _automorphism_map(H: FiniteGroup, images: Sequence[Perm]) -> tuple[int, ...]:
+    """The automorphism phi of H extending generator images, as the row
+    i -> index of phi(e_i), fully verified: the extension is checked at every
+    element and generator, then for bijectivity."""
     if len(images) != len(H.generators):
         raise NotAnAutomorphismError(
             f"expected {len(H.generators)} generator images, got {len(images)}")
@@ -322,12 +323,12 @@ def _automorphism_map(H: FiniteGroup, images: Sequence[Perm]) -> dict[Perm, Perm
         if img not in H:
             raise NotAnAutomorphismError("generator image is not a group element")
     try:
-        phi = extend_action(H, images, H.degree)
+        row = tuple(map(H._by_images.__getitem__, extend_action(H, images, H.degree)))
     except InconsistentActionError as exc:
         raise NotAnAutomorphismError(str(exc)) from exc
-    if len(set(phi.values())) != H.order:
+    if len(set(row)) != H.order:
         raise NotAnAutomorphismError("images define a non-bijective endomorphism")
-    return phi
+    return row
 
 
 def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
@@ -337,7 +338,6 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
     are element-index sets with their powers as index tuples; conjugation by a
     generator and each monodromy alike are rows i -> index of the image of e_i.
     """
-    index = H.index
     subs = {frozenset(pw): pw for pw in dict.fromkeys(H._cyclic_subgroups.values())
             if p == 0 or math.gcd(len(pw), p) == 1}
 
@@ -370,11 +370,10 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
 
     aut_perms = []
     for images in monodromy:
-        phi = _automorphism_map(H, tuple(images))
-        row = tuple(index[phi[x]] for x in H.elements)
+        row = _automorphism_map(H, tuple(images))
         aut_perms.append(Perm([orbit_index[move(pair, row)] for pair in orbits]))
 
-    distinguished = orbit_index[(frozenset([index[H.identity]]), 0)]
+    distinguished = orbit_index[(frozenset([H.index[H.identity]]), 0)]
     check("decomp.trivial_pair_fixed", all(a(distinguished) == distinguished for a in aut_perms),
           "an automorphism moved the trivial pair")
 

@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 from ._record import field, record
 from .errors import InconsistentActionError, NonBijectionError, OpaqueTensorError
-from .perms import (FiniteGroup, Perm, Subgroup, _compose, _count_orbits, canonical_conjugate,
-                    cyclic_subgroup_classes, orbit, powers)
+from .perms import (FiniteGroup, Perm, Subgroup, _compose, _count_orbits,
+                    cyclic_subgroup_classes, generate_group)
 
 
 @record
@@ -222,7 +222,7 @@ class EquivariantModel:
     """A finite point set or graded cell list with a group action.
 
     The generator images are verified to extend to an action of the whole
-    group; the per-element cell permutations are precomputed.  For "hset"
+    group; the action of every element is precomputed (see extend_action).  For "hset"
     models fixed loci are computed from the points; "cells" models carry
     declared fixed loci (see FixedLocus).
     """
@@ -256,22 +256,23 @@ class EquivariantModel:
                     raise InconsistentActionError(
                         f"generator image {i} moves cell {cell} across dimensions")
         self.element_actions = extend_action(group, self.generator_images, n)
-        # per declared locus, keyed by its subgroup's canonical conjugate
-        self.locus_actions: dict[frozenset[Perm], tuple[FixedLocus, dict[Perm, Perm]]] = {}
+        # per declared locus, keyed by its class's subgroup: rows aligned with its normalizer
+        self.locus_actions: dict[frozenset[Perm],
+                                 tuple[FixedLocus, tuple[tuple[int, ...], ...]]] = {}
         for locus in self.fixed_loci:
             self._validate_locus(locus)
 
     @classmethod
     def _restricted(cls, group: Subgroup, dims: Sequence[int],
-                    actions: dict[Perm, Perm]) -> "EquivariantModel":
-        """A cell model of ``group`` acting through ``actions``, unchecked: only
-        for restricting an action already verified on a parent model to a
-        subgroup preserving the cells.  ``actions`` is not copied."""
+                    rows: tuple[tuple[int, ...], ...]) -> "EquivariantModel":
+        """A cell model of ``group`` acting through ``rows`` (aligned with its
+        elements), unchecked: only for restricting an action already verified on
+        a parent model to a subgroup preserving the cells.  ``rows`` is not copied."""
         X = object.__new__(cls)
         X.group = group
         X.kind = "cells"
         X.dims = tuple(dims)
-        X.element_actions = actions
+        X.element_actions = rows
         X.generator_images, X.fixed_loci, X.locus_actions = (), (), {}
         return X
 
@@ -284,18 +285,19 @@ class EquivariantModel:
             raise ValueError("fixed-locus generator is not a group element")
         if g.is_identity():
             raise ValueError("the ambient cells already model the trivial locus")
-        sub = powers(g)
-        key = canonical_conjugate(G, sub)
+        cyclic_subgroup_classes(G)  # fills the subgroup -> class map
+        sub = G._cyclic_subgroups[G.index[g]]
+        c = G._class_of_subgroup[sub]
+        key = frozenset(c.subgroup_elements)
         if key in self.locus_actions:
             raise ValueError("two fixed loci declare conjugate subgroups")
-        c = next(c for c in cyclic_subgroup_classes(G) if frozenset(c.subgroup_elements) == key)
-        # x maps the declared subgroup onto the canonical one as soon as it maps
-        # g into it (both are cyclic of one order), so n in the canonical
-        # normalizer acts on the declared cells as x^-1 n x does
-        x = next(x for x in G.elements if x * g * x.inverse() in key)
+        # x maps the declared subgroup onto the canonical one <g0> as soon as
+        # x^-1 g0 x lies in <g> (both are cyclic of one order), so n in the
+        # canonical normalizer acts on the declared cells as x^-1 n x does
+        x = next(x for x, y in zip(G.elements, G._conjugates(G.index[c.generator])) if y in sub)
         xinv = x.inverse()
-        declared = {n: xinv * n * x for n in c.normalizer.elements}
-        N = sorted(declared.values())  # the declared subgroup's normalizer
+        declared = [xinv * n * x for n in c.normalizer.elements]
+        N = sorted(declared)  # the declared subgroup's normalizer
         n_loc = len(locus.dims)
         if len(locus.action_generators) != len(locus.action_images):
             raise InconsistentActionError("locus action generators and images differ in count")
@@ -305,31 +307,32 @@ class EquivariantModel:
             for cell in range(n_loc):
                 if locus.dims[img(cell)] != locus.dims[cell]:
                     raise InconsistentActionError("locus action moves a cell across dimensions")
+        ident = tuple(range(n_loc))
         if locus.action_generators:
             for a in locus.action_generators:
                 if a not in N:
                     raise InconsistentActionError(
                         f"{a.cycle_string()} does not normalize the locus subgroup")
-            H = FiniteGroup(G.degree, tuple(locus.action_generators), tuple(N),
-                            orbit([G.identity], locus.action_generators, Perm.__mul__))
-            if set(H.words) != set(N):
+            H = generate_group(G.degree, locus.action_generators)
+            if H.elements != tuple(N):
                 raise InconsistentActionError(
                     "generators do not generate the expected element set")
             act = extend_action(H, locus.action_images, n_loc)
+            rows = tuple(act[H.index[d]] for d in declared)
         else:
-            act = dict.fromkeys(N, Perm.identity(n_loc))
-        for y in sub:
-            if not act[y].is_identity():
-                raise InconsistentActionError(
-                    "the fixing subgroup must act trivially on its own fixed cells")
-        self.locus_actions[key] = (locus, {n: act[declared[n]] for n in c.normalizer.elements})
+            rows = (ident,) * len(declared)
+        # the declared subgroup is x^-1 <g0> x, so it acts at the positions of <g0>
+        if any(rows[c.normalizer.index[y]] != ident for y in c.subgroup_elements):
+            raise InconsistentActionError(
+                "the fixing subgroup must act trivially on its own fixed cells")
+        self.locus_actions[key] = (locus, rows)
 
     @property
     def size(self) -> int:
         return len(self.dims)
 
     def action_of(self, g: Perm) -> Perm:
-        return self.element_actions[g]
+        return Perm._trusted(self.element_actions[self.group.index[g]])
 
     def cells_of_dim(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
@@ -348,9 +351,12 @@ class EquivariantModel:
         return cls.hset(group, 1, [Perm([0])] * len(group.generators))
 
 
-def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int) -> dict[Perm, Perm]:
+def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int
+                  ) -> tuple[tuple[int, ...], ...]:
     """Extend generator images to every element of the group, verifying the
     extension is a group homomorphism (raises InconsistentActionError otherwise).
+    The result is stacky's one format of a group action on cells: a tuple of
+    image tuples, the i-th the action of ``group.elements[i]``.
 
     Along the word tree, each element acts as its parent composed with one
     generator image; then act(x s) = act(x) img_s is checked at every element,
@@ -369,7 +375,7 @@ def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int) -> di
             if acts[row[i]] != tuple(map(fx.__getitem__, img)):
                 raise InconsistentActionError(
                     f"images do not extend to a group action at {x.cycle_string()}")
-    return {x: Perm._trusted(fx) for x, fx in zip(group.elements, acts)}
+    return tuple(acts)
 
 
 @record
@@ -424,5 +430,5 @@ def model_motive(X: EquivariantModel) -> MotiveAction:
         pos = {c: i for i, c in enumerate(cells)}
         # restrictions of the verified action to the cells of one dimension
         slots.append(tuple(Perm._trusted(tuple(map(pos.__getitem__, map(img.__getitem__, cells))))
-                           for img in (X.action_of(g).images for g in X.group.elements)))
+                           for img in X.element_actions))
     return MotiveAction(motive, X.group, tuple(slots))

@@ -151,6 +151,8 @@ class FiniteGroup:
         self._by_images = {g.images: i for i, g in enumerate(elements)}
         self._conjugacy_classes: tuple[ConjugacyClass, ...] | None = None
         self._cyclic_classes: tuple[CyclicClass, ...] | None = None
+        # each cyclic subgroup, as _cyclic_subgroups gives it, to its class
+        self._class_of_subgroup: dict[tuple[int, ...], CyclicClass] = {}
 
     @property
     def order(self) -> int:
@@ -333,20 +335,6 @@ def powers(g: Perm) -> tuple[Perm, ...]:
     return tuple(map(Perm._trusted, _power_images(g.images)))
 
 
-def canonical_conjugate(G: FiniteGroup, sub: Iterable[Perm]) -> frozenset[Perm]:
-    """The least conjugate of a subgroup by its sorted image tuples: one
-    canonical representative, and so a key, for its conjugacy class.  Sorted
-    indices order the conjugates as image tuples do; outside G, Perms are conjugated."""
-    s = frozenset(sub)
-    if all(x in G.index for x in s):
-        rows = G._conjugation_rows
-        conj = orbit([frozenset(map(G.index.__getitem__, s))], rows,
-                     lambda t, row: frozenset(map(row.__getitem__, t)))
-        return frozenset(map(G.elements.__getitem__, min(conj, key=sorted)))
-    conj = orbit([s], G.generators, lambda t, g: frozenset(g * x * g.inverse() for x in t))
-    return min(conj, key=lambda t: sorted(x.images for x in t))
-
-
 def generate_group(degree: int, generators: Sequence[Perm], *,
                    element_cap: int = DEFAULT_ELEMENT_CAP,
                    degree_cap: int = DEFAULT_DEGREE_CAP) -> FiniteGroup:
@@ -431,23 +419,23 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     """
     check_characteristic(p)
     if G._cyclic_classes is None:
-        subs, seen, classes = G._cyclic_subgroups, set(), []
+        subs, class_of, classes = G._cyclic_subgroups, {}, []
         # element-index sets sort as their sorted image tuples do
         for pw in sorted(dict.fromkeys(subs.values()), key=sorted):
-            if pw in seen:
+            if pw in class_of:
                 continue
             m = len(pw)
             # visited in key order, so the first one not yet seen is the least of its
             # conjugacy class; c[i] = e_i^-1 g e_i for the least generator g generates
             # a conjugate, and is g^a for e_i in the normalizer (a = 1 if m = 1)
             c = G._conjugates(pw[1 % m])
-            seen.update(map(subs.__getitem__, c))
             a_of = {pw[k % m]: k for k in range(1, m + 1) if math.gcd(k, m) == 1}
             exps = {G.elements[i]: a_of[x] for i, x in enumerate(c) if x in a_of}
             pw = tuple(map(G.elements.__getitem__, pw))
             classes.append(CyclicClass(pw[1 % m], m, pw, Subgroup(G, tuple(exps)), exps))
+            class_of.update(dict.fromkeys(map(subs.__getitem__, c), classes[-1]))
         classes.sort(key=lambda c: (c.order, c.generator.images))
-        G._cyclic_classes = tuple(classes)
+        G._cyclic_classes, G._class_of_subgroup = tuple(classes), class_of
     return tuple(c for c in G._cyclic_classes if p == 0 or c.order % p != 0)
 
 

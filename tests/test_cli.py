@@ -268,14 +268,54 @@ def test_64_bit_prime_characteristic_is_checked_at_once(capsys):
     assert captured.err == "error: characteristic 18446744073709551629 is not below 2^64\n"
 
 
-@pytest.mark.parametrize("value", [False, True])
-def test_boolean_characteristic_is_rejected(capsys, tmp_path, value):
-    doc = tmp_path / "bool.json"
-    doc.write_text(json.dumps({**S3_DOC, "characteristic": value}), encoding="utf-8")
-    assert main(["motive", "quotient", "--input", str(doc), "--format", "json"]) == 2
+def _with_generator_entry(value):
+    return {**S3_DOC, "group": {"degree": 3, "generators": [[1, 0, 2], [value, 2, 0]]}}
+
+
+def _with_base_twist(value):
+    return {"group": S3_DOC["group"],
+            "gerbe": {"base": [{"atom": {"kind": "unit"}, "twist": value}]}}
+
+
+# a boolean or a float where an integer belongs; the characteristic cases keep
+# their ids
+@pytest.mark.parametrize("doc,message", [
+    pytest.param({**S3_DOC, "characteristic": value},
+                 "characteristic: expected a nonnegative integer", id=str(value))
+    for value in (False, True)
+] + [
+    pytest.param(make(value), f"{path}: expected an integer", id=f"{name}-{value}")
+    for name, make, path in (("perm", _with_generator_entry, "group.generators[1][0]"),
+                             ("twist", _with_base_twist, "gerbe.base[0].twist"))
+    for value in (True, 1.0)
+])
+def test_boolean_characteristic_is_rejected(capsys, tmp_path, doc, message):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["motive", "quotient", "--input", str(path), "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: characteristic: expected a nonnegative integer\n"
+    assert captured.err == f"error: {message}\n"
+
+
+# nesting past the recursion limit, an integer literal past the digit limit,
+# and bytes that are not UTF-8
+UNREADABLE_JSON = {
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+    "digits": b'{"characteristic": ' + b"7" * 5000 + b"}",
+    "latin1": b'{"group": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE_JSON)
+def test_unreadable_json_is_a_parse_error(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE_JSON[name])
+    assert main(["group", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not valid JSON: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_exit_code_3_on_internal_error(capsys, monkeypatch):

@@ -345,13 +345,20 @@ def test_declared_locus_action_must_cover_normalizer():
                          fixed_loci=[FixedLocus(cycle, (0, 0),
                                                 action_generators=(cycle,),
                                                 action_images=(Perm.identity(2),))])
-    # the fixing subgroup itself must act trivially on the locus cells
+    # these images are no action of S3 (the cycle cannot act as a swap)
     with pytest.raises(InconsistentActionError):
         EquivariantModel(S3, (0, 1), [Perm.identity(2)] * 2, kind="cells",
                          fixed_loci=[FixedLocus(cycle, (0, 0),
                                                 action_generators=(swap, cycle),
                                                 action_images=(Perm([1, 0]),
                                                                Perm([1, 0])))])
+    # the fixing subgroup itself must act trivially on the locus cells: <(0 1)>
+    # is its own normalizer and a swap of the two cells is an action of it
+    with pytest.raises(InconsistentActionError,
+                       match="^the fixing subgroup must act trivially on its own fixed cells$"):
+        EquivariantModel(S3, (0, 1), [Perm.identity(2)] * 2, kind="cells",
+                         fixed_loci=[FixedLocus(swap, (0, 0), action_generators=(swap,),
+                                                action_images=(Perm([1, 0]),))])
 
 
 def test_duplicate_locus_rejected():
@@ -374,11 +381,16 @@ def test_noncanonical_locus_action_is_keyed_by_the_canonical_normalizer():
     X = load_document(str(NONCANONICAL_DOC)).model
     classes = {frozenset(c.subgroup_elements): c for c in cyclic_subgroup_classes(X.group, 0)}
     assert len(X.locus_actions) == 2
-    for key, (locus, act) in X.locus_actions.items():
+    for key, (locus, rows) in X.locus_actions.items():
         assert locus.generator not in key
         N = classes[key].normalizer
-        assert tuple(act) == N.elements
+        assert len(rows) == N.order
+        act = {n: Perm(row) for n, row in zip(N.elements, rows)}
         assert all(act[a * b] == act[a] * act[b] for a in N.elements for b in N.elements)
+    # the same actions the loci stored as Perm-keyed dicts, as rows in normalizer order
+    assert [rows for _, rows in X.locus_actions.values()] == [
+        ((0, 1, 2), (0, 1, 2), (1, 0, 2), (1, 0, 2)),
+        ((0, 1), (1, 0), (1, 0), (0, 1), (0, 1), (1, 0))]
 
 
 def test_inertia_routes_form_no_perm_products(monkeypatch):
@@ -418,6 +430,24 @@ def test_inertia_routes_form_no_perm_products(monkeypatch):
     assert powers == 0
 
 
+def _count_perms_made(monkeypatch) -> list[int]:
+    """Count calls of both Perm constructors from here on, in a one-item list."""
+    made = [0]
+    init, trusted = Perm.__init__, Perm._trusted.__func__
+
+    def counting_init(self, images):
+        made[0] += 1
+        init(self, images)
+
+    def counting_trusted(cls, images):
+        made[0] += 1
+        return trusted(cls, images)
+
+    monkeypatch.setattr(Perm, "__init__", counting_init)
+    monkeypatch.setattr(Perm, "_trusted", classmethod(counting_trusted))
+    return made
+
+
 def test_point_model_loci_are_built_once(monkeypatch):
     # a point model keeps the fixed loci of its classes, so the second route
     # and a second call read them without constructing a Perm
@@ -427,25 +457,31 @@ def test_point_model_loci_are_built_once(monkeypatch):
                 for c in components]
 
     first = parts(inertia(X))
-    made = 0
-    init, trusted = Perm.__init__, Perm._trusted.__func__
-
-    def counting_init(self, images):
-        nonlocal made
-        made += 1
-        init(self, images)
-
-    def counting_trusted(cls, images):
-        nonlocal made
-        made += 1
-        return trusted(cls, images)
-
-    monkeypatch.setattr(Perm, "__init__", counting_init)
-    monkeypatch.setattr(Perm, "_trusted", classmethod(counting_trusted))
+    made = _count_perms_made(monkeypatch)
     assert parts(inertia(X)) == first
     cyclotomic_inertia(X)
     monkeypatch.undo()
-    assert made == 0
+    assert made == [0]
+
+
+def test_point_model_and_its_components_build_no_perm(monkeypatch):
+    # actions are rows aligned with the element list from extension to the
+    # component models, so with the group caches warm neither building a
+    # point model nor any inertia route constructs a Perm
+    S5 = symmetric_group(5)
+    EquivariantModel.hset(S5, 5, S5.generators)  # warms the rows and the word tree
+    cyclic_subgroup_classes(S5, 0)
+    conjugacy_classes(S5)
+    made = _count_perms_made(monkeypatch)
+    X = EquivariantModel.hset(S5, 5, S5.generators)
+    for p in (0, 2, 3):
+        cyclotomic_inertia(X, p)
+        inertia(X, p)
+        inertia_ranks_by_twist(X, p)
+        refined = inertial_quotient_motive(X, p)
+    monkeypatch.undo()
+    assert made == [0]
+    assert refined.ranks_by_twist() == inertia_ranks_by_twist(X, 3)
 
 
 def test_inertia_dimension_second_route_ignores_the_exponents():

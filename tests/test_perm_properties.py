@@ -16,7 +16,6 @@ import oracles
 from stacky.errors import GroupTooLargeError, NonBijectionError, NotASubgroupError
 from stacky.perms import (
     Perm,
-    canonical_conjugate,
     conjugacy_classes,
     cyclic_subgroup_classes,
     generate_group,
@@ -116,15 +115,22 @@ def test_cyclic_subgroup_classes_match_the_oracle(group):
 
 
 def test_canonical_conjugate_is_the_least_of_the_class(group):
+    # every cyclic subgroup maps to the class whose subgroup is its least
+    # conjugate by sorted image tuples, and each class's subgroup to the class
     G, elems = group
-    by_images = {g.images: g for g in G.elements}
-    for cls in oracles.subgroup_conj_classes(elems, oracles.cyclic_subgroups(elems)):
-        least = min(cls, key=sorted)
-        for sub in cls:
-            canon = canonical_conjugate(G, [by_images[t] for t in sub])
-            assert frozenset(x.images for x in canon) == least
-    for c in cyclic_subgroup_classes(G, 0):
-        assert canonical_conjugate(G, c.subgroup_elements) == frozenset(c.subgroup_elements)
+    classes = cyclic_subgroup_classes(G, 0)
+    least = {sub: min(cls, key=sorted)
+             for cls in oracles.subgroup_conj_classes(elems, oracles.cyclic_subgroups(elems))
+             for sub in cls}
+    subs = set(G._cyclic_subgroups.values())
+    assert set(G._class_of_subgroup) == subs
+    assert {frozenset(G.elements[i].images for i in pw) for pw in subs} == set(least)
+    for pw in subs:
+        c = G._class_of_subgroup[pw]
+        canon = frozenset(x.images for x in c.subgroup_elements)
+        assert canon == least[frozenset(G.elements[i].images for i in pw)]
+    for c in classes:
+        assert G._class_of_subgroup[G._cyclic_subgroups[G.index[c.generator]]] is c
 
 
 def test_normalizer_orders_match_an_all_pairs_scan(group):
