@@ -12,17 +12,21 @@ fixed element theta of order exp(G) in F_q.  Abelian groups take a direct
 fast path.  Every produced table is verified against the orthogonality
 identity X diag(|C|) conj(X)^T = |G| I before it is returned.
 
-Inner products, the orthogonality check and the representation-ring
-constants run on the integer kernel of stacky.cyclo: a table's rows are
-converted once, and kept with it, to integer exponent vectors over zeta_e;
-conjugation negates exponents, and each inner product is reduced modulo
-Phi_e and divided by |G| once.  Rows stay Cyclotomic values.
+Inner products and the orthogonality check run on the integer kernel of
+stacky.cyclo: a table's rows are converted once, and kept with it, to integer
+exponent vectors over zeta_e; conjugation negates exponents, and each inner
+product is reduced modulo Phi_e and divided by |G| once.  Rows stay Cyclotomic
+values.  One table is kept per group, as group-free parts stored on it.  Ring
+constants of such a verified table come mod a prime q = 1 mod e, q > 2|G|, and
+are checked by the exact pointwise identity chi_i chi_j = sum_k n_k chi_k on
+every class; a table built by hand, or a pair that fails, takes exact pairings.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -81,9 +85,20 @@ class RepresentationRing:
 
 def character_table(G: FiniteGroup, *, cap: int = DEFAULT_ELEMENT_CAP) -> CharacterTable:
     """The full character table, rows canonically ordered (trivial row first,
-    the rest by degree then by lexicographic value tuple)."""
+    the rest by degree then by lexicographic value tuple), built once per group."""
     if G.order > cap:
         raise GroupTooLargeError(f"group order {G.order} exceeds cap {cap}")
+    parts = G._table_parts or _table_parts(G)
+    table = CharacterTable(G, *parts[:3])
+    object.__setattr__(table, "kernel", parts[3])  # its rows, in table order
+    if G._table_parts is None:
+        _verify_table(table)
+        G._table_parts = parts
+    return table
+
+
+def _table_parts(G: FiniteGroup) -> tuple:
+    """(classes, rows, degrees, kernel) of G's table, before verification."""
     classes = conjugacy_classes(G)
     raw_rows = (_abelian_characters if G.is_abelian() else _prime_field_characters)(G, classes)
 
@@ -109,10 +124,7 @@ def character_table(G: FiniteGroup, *, cap: int = DEFAULT_ELEMENT_CAP) -> Charac
     rows = tuple(tuple(decorated[i][1]) for i in order)
     degrees = tuple(decorated[i][0] for i in order)
     K.vecs, K.conductors = [K.vecs[i] for i in order], [K.conductors[i] for i in order]
-    table = CharacterTable(G, classes, rows, degrees)
-    object.__setattr__(table, "kernel", K)  # its rows, now in table order
-    _verify_table(table)
-    return table
+    return classes, rows, degrees, K
 
 
 def inner_product(T: CharacterTable, phi: ClassFunction, psi: ClassFunction) -> Fraction:
@@ -129,11 +141,17 @@ def inner_product(T: CharacterTable, phi: ClassFunction, psi: ClassFunction) -> 
 
 
 def rep_ring(T: CharacterTable) -> RepresentationRing:
-    """Structure constants of the representation ring, fully verified."""
-    r = T.rank
-    K = T.kernel or _KernelRows(T.rows)
-    sizes = [c.size for c in T.classes]
-    e, den, order = K.conductor, K.den, T.group.order
+    """Structure constants of the representation ring, fully verified: mod q on
+    a table character_table built, else (and where that fails) by exact pairings."""
+    r, K, d = T.rank, T.kernel or _KernelRows(T.rows), T.degrees
+    e, den, order, sizes = K.conductor, K.den, T.group.order, [c.size for c in T.classes]
+    q = _choose_prime(e, order * order)  # q > 2|G| > every d_i d_j
+    if mod_q := T.kernel is not None and den % q != 0:
+        theta, unit, per_g = _element_of_order(q, e), pow(den, -1, q), pow(order, -1, q)
+        th = [pow(theta, a, q) * unit % q for a in range(e)]  # zeta_e^a / den
+        val = [[sum(u * th[a] for a, u in x) % q for x in row] for row in K.vecs]
+        bar = [[sum(u * th[-a] for a, u in x) * s * per_g % q for x, s in zip(row, sizes)]
+               for row in K.vecs]  # |C| conj(chi) / |G|
     constants = [[()] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
@@ -146,27 +164,33 @@ def rep_ring(T: CharacterTable) -> RepresentationRing:
                         k = (a + b) % e
                         terms[k] = terms.get(k, 0) + u * w
                 prod.append(tuple(terms.items()))
-            coeffs = []
-            for k in range(r):
-                acc = _pairing(sizes, prod, K.vecs[k], e)
-                n = _rational_value(acc, e, order * den ** 3,
-                                    math.lcm(K.conductors[i], K.conductors[j], K.conductors[k]))
-                if n.denominator != 1 or n < 0:
-                    raise NonIntegralConstantError(
-                        f"constant for ({i},{j},{k}) is {n}, not a nonnegative integer")
-                coeffs.append(int(n))
-            # pointwise identity chi_i * chi_j = sum_k n_k chi_k on every class
-            for c in range(len(T.classes)):
-                diff = list(prod[c])
+            p = mod_q and [x * y for x, y in zip(val[i], val[j])]
+            coeffs = p and [sum(map(operator.mul, p, b)) % q for b in bar]
+            if (not coeffs or any(n * dk > d[i] * d[j] for n, dk in zip(coeffs, d))
+                    or _first_miss(prod, coeffs, K) is not None):
+                coeffs = []
                 for k in range(r):
-                    if coeffs[k]:
-                        diff.extend((a, -den * coeffs[k] * u) for a, u in K.vecs[k][c])
-                if any(_reduce_exponents(diff, e)):
+                    n = _rational_value(_pairing(sizes, prod, K.vecs[k], e), e, order * den ** 3,
+                                        math.lcm(*(K.conductors[t] for t in (i, j, k))))
+                    if n.denominator != 1 or n < 0:
+                        raise NonIntegralConstantError(
+                            f"constant for ({i},{j},{k}) is {n}, not a nonnegative integer")
+                    coeffs.append(int(n))
+                if (c := _first_miss(prod, coeffs, K)) is not None:
                     raise NonIntegralConstantError(
                         f"product of rows {i},{j} does not re-expand on class {c}")
             # chi_i * chi_j = chi_j * chi_i exactly, so (j, i) repeats (i, j)
             constants[i][j] = constants[j][i] = tuple(coeffs)
     return RepresentationRing(T, tuple(tuple(row) for row in constants))
+
+
+def _first_miss(prod, coeffs, K) -> int | None:
+    """The first class on which chi_i * chi_j = sum_k n_k chi_k fails, if any."""
+    terms = [(-K.den * n, v) for n, v in zip(coeffs, K.vecs) if n]
+    for c, p in enumerate(prod):
+        diff = [*p, *((a, m * u) for m, v in terms for a, u in v[c])]
+        if any(_reduce_exponents(diff, K.conductor)):
+            return c
 
 
 def _verify_table(T: CharacterTable) -> None:

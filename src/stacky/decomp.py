@@ -273,8 +273,8 @@ def bh_motive(H: FiniteGroup, p: int = 0) -> ClassifyingStackMotive:
 
     The rank is the number of conjugacy classes of elements of order prime
     to p (cross-checked internally against the character-orbit count); the
-    product structure is emitted for p = 0 only.
-    """
+    product structure is emitted for p = 0 only, from the character table
+    kept on H: a table built earlier for H is reused, not built again."""
     rank = _bh_rank(H, p)
     constants = None
     if p == 0:

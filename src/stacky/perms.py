@@ -153,6 +153,7 @@ class FiniteGroup:
         self._cyclic_classes: tuple[CyclicClass, ...] | None = None
         # each cyclic subgroup, as _cyclic_subgroups gives it, to its class
         self._class_of_subgroup: dict[tuple[int, ...], CyclicClass] = {}
+        self._table_parts: tuple | None = None  # set by chars.character_table; no group in it
 
     @property
     def order(self) -> int:

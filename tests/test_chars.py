@@ -7,27 +7,35 @@ by hand from the defining constraints (degree squares, orthogonality).
 
 from __future__ import annotations
 
+import gc
+import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from stacky import chars
 from stacky.chars import CharacterTable, character_table, inner_product, rep_ring
-from stacky.cyclo import Cyclotomic
+from stacky.cyclo import Cyclotomic, _reduce_exponents as reduce_exponents
 from stacky.errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError
 from stacky.perms import (
     ConjugacyClass,
+    FiniteGroup,
     Perm,
     alternating_group,
     conjugacy_classes,
     cyclic_group,
     dihedral_group,
     direct_product,
+    generate_group,
     quaternion_group,
     symmetric_group,
     trivial_group,
 )
+from test_perm_properties import CASES
 
 ALL_GROUPS = [
     ("triv", trivial_group),
@@ -400,3 +408,172 @@ def test_table_keeps_its_rows_converted_in_row_order(name, make):
         fresh.vecs, fresh.conductors, fresh.conductor, fresh.den)
     # a table built by hand has none, and is converted where it is read
     assert CharacterTable(T.group, T.classes, T.rows, T.degrees).kernel is None
+
+
+# ---------------------------------------------------------------------------
+# Ring constants over F_q against the exact pairing they replaced, and one
+# table per group.
+
+def reference_rep_ring(T) -> tuple:
+    """The constants by exact pairings on the integer kernel, each checked by the
+    pointwise identity, raising exactly as rep_ring does."""
+    r, K = T.rank, T.kernel or chars._KernelRows(T.rows)
+    sizes = [c.size for c in T.classes]
+    e, den, order = K.conductor, K.den, T.group.order
+    constants = [[()] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            prod = []
+            for x, y in zip(K.vecs[i], K.vecs[j]):
+                terms: dict[int, int] = {}
+                for a, u in x:
+                    for b, w in y:
+                        terms[(a + b) % e] = terms.get((a + b) % e, 0) + u * w
+                prod.append(tuple(terms.items()))
+            coeffs = []
+            for k in range(r):
+                acc = chars._pairing(sizes, prod, K.vecs[k], e)
+                n = chars._rational_value(acc, e, order * den ** 3, math.lcm(
+                    K.conductors[i], K.conductors[j], K.conductors[k]))
+                if n.denominator != 1 or n < 0:
+                    raise NonIntegralConstantError(
+                        f"constant for ({i},{j},{k}) is {n}, not a nonnegative integer")
+                coeffs.append(int(n))
+            for c in range(len(T.classes)):
+                diff = list(prod[c])
+                for k in range(r):
+                    if coeffs[k]:
+                        diff.extend((a, -den * coeffs[k] * u) for a, u in K.vecs[k][c])
+                if any(reduce_exponents(diff, e)):
+                    raise NonIntegralConstantError(
+                        f"product of rows {i},{j} does not re-expand on class {c}")
+            constants[i][j] = constants[j][i] = tuple(coeffs)
+    return tuple(tuple(row) for row in constants)
+
+
+def ring_outcome(f, T):
+    try:
+        result = f(T)
+    except (NonIntegralConstantError, NotRationalError) as exc:
+        return type(exc).__name__, str(exc)
+    return "value", getattr(result, "constants", result)
+
+
+RING_GROUPS = KERNEL_GROUPS + [
+    ("D8", lambda: dihedral_group(8)),
+    ("D10", lambda: dihedral_group(10)),
+    ("C4xC6", lambda: direct_product(cyclic_group(4), cyclic_group(6))),
+]
+
+
+@pytest.mark.parametrize("name,make", RING_GROUPS)
+def test_rep_ring_matches_the_exact_pairing(name, make):
+    T = character_table(make())
+    assert T.kernel is not None  # so rep_ring takes the F_q route
+    assert rep_ring(T).constants == reference_rep_ring(T)
+
+
+def _with_kernel(T):
+    # a hand-built table given the kernel that only character_table sets, so
+    # that rep_ring takes the F_q route and must fall back pair by pair
+    object.__setattr__(T, "kernel", chars._KernelRows(T.rows))
+    return T
+
+
+def test_tampered_tables_raise_as_the_exact_pairing_does():
+    tables = {name: character_table(make()) for name, make in (
+        ("S4", lambda: symmetric_group(4)), ("Q8", quaternion_group),
+        ("A4", lambda: alternating_group(4)), ("D5", lambda: dihedral_group(5)),
+        ("C6", lambda: cyclic_group(6)))}
+    rng = random.Random("tampered-rings")
+    kinds = set()
+    for _ in range(30):
+        T = tables[rng.choice(sorted(tables))]
+        kind = rng.choice(("int", "fraction", "zeta"))
+        kinds.add(kind)
+        delta = {"int": lambda: rng.choice((-2, -1, 1, 2)),
+                 "fraction": lambda: Fraction(rng.choice((-1, 1)), rng.randrange(2, 5)),
+                 "zeta": lambda: Cyclotomic.zeta(rng.choice((3, 4, 5, 8)), 1)}[kind]()
+        P = _perturbed(T, rng.randrange(T.rank), rng.randrange(T.rank), delta)
+        want = ring_outcome(reference_rep_ring, P)
+        assert want[0] != "value"
+        assert ring_outcome(rep_ring, P) == want
+        assert ring_outcome(rep_ring, _with_kernel(P)) == want
+    assert kinds == {"int", "fraction", "zeta"}
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = []
+    for name in names:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    return calls
+
+
+def test_rep_ring_on_a_built_table_forms_no_exact_pairing(monkeypatch):
+    T = character_table(symmetric_group(6))
+    calls = _count_calls(monkeypatch, chars, ["_pairing"])
+    R = rep_ring(T)
+    assert calls == []
+    assert R.constants == reference_rep_ring(T)
+
+
+def test_one_group_builds_its_table_once(monkeypatch):
+    from stacky.decomp import bh_motive
+    from stacky.verify import check_rep_ring_vs_classes
+    G = symmetric_group(4)
+    calls = _count_calls(monkeypatch, chars, ["_prime_field_characters", "_abelian_characters"])
+    T = character_table(G)
+    R = rep_ring(T)
+    assert bh_motive(G, 0).product_constants == R.constants
+    assert check_rep_ring_vs_classes(G).passed
+    assert calls == ["_prime_field_characters"]
+    # a later call wraps the kept parts in a new, equal table
+    again = character_table(G)
+    assert again == T and again is not T and again.kernel is T.kernel
+
+
+def test_kept_table_still_honours_the_cap_and_holds_no_group():
+    G = symmetric_group(4)
+    character_table(G)
+    with pytest.raises(GroupTooLargeError):
+        character_table(G, cap=G.order - 1)
+    # walk everything the kept parts reach, short of types and modules
+    seen, todo = set(), list(G._table_parts)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, FiniteGroup)
+        todo.extend(gc.get_referents(obj))
+    assert len(seen) > G.order  # the walk reached the class members
+
+
+# the seeded generator sets of tests/test_perm_properties.py, kept to groups of
+# order at most 120 so that each example stays cheap
+PROPERTY_CASES = [case for case in CASES
+                  if len(oracles.closure(case[0], case[1])) <= 120]
+
+
+@st.composite
+def relabelled_groups(draw):
+    """A seeded generator set, its points relabelled by a drawn permutation."""
+    degree, gens = draw(st.sampled_from(PROPERTY_CASES))
+    sigma = draw(st.permutations(range(degree)))
+    moved = [tuple(sigma[g[sigma.index(x)]] for x in range(degree)) for g in gens]
+    return generate_group(degree, [Perm(g) for g in moved])
+
+
+@settings(max_examples=40)
+@given(relabelled_groups())
+def test_rep_ring_constants_satisfy_the_ring_axioms(G):
+    T = character_table(G)
+    n, d = rep_ring(T).constants, T.degrees
+    dual = [T.rows.index(tuple(v.conjugate() for v in row)) for row in T.rows]
+    for i in range(T.rank):
+        for j in range(T.rank):
+            assert all(isinstance(x, int) and x >= 0 for x in n[i][j])
+            assert n[i][j][0] == (1 if j == dual[i] else 0)
+            assert sum(x * dk for x, dk in zip(n[i][j], d)) == d[i] * d[j]
