@@ -511,8 +511,12 @@ def _count_calls(monkeypatch, module, names):
     return calls
 
 
-def test_rep_ring_on_a_built_table_forms_no_exact_pairing(monkeypatch):
-    T = character_table(symmetric_group(6))
+@pytest.mark.parametrize("name,make", [("S6", lambda: symmetric_group(6)),
+                                       ("A5", lambda: alternating_group(5)),
+                                       ("C12", lambda: cyclic_group(12))])
+def test_rep_ring_on_a_built_table_forms_no_exact_pairing(monkeypatch, name, make):
+    # A5 and C12 have irrational values, so zeta_e -> theta is exercised too
+    T = character_table(make())
     calls = _count_calls(monkeypatch, chars, ["_pairing"])
     R = rep_ring(T)
     assert calls == []
