@@ -129,6 +129,16 @@ def _parse_perm(obj: Any, path: str, degree: int) -> Perm:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+def _parse_perms(obj: Any, path: str, degree: int) -> list[Perm]:
+    return [_parse_perm(x, f"{path}[{i}]", degree) for i, x in enumerate(_get_list(obj, path))]
+
+
+def _parse_dims(obj: Any, path: str) -> list[int]:
+    """The cell dimensions of a list of ``{"dim": d}`` objects."""
+    return [_get_int(_get_dict(cell, f"{path}[{i}]").get("dim"), f"{path}[{i}].dim", minimum=0)
+            for i, cell in enumerate(_get_list(obj, path))]
+
+
 def atom_from_json(obj: Any, path: str) -> Atom:
     spec = _get_dict(obj, path)
     kind = spec.get("kind")
@@ -187,19 +197,14 @@ def parse_document(raw: Any) -> InputDocument:
 
     gspec = _get_dict(doc.get("group"), "group")
     degree = _get_int(gspec.get("degree"), "group.degree", minimum=1)
-    gens = [_parse_perm(g, f"group.generators[{i}]", degree)
-            for i, g in enumerate(_get_list(gspec.get("generators"), "group.generators"))]
+    gens = _parse_perms(gspec.get("generators"), "group.generators", degree)
     try:
         group = generate_group(degree, gens)
     except StackyError as exc:
         raise ValidationError(f"group: {exc}") from exc
 
-    model = None
-    if "model" in doc:
-        model = _parse_model(doc["model"], group)
-    gerbe = None
-    if "gerbe" in doc:
-        gerbe = _parse_gerbe(doc["gerbe"], group)
+    model = _parse_model(doc["model"], group) if "model" in doc else None
+    gerbe = _parse_gerbe(doc["gerbe"], group) if "gerbe" in doc else None
     curve = None
     if "curve" in doc:
         cspec = _get_dict(doc["curve"], "curve")
@@ -219,19 +224,11 @@ def _parse_model(obj: Any, group: FiniteGroup) -> EquivariantModel:
         if "hset" in spec:
             h = _get_dict(spec["hset"], "model.hset")
             size = _get_int(h.get("size"), "model.hset.size", minimum=0)
-            images = [_parse_perm(im, f"model.hset.generatorImages[{i}]", size)
-                      for i, im in enumerate(_get_list(h.get("generatorImages"),
-                                                       "model.hset.generatorImages"))]
+            images = _parse_perms(h.get("generatorImages"), "model.hset.generatorImages", size)
             return EquivariantModel.hset(group, size, images)
         c = _get_dict(spec["cells"], "model.cells")
-        dims = []
-        for i, cell in enumerate(_get_list(c.get("cells"), "model.cells.cells")):
-            cd = _get_dict(cell, f"model.cells.cells[{i}]")
-            dims.append(_get_int(cd.get("dim"), f"model.cells.cells[{i}].dim", minimum=0))
-        n = len(dims)
-        images = [_parse_perm(im, f"model.cells.generatorImages[{i}]", n)
-                  for i, im in enumerate(_get_list(c.get("generatorImages"),
-                                                   "model.cells.generatorImages"))]
+        dims = _parse_dims(c.get("cells"), "model.cells.cells")
+        images = _parse_perms(c.get("generatorImages"), "model.cells.generatorImages", len(dims))
         loci = []
         for i, lspec in enumerate(_get_list(c.get("fixedLoci", []), "model.cells.fixedLoci")):
             loci.append(_parse_locus(lspec, f"model.cells.fixedLoci[{i}]", group))
@@ -245,42 +242,34 @@ def _parse_model(obj: Any, group: FiniteGroup) -> EquivariantModel:
 def _parse_locus(obj: Any, path: str, group: FiniteGroup) -> FixedLocus:
     spec = _get_dict(obj, path)
     gen = _parse_perm(spec.get("generator"), f"{path}.generator", group.degree)
-    dims = []
-    for i, cell in enumerate(_get_list(spec.get("cells"), f"{path}.cells")):
-        cd = _get_dict(cell, f"{path}.cells[{i}]")
-        dims.append(_get_int(cd.get("dim"), f"{path}.cells[{i}].dim", minimum=0))
-    action_gens = []
-    action_imgs = []
+    dims = _parse_dims(spec.get("cells"), f"{path}.cells")
+    action_gens, action_imgs = [], []
     if "normalizerGenerators" in spec or "normalizerImages" in spec:
         raw_gens = _get_list(spec.get("normalizerGenerators"), f"{path}.normalizerGenerators")
         raw_imgs = _get_list(spec.get("normalizerImages"), f"{path}.normalizerImages")
         _expect(len(raw_gens) == len(raw_imgs), f"{path}.normalizerImages",
                 "expected as many images as normalizer generators")
-        action_gens = [_parse_perm(g, f"{path}.normalizerGenerators[{i}]", group.degree)
-                       for i, g in enumerate(raw_gens)]
-        action_imgs = [_parse_perm(g, f"{path}.normalizerImages[{i}]", len(dims))
-                       for i, g in enumerate(raw_imgs)]
+        action_gens = _parse_perms(raw_gens, f"{path}.normalizerGenerators", group.degree)
+        action_imgs = _parse_perms(raw_imgs, f"{path}.normalizerImages", len(dims))
     return FixedLocus(gen, tuple(dims), tuple(action_gens), tuple(action_imgs))
 
 
 def _parse_gerbe(obj: Any, group: FiniteGroup) -> GerbeDatum:
     spec = _get_dict(obj, "gerbe")
-    monodromy = []
+    monodromy, rows = [], []
     for i, auto in enumerate(_get_list(spec.get("monodromy", []), "gerbe.monodromy")):
         images = _get_list(auto, f"gerbe.monodromy[{i}]")
         _expect(len(images) == len(group.generators), f"gerbe.monodromy[{i}]",
                 f"expected {len(group.generators)} generator images")
-        monodromy.append(tuple(
-            _parse_perm(im, f"gerbe.monodromy[{i}][{j}]", group.degree)
-            for j, im in enumerate(images)))
+        monodromy.append(tuple(_parse_perms(images, f"gerbe.monodromy[{i}]", group.degree)))
         try:
-            _automorphism_map(group, monodromy[-1])
+            rows.append(_automorphism_map(group, monodromy[-1]))
         except NotAnAutomorphismError as exc:
             raise ValidationError(f"gerbe.monodromy[{i}]: {exc}") from exc
     base = motive_from_json(spec.get("base", [{"atom": {"kind": "unit"}}]), "gerbe.base")
     label = spec.get("baseLabel", "X")
     _expect(isinstance(label, str) and label, "gerbe.baseLabel", "expected a nonempty string")
-    return GerbeDatum(group, tuple(monodromy), base, label)
+    return GerbeDatum._checked(tuple(rows), group, tuple(monodromy), base, label)
 
 
 def load_document(path: str) -> InputDocument:
@@ -502,21 +491,18 @@ def _apply_characteristic(doc: InputDocument, override: int | None) -> InputDocu
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "group":
+        if args.command == "motive" and args.target == "curve":
+            out = cmd_motive_curve(*_curve_arguments(args))
+        else:
             doc = _apply_characteristic(load_document(args.input), args.characteristic)
-            out = cmd_group(doc, args.chars)
-        elif args.command == "motive":
-            if args.target == "curve":
-                genus, orders = _curve_arguments(args)
-                out = cmd_motive_curve(genus, orders)
-            else:
-                doc = _apply_characteristic(load_document(args.input), args.characteristic)
+            if args.command == "group":
+                out = cmd_group(doc, args.chars)
+            elif args.command == "motive":
                 out = {"bh": cmd_motive_bh,
                        "quotient": cmd_motive_quotient,
                        "gerbe": cmd_motive_gerbe}[args.target](doc)
-        else:
-            doc = _apply_characteristic(load_document(args.input), args.characteristic)
-            out = cmd_verify(doc, args.check, args.seed)
+            else:
+                out = cmd_verify(doc, args.check, args.seed)
     except StackyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -547,9 +533,7 @@ def _curve_arguments(args) -> tuple[int, tuple[int, ...]]:
                 orders = doc.curve[1]
     if genus is None:
         raise ValidationError("curve.genus: required (use --genus or an input document)")
-    if orders is None:
-        orders = ()
-    return genus, orders
+    return genus, orders or ()
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ and one-dimensional orbifolds.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 from ._record import field, record
@@ -25,6 +26,7 @@ from .motives import (
     extend_action,
     invariants,
     model_motive,
+    _restrict_rows,
 )
 from .perms import (
     CyclicClass,
@@ -76,13 +78,21 @@ class InjectiveCharacters:
         return self.rows[self.exponents[n]]
 
 
-def injective_characters(c: CyclicClass) -> InjectiveCharacters:
-    """The characters, with the class's exponents checked to be units once
-    per distinct value; on a bad class, conjugation_exponent raises."""
-    exps, N = c.exponents, c.normalizer.elements
-    if tuple(exps) != N or any(math.gcd(a, c.order) != 1 for a in set(exps.values())):
+def injective_characters(c: CyclicClass, G: FiniteGroup) -> InjectiveCharacters:
+    """The characters of the cyclic class c of G.  The recorded exponents must
+    be units (else conjugation_exponent raises) and the conjugation character,
+    n^-1 g n = g^a(n), read off one walk of g's conjugates: then n -> a(n) is a
+    homomorphism N -> (Z/m)^x, and the character rows are an action."""
+    exps, N, m = c.exponents, c.normalizer.elements, c.order
+    if tuple(exps) != N or any(math.gcd(a, m) != 1 for a in set(exps.values())):
         exps = {n: conjugation_exponent(n, c) for n in N}
-    return InjectiveCharacters(c, character_indices(c.order), exps)
+    if m > 1:
+        index, conj = G.index, G._conjugates(G.index[c.generator])
+        pw = [index[y] for y in c.subgroup_elements]
+        check("decomp.conjugation_character",
+              all(conj[index[n]] == pw[a % m] for n, a in exps.items()),
+              "recorded exponents of the class of order {} are not its conjugation character", m)
+    return InjectiveCharacters(c, character_indices(m), exps)
 
 
 @record
@@ -120,10 +130,8 @@ def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
     if X.kind == "hset" and key not in X.locus_actions:
         rows, index = X.element_actions, X.group.index
         fixed = tuple(p for p, q in enumerate(rows[index[c.generator]]) if p == q)
-        pos = {p: i for i, p in enumerate(fixed)}
-        X.locus_actions[key] = (FixedLocus(c.generator, (0,) * len(fixed)), tuple(
-            tuple(map(pos.__getitem__, map(rows[index[n]].__getitem__, fixed)))
-            for n in c.normalizer.elements))
+        X.locus_actions[key] = (FixedLocus(c.generator, (0,) * len(fixed)), _restrict_rows(
+            [rows[index[n]] for n in c.normalizer.elements], fixed))
     locus = X.locus_actions.get(key)
     if locus is None:
         return (), ((),) * c.normalizer.order
@@ -138,7 +146,7 @@ def cyclotomic_inertia(X: EquivariantModel, p: int = 0
     for c in cyclic_subgroup_classes(X.group, p):
         dims, action = _locus_cells_and_action(X, c)
         fixed = EquivariantModel._restricted(c.normalizer, dims, action)
-        out.append(CyclotomicInertiaComponent(c, fixed, injective_characters(c)))
+        out.append(CyclotomicInertiaComponent(c, fixed, injective_characters(c, X.group)))
     return tuple(out)
 
 
@@ -200,15 +208,11 @@ def _component_ranks(comp: CyclotomicInertiaComponent) -> dict[int, int]:
     """Per-twist orbit counts of the normalizer on fixed cells x characters;
     the pair (cell position i, character position j) is the point i*k + j."""
     model = comp.fixed_model
-    elems = model.group.elements
     k = comp.chars.size
-    pairs = list(zip(model.element_actions, map(comp.chars.image_row, elems)))
-    out = {}
-    for d, cells in sorted(model.cells_of_dim().items()):
-        pos = {cell: i for i, cell in enumerate(cells)}
-        out[d] = _count_orbits(elems, [[pos[img[c]] * k + j for c in cells for j in crow]
-                                       for img, crow in pairs])
-    return out
+    crows = list(map(comp.chars.image_row, model.group.elements))
+    return {d: _count_orbits([[i * k + j for i in row for j in crow] for row, crow in
+                              zip(_restrict_rows(model.element_actions, cells), crows)])
+            for d, cells in sorted(model.cells_of_dim().items())}
 
 
 def inertial_quotient_motive(X: EquivariantModel, p: int = 0) -> InertialMotive:
@@ -229,12 +233,8 @@ def inertia_ranks_by_twist(X: EquivariantModel, p: int = 0) -> dict[int, int]:
     out: dict[int, int] = {}
     for comp in inertia(X, p):
         model = comp.fixed_model
-        elems = model.group.elements
         for d, cells in model.cells_of_dim().items():
-            pos = {cell: i for i, cell in enumerate(cells)}
-            count = _count_orbits(elems, [[pos[img[c]] for c in cells]
-                                          for img in model.element_actions])
-            out[d] = out.get(d, 0) + count
+            out[d] = out.get(d, 0) + _count_orbits(_restrict_rows(model.element_actions, cells))
     return {d: r for d, r in out.items() if r}
 
 
@@ -260,9 +260,8 @@ def _bh_rank(H: FiniteGroup, p: int) -> int:
     # independent route: orbits of each normalizer on the injective characters
     via_chars = 0
     for c in cyclic_subgroup_classes(H, p):
-        chars = injective_characters(c)
-        elems = c.normalizer.elements
-        via_chars += _count_orbits(elems, [chars.image_row(n) for n in elems])
+        chars = injective_characters(c, H)
+        via_chars += _count_orbits(list(map(chars.image_row, c.normalizer.elements)))
     check("decomp.bh_rank_vs_chars", via_chars == rank,
           "class count {} and character-orbit count {} disagree", rank, via_chars)
     return rank
@@ -296,6 +295,19 @@ class GerbeDatum:
     monodromy: tuple[tuple[Perm, ...], ...]
     base: Motive
     base_label: str = "X"
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each monodromy automorphism phi as the row i -> index of phi(e_i),
+        extended and checked once, on first use."""
+        return tuple(_automorphism_map(self.group, tuple(images)) for images in self.monodromy)
+
+    @classmethod
+    def _checked(cls, rows: tuple[tuple[int, ...], ...], *fields) -> "GerbeDatum":
+        """A datum built from ``fields`` whose rows _automorphism_map already gave."""
+        datum = cls(*fields)
+        datum.__dict__["rows"] = rows
+        return datum
 
 
 @record
@@ -334,10 +346,14 @@ def _automorphism_map(H: FiniteGroup, images: Sequence[Perm]) -> tuple[int, ...]
 def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
                ) -> CharacterOrbitSet:
     """Orbits of conjugation on (cyclic subgroup, injective character) pairs
-    and the permutations induced by the monodromy automorphisms.  Subgroups
-    are element-index sets with their powers as index tuples; conjugation by a
-    generator and each monodromy alike are rows i -> index of the image of e_i.
-    """
+    and the permutations induced by the monodromy automorphisms."""
+    return _pair_orbits(H, p, [_automorphism_map(H, tuple(images)) for images in monodromy])
+
+
+def _pair_orbits(H: FiniteGroup, p: int, autos: Sequence[tuple[int, ...]]
+                 ) -> CharacterOrbitSet:
+    """gerbe_rset on rows from _automorphism_map.  Subgroups are element-index sets;
+    conjugation by a generator and each automorphism are rows i -> index of e_i's image."""
     subs = {frozenset(pw): pw for pw in dict.fromkeys(H._cyclic_subgroups.values())
             if p == 0 or math.gcd(len(pw), p) == 1}
 
@@ -368,10 +384,7 @@ def gerbe_rset(H: FiniteGroup, p: int, monodromy: Sequence[Sequence[Perm]]
     check("decomp.pair_orbits", _bh_rank(H, p) == len(orbits),
           "pair-orbit count disagrees with per-class character orbits")
 
-    aut_perms = []
-    for images in monodromy:
-        row = _automorphism_map(H, tuple(images))
-        aut_perms.append(Perm([orbit_index[move(pair, row)] for pair in orbits]))
+    aut_perms = [Perm([orbit_index[move(pair, row)] for pair in orbits]) for row in autos]
 
     distinguished = orbit_index[(frozenset([H.index[H.identity]]), 0)]
     check("decomp.trivial_pair_fixed", all(a(distinguished) == distinguished for a in aut_perms),
@@ -393,7 +406,7 @@ class GerbeMotive:
 
 
 def gerbe_motive(datum: GerbeDatum, p: int = 0) -> GerbeMotive:
-    rset = gerbe_rset(datum.group, p, datum.monodromy)
+    rset = _pair_orbits(datum.group, p, datum.rows)
     seen: set[int] = set()
     sizes, terms = [], []
     for start in range(rset.size):

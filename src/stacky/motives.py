@@ -380,55 +380,57 @@ def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int
 
 @record
 class MotiveAction:
-    """A group acting on a motive by permuting the copies of each (atom, twist)."""
+    """A group acting on a motive by permuting the copies of each (atom, twist):
+    per motive term, image rows on range(mult) aligned with ``group.elements``,
+    each checked to be a permutation and all together a homomorphism."""
 
     motive: Motive
     group: FiniteGroup | Subgroup
-    # one entry per motive term, aligned with it: permutations of the
-    # multiplicity index set, aligned with group.elements
-    slot_actions: tuple[tuple[Perm, ...], ...] = field(repr=False)
+    slot_actions: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
 
     def __post_init__(self):
         if len(self.slot_actions) != len(self.motive.terms):
             raise InconsistentActionError("one action slot per motive term required")
-        for (atom, twist, mult), perms in zip(self.motive.terms, self.slot_actions):
-            if len(perms) != self.group.order:
-                raise InconsistentActionError("need one permutation per group element")
-            if any(p.degree != mult for p in perms):
-                raise InconsistentActionError(
-                    f"slot ({atom.render()}, {twist}) permutations must have degree {mult}")
         # act(x g) = act(x) act(g) on image tuples, as (index of x, of g, of x g)
         G = self.group
         idx = {x.images: i for i, x in enumerate(G.elements)}
         steps = [(i, idx[g.images], idx[_compose(x.images, g.images)])
                  for i, x in enumerate(G.elements) for g in G.generators]
-        for perms in self.slot_actions:
-            if not perms[G.index[G.identity]].is_identity():
+        for (atom, twist, mult), rows in zip(self.motive.terms, self.slot_actions):
+            if len(rows) != G.order:
+                raise InconsistentActionError("need one permutation per group element")
+            for row in rows:
+                if len(row) != mult:
+                    raise InconsistentActionError(
+                        f"slot ({atom.render()}, {twist}) permutations must have degree {mult}")
+                if sorted(row) != list(range(mult)):
+                    raise NonBijectionError(
+                        f"images {tuple(row)!r} are not a bijection on 0..{mult - 1}")
+            if tuple(rows[idx[tuple(range(G.degree))]]) != tuple(range(mult)):
                 raise InconsistentActionError("identity must act trivially")
-            imgs = [p.images for p in perms]
-            if any(imgs[xg] != _compose(imgs[x], imgs[g]) for x, g, xg in steps):
+            if any(tuple(rows[xg]) != _compose(rows[x], rows[g]) for x, g, xg in steps):
                 raise InconsistentActionError("slot action is not a homomorphism")
 
 
 def invariants(act: MotiveAction) -> Motive:
     """The fixed part: per (atom, twist) the multiplicity drops to the number
     of orbits of the group on the index set (rank of the averaging projector)."""
-    out = []
-    for (atom, twist, mult), perms in zip(act.motive.terms, act.slot_actions):
-        out.append((atom, twist, _count_orbits(act.group.elements, [p.images for p in perms])))
-    return Motive.of(out)
+    return Motive.of((atom, twist, _count_orbits(rows))
+                     for (atom, twist, _), rows in zip(act.motive.terms, act.slot_actions))
 
 
 def model_motive(X: EquivariantModel) -> MotiveAction:
     """h(X) of a model: one Tate summand per cell at the cell's dimension,
-    with the induced permutation action."""
+    with the induced permutation action, as rows restricted from the model's."""
     by_dim = X.cells_of_dim()
     motive = Motive.of([(UNIT, d, len(cells)) for d, cells in by_dim.items()])
-    slots = []
-    for _, twist, _ in motive.terms:
-        cells = by_dim[twist]
-        pos = {c: i for i, c in enumerate(cells)}
-        # restrictions of the verified action to the cells of one dimension
-        slots.append(tuple(Perm._trusted(tuple(map(pos.__getitem__, map(img.__getitem__, cells))))
-                           for img in X.element_actions))
-    return MotiveAction(motive, X.group, tuple(slots))
+    return MotiveAction(motive, X.group, tuple(_restrict_rows(X.element_actions, by_dim[twist])
+                                               for _, twist, _ in motive.terms))
+
+
+def _restrict_rows(rows: Sequence[tuple[int, ...]], cells: tuple[int, ...]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """An action's rows restricted to cells that it preserves, as rows on
+    their positions: cells[i] goes to cells[row'[i]]."""
+    pos = {c: i for i, c in enumerate(cells)}
+    return tuple(tuple(map(pos.__getitem__, map(row.__getitem__, cells))) for row in rows)

@@ -8,6 +8,7 @@ and all operations are pure functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from functools import cached_property
@@ -250,10 +251,11 @@ class ConjugacyClass:
 
 @record
 class Subgroup:
-    """A subgroup given by its element subset inside a parent group, with a
-    FiniteGroup's ``index``, ``identity`` and ``generators``."""
+    """A subgroup given by its element subset inside a group of this degree,
+    with a FiniteGroup's ``index``, ``identity`` and ``generators``; it keeps
+    no reference to the group, so the classes cached on a group form no cycle."""
 
-    parent: FiniteGroup
+    degree: int
     elements: tuple[Perm, ...]
     index: dict[Perm, int] = field(init=False, repr=False, compare=False)
 
@@ -266,11 +268,11 @@ class Subgroup:
 
     @property
     def identity(self) -> Perm:
-        return self.parent.identity
+        return Perm.identity(self.degree)
 
     @cached_property
     def generators(self) -> tuple[Perm, ...]:
-        return reduce_generators(self.elements, self.parent.degree)
+        return reduce_generators(self.elements, self.degree)
 
     def __contains__(self, g: Perm) -> bool:
         return g in self.index
@@ -433,7 +435,7 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
             a_of = {pw[k % m]: k for k in range(1, m + 1) if math.gcd(k, m) == 1}
             exps = {G.elements[i]: a_of[x] for i, x in enumerate(c) if x in a_of}
             pw = tuple(map(G.elements.__getitem__, pw))
-            classes.append(CyclicClass(pw[1 % m], m, pw, Subgroup(G, tuple(exps)), exps))
+            classes.append(CyclicClass(pw[1 % m], m, pw, Subgroup(G.degree, tuple(exps)), exps))
             class_of.update(dict.fromkeys(map(subs.__getitem__, c), classes[-1]))
         classes.sort(key=lambda c: (c.order, c.generator.images))
         G._cyclic_classes, G._class_of_subgroup = tuple(classes), class_of
@@ -465,8 +467,8 @@ def normalizer(G: FiniteGroup, c: Iterable[Perm]) -> Subgroup:
     elems, gens = _require_subgroup(G, tuple(c))
     cset = set(map(G.index.__getitem__, elems))
     rows = [G._conjugates(G.index[x]) for x in gens]
-    return Subgroup(G, tuple(g for i, g in enumerate(G.elements)
-                             if all(r[i] in cset for r in rows)))
+    return Subgroup(G.degree, tuple(g for i, g in enumerate(G.elements)
+                                    if all(r[i] in cset for r in rows)))
 
 
 def centralizer(G: FiniteGroup, h: Perm) -> Subgroup:
@@ -474,7 +476,7 @@ def centralizer(G: FiniteGroup, h: Perm) -> Subgroup:
     if h not in G:
         raise NotASubgroupError("element is not in the group")
     x = G.index[h]
-    return Subgroup(G, tuple(g for g, y in zip(G.elements, G._conjugates(x)) if y == x))
+    return Subgroup(G.degree, tuple(g for g, y in zip(G.elements, G._conjugates(x)) if y == x))
 
 
 def conjugation_exponent(n: Perm, c: CyclicClass) -> int:
@@ -494,62 +496,58 @@ def orbit_count(elements: Sequence[Perm], action: Callable[[Perm, int], int], po
     """Number of orbits of a group action on {0..points-1}.
 
     ``elements`` must be the full group, each element once (else
-    NotASubgroupError): the Burnside fixed-point average checks the result.
-    The action axioms are spot-checked on a bounded sample; a violation raises
-    NotAnActionError, a Burnside mismatch is an internal error.  ``action`` is
-    called once per (element, point) to tabulate one image row per element.
+    NotASubgroupError).  ``action`` is called once per (element, point) to
+    tabulate one image row per element.  This is the entry for an outside
+    action, so the rows are checked here: the identity fixes every point,
+    every value is a point, and the action axioms hold on a bounded sample
+    (else NotAnActionError); _count_orbits then checks the Burnside average.
     """
     elems = list(elements)
     if not elems or Perm.identity(elems[0].degree) not in elems or len(set(elems)) < len(elems):
         raise NotASubgroupError("element list lacks the identity or repeats an element")
     if points == 0:
         return 0
-    return _count_orbits(elems, [[action(g, pt) for pt in range(points)] for g in elems])
-
-
-def _count_orbits(elems: Sequence[Perm], rows: Sequence[Sequence[int]]) -> int:
-    """orbit_count on image rows: ``rows[i][x]`` is the image of point x under
-    ``elems[i]``.  Checks, in order: the identity fixes every point, every
-    value is a point, the sampled axioms, then the Burnside average."""
-    points = len(rows[0])
+    rows = [[action(g, pt) for pt in range(points)] for g in elems]
     index = {g.images: i for i, g in enumerate(elems)}
-    i = index.get(tuple(range(elems[0].degree)))
-    if i is not None and any(map(operator.ne, rows[i], range(points))):
-        pt = next(pt for pt, y in enumerate(rows[i]) if y != pt)
-        raise NotAnActionError(f"identity moves point {pt}")
+    moved = next((pt for pt, y in enumerate(rows[index[tuple(range(elems[0].degree))]])
+                  if y != pt), None)
+    if moved is not None:
+        raise NotAnActionError(f"identity moves point {moved}")
     # before any value is used as an index, so a negative one cannot wrap round
-    if points and (min(map(min, rows)) < 0 or max(map(max, rows)) >= points):
-        pt = next(pt for row in rows for pt, y in enumerate(row) if not 0 <= y < points)
-        raise NotAnActionError(f"action maps point {pt} out of range")
-    # pairs with the identity hold once its row does, and on one point all do
-    sample = [(elems[j].images, rows[j]) for j in range(min(len(elems), 6))
-              if j != i and points > 1]
-    for a, ra in sample:
-        for b, rb in sample:
-            k = index.get(tuple(map(a.__getitem__, b)))
-            if k is not None:
-                rk = rows[k]
-                for pt in range(min(points, 6)):
-                    if rk[pt] != ra[rb[pt]]:
-                        raise NotAnActionError(
-                            f"action violates (a*b)(x) = a(b(x)) at point {pt}")
+    out = next((pt for row in rows for pt, y in enumerate(row) if not 0 <= y < points), None)
+    if out is not None:
+        raise NotAnActionError(f"action maps point {out} out of range")
+    sample = [(g.images, row) for g, row in zip(elems[:6], rows)]
+    for (a, ra), (b, rb) in itertools.product(sample, repeat=2):
+        k = index.get(_compose(a, b))
+        if k is not None:
+            for pt in range(min(points, 6)):
+                if rows[k][pt] != ra[rb[pt]]:
+                    raise NotAnActionError(f"action violates (a*b)(x) = a(b(x)) at point {pt}")
+    return _count_orbits(rows)
 
+
+def _count_orbits(rows: Sequence[Sequence[int]]) -> int:
+    """The number of orbits of a group, given as one image row per element,
+    by a search over the rows, checked by the Burnside average.  The rows must
+    be an action already checked where it was built (extend_action, its
+    restrictions, the conjugation character); orbit_count checks outside ones."""
+    points = len(rows[0])
     seen: set[int] = set()
     orbits = 0
     for start in range(points):
-        if start in seen:
-            continue
-        orbits += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            fresh = set(map(operator.itemgetter(stack.pop()), rows)) - seen
-            seen |= fresh
-            stack.extend(fresh)
+        if start not in seen:
+            orbits += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                fresh = set(map(operator.itemgetter(stack.pop()), rows)) - seen
+                seen |= fresh
+                stack.extend(fresh)
 
     fixed_total = sum(sum(map(operator.eq, row, range(points))) for row in rows)
-    check("perms.burnside", fixed_total == orbits * len(elems),
-          "Burnside average {}/{} disagrees with orbit count {}", fixed_total, len(elems), orbits)
+    check("perms.burnside", fixed_total == orbits * len(rows),
+          "Burnside average {}/{} disagrees with orbit count {}", fixed_total, len(rows), orbits)
     return orbits
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import stacky.decomp
 from stacky.cli import (
     cmd_motive_curve,
     cmd_motive_quotient,
@@ -21,6 +22,7 @@ from stacky.errors import ParseError, ValidationError
 from stacky.motives import Atom, Motive
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+GOLDEN_DOCS = Path(__file__).resolve().parent / "golden" / "cli_docs"
 
 S3_DOC = {
     "characteristic": 0,
@@ -152,6 +154,23 @@ def test_motive_gerbe(capsys):
     payload = json.loads(out)
     assert payload["poincare"] == "1 + [Cover(X,2)]"
     assert payload["orbitSizes"] == [1, 2]
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_motive_gerbe_extends_each_monodromy_once(capsys, monkeypatch, tmp_path, copies):
+    # the parse boundary checks each automorphism and the datum carries its
+    # row to the pair orbits, which do not extend it again
+    doc = json.loads((GOLDEN_DOCS / "q8_gerbe.json").read_text(encoding="utf-8"))
+    doc["gerbe"]["monodromy"] *= copies
+    path = tmp_path / "gerbe.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = []
+    extend = stacky.decomp.extend_action
+    monkeypatch.setattr(stacky.decomp, "extend_action",
+                        lambda *args: calls.append(args) or extend(*args))
+    code, out = run_cli(capsys, "motive", "gerbe", "--input", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["command"] == "motive-gerbe"
+    assert len(calls) == copies
 
 
 def test_verify_all_passes(capsys):

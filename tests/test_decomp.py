@@ -23,7 +23,7 @@ from stacky.decomp import (
     product_with_point_model,
     quotient_motive,
 )
-from stacky.errors import BadOrderError, NotAnAutomorphismError, ValidationError
+from stacky.errors import BadOrderError, InternalError, NotAnAutomorphismError, ValidationError
 from stacky.motives import Atom, EquivariantModel, FixedLocus, Motive, chow_dim
 from stacky.perms import (
     Perm,
@@ -307,7 +307,7 @@ def test_product_model_rejects_cells():
 def test_injective_characters_action():
     S3 = symmetric_group(3)
     c3 = next(c for c in cyclic_subgroup_classes(S3, 0) if c.order == 3)
-    chars = injective_characters(c3)
+    chars = injective_characters(c3, S3)
     assert chars.indices == (1, 2)
     swap = next(n for n in c3.normalizer.elements if n.order() == 2)
     assert chars.image_row(swap)[0] == 1 and chars.image_row(swap)[1] == 0
@@ -484,12 +484,27 @@ def test_point_model_and_its_components_build_no_perm(monkeypatch):
     assert refined.ranks_by_twist() == inertia_ranks_by_twist(X, 3)
 
 
+def test_warm_quotient_motive_wraps_no_perm(monkeypatch):
+    # model_motive restricts the model's rows to each dimension's cells, the
+    # slot action is checked on those rows and invariants counts their orbits
+    S5 = symmetric_group(5)
+    X = EquivariantModel.hset(S5, 5, S5.generators)
+    first = quotient_motive(X)
+    made = _count_perms_made(monkeypatch)
+    assert quotient_motive(X) == first == Motive.point()
+    monkeypatch.undo()
+    assert made == [0]
+
+
 def test_inertia_dimension_second_route_ignores_the_exponents():
-    # a wrong exponent table changes the character route only, so the
-    # element-class route must catch it
+    # a wrong exponent table (all units, so it passes the unit checks) would
+    # change the character route only: the element-class route still counts
+    # three classes, and the character route refuses the table by name
     S3 = symmetric_group(3)
     c3 = next(c for c in cyclic_subgroup_classes(S3, 0) if c.order == 3)
     object.__setattr__(c3, "exponents", dict.fromkeys(c3.normalizer.elements, 1))
-    report = check_inertia_dimension(EquivariantModel.point(S3))
-    assert not report.passed
-    assert (report.lhs, report.rhs) == ('{"0":4}', '{"0":3}')
+    X = EquivariantModel.point(S3)
+    assert inertia_ranks_by_twist(X) == {0: 3}
+    with pytest.raises(InternalError) as exc:
+        check_inertia_dimension(X)
+    assert exc.value.name == "decomp.conjugation_character"

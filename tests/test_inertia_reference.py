@@ -7,17 +7,30 @@ then a fresh closure) and replays the component's generator images through
 the checked ``EquivariantModel`` constructor, whose ``extend_action``
 re-verifies the homomorphism.  Every element must then act as the
 component's model says, and both models must have the same quotient motive.
+
+A property test then pins the two routes to the refined ranks against each
+other on random coset models of the seeded groups: the cyclotomic route
+(normalizer orbits on cells x characters) and the element-inertia route.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacky.cli import load_document
-from stacky.decomp import cyclotomic_inertia, inertia, quotient_motive
+from stacky.decomp import (
+    cyclotomic_inertia,
+    inertia,
+    inertia_ranks_by_twist,
+    inertial_quotient_motive,
+    quotient_motive,
+)
 from stacky.motives import EquivariantModel
 from stacky.perms import Perm, Subgroup, generate_group, reduce_generators
 from stacky.verify import random_coset_model
@@ -31,7 +44,7 @@ CELL_DOCS = (ROOT / "tests" / "golden" / "cli_docs" / "s4_cells_noncanonical.jso
 def reference_model(sub: Subgroup, model: EquivariantModel) -> EquivariantModel:
     """The component model as the old route built it: a regenerated group
     and the action replayed and checked from its generator images."""
-    degree = sub.parent.degree
+    degree = sub.degree
     H = generate_group(degree, reduce_generators(sub.elements, degree))
     return EquivariantModel(H, model.dims, [model.action_of(g) for g in H.generators],
                             kind="cells")
@@ -78,3 +91,22 @@ def test_cell_model_components_match_the_reference(path):
     X = load_document(str(path)).model
     assert X.kind == "cells" and X.fixed_loci
     check_model(X)
+
+
+@cache
+def _group(index: int):
+    degree, gens = CASES[index]
+    return generate_group(degree, [Perm(g) for g in gens])
+
+
+# the seeded groups of order at most 120, each generated once
+SMALL = [index for index in range(len(CASES)) if _group(index).order <= 120]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(SMALL), st.integers(0, 2**32), st.sampled_from([0, 2, 3]))
+def test_the_two_inertia_routes_agree_on_random_models(index, seed, p):
+    X = random_coset_model(random.Random(seed), _group(index))
+    refined = inertial_quotient_motive(X, p)
+    assert refined.ranks_by_twist() == inertia_ranks_by_twist(X, p)
+    assert refined.trivial_component() == quotient_motive(X)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 import oracles
-from stacky.errors import InconsistentActionError, OpaqueTensorError
+from stacky.errors import InconsistentActionError, NonBijectionError, OpaqueTensorError
 from stacky.motives import (
     UNIT,
     Atom,
@@ -197,7 +198,7 @@ def test_invariants_never_increase_multiplicity():
 def test_motive_action_rejects_a_non_homomorphism():
     S3 = symmetric_group(3)
     M = Motive.point(2)
-    swap, ident = Perm([1, 0]), Perm([0, 1])
+    swap, ident = (1, 0), (0, 1)
     # the sign action is one; swapping the copies for every non-identity element is not
     sign = [swap if sum(len(c) - 1 for c in g.cycles()) % 2 else ident for g in S3.elements]
     assert MotiveAction(M, S3, (tuple(sign),)).slot_actions == (tuple(sign),)
@@ -206,6 +207,30 @@ def test_motive_action_rejects_a_non_homomorphism():
         MotiveAction(M, S3, (tuple(bad),))
     with pytest.raises(InconsistentActionError, match="^identity must act trivially$"):
         MotiveAction(M, S3, ((swap,) * S3.order,))
+
+
+def test_motive_action_rejects_malformed_slots():
+    S3 = symmetric_group(3)
+    M = Motive.point(2)
+    ident = ((0, 1),) * S3.order
+    with pytest.raises(InconsistentActionError,
+                       match="^one action slot per motive term required$"):
+        MotiveAction(M, S3, (ident, ident))
+    with pytest.raises(InconsistentActionError, match="^need one permutation per group element$"):
+        MotiveAction(M, S3, (ident[1:],))
+    with pytest.raises(InconsistentActionError,
+                       match=r"^slot \(1, 0\) permutations must have degree 2$"):
+        MotiveAction(M, S3, (ident[1:] + ((0, 1, 2),),))
+
+
+@pytest.mark.parametrize("row", [(0, 0), (1, 1), (0, 2), (-1, 0)])
+def test_motive_action_rejects_a_row_that_is_not_a_permutation(row):
+    # each row must permute range(mult) before any value is composed or read
+    S3 = symmetric_group(3)
+    rows = ((0, 1),) * (S3.order - 1) + (row,)
+    with pytest.raises(NonBijectionError,
+                       match=rf"^images {re.escape(repr(row))} are not a bijection on 0..1$"):
+        MotiveAction(Motive.point(2), S3, (rows,))
 
 
 def test_model_motive_forms_and_validates_no_perm(monkeypatch):
@@ -222,7 +247,7 @@ def test_model_motive_forms_and_validates_no_perm(monkeypatch):
     monkeypatch.undo()
     assert counts == {"__mul__": 0, "__init__": 0}
     # a point model has one slot, on which each element acts as on the points
-    assert act.slot_actions == (tuple(X.action_of(g) for g in X.group.elements),)
+    assert act.slot_actions == (X.element_actions,)
 
 
 def test_coset_model_forms_no_perm_products(monkeypatch):

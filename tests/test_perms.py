@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -243,6 +245,26 @@ def test_conjugation_exponent_requires_normalizer_membership():
     outside = next(g for g in G.elements if g not in set(c2.normalizer.elements))
     with pytest.raises(NotInNormalizerError):
         conjugation_exponent(outside, c2)
+
+
+def test_a_group_with_its_classes_is_freed_by_reference_counting():
+    # a Subgroup holds its degree, not its group, so the classes a group keeps
+    # make no reference cycle back to it: the group goes with its last name
+    G = symmetric_group(4)
+    conjugacy_classes(G)
+    classes = cyclic_subgroup_classes(G, 0)
+    assert all(c.normalizer.identity == c.normalizer.elements[0] for c in classes)
+    assert all(c.normalizer.generators for c in classes)  # cached on each
+    group = weakref.ref(G)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del G
+        assert group() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert classes[-1].normalizer.degree == 4
 
 
 def _count_calls(monkeypatch, owner, name):

@@ -28,6 +28,7 @@ from stacky.decomp import bh_motive, gerbe_rset
 from stacky.errors import InternalError, check
 from stacky.perms import (
     ConjugacyClass,
+    CyclicClass,
     FiniteGroup,
     Perm,
     alternating_group,
@@ -149,6 +150,22 @@ def rotated_perm(monkeypatch) -> None:
     # every automorphism fixes the trivial pair, so only a wrongly built
     # induced permutation can fail this check
     monkeypatch.setattr(decomp, "Perm", lambda images: Perm(images[1:] + images[:1]))
+
+
+def swapped_exponents(monkeypatch) -> None:
+    # the last class of S3, of order 3, with the exponents of its first and
+    # last normalizer elements (the identity, a = 1, and a transposition,
+    # a = 2) swapped: still units, one per normalizer element, so only the
+    # conjugation check can refuse them
+    def swap(classes, *args):
+        c = classes[-1]
+        exps = dict(c.exponents)
+        first, *_, last = exps
+        exps[first], exps[last] = exps[last], exps[first]
+        return classes[:-1] + (CyclicClass(c.generator, c.order, c.subgroup_elements,
+                                           c.normalizer, exps),)
+
+    wrap(monkeypatch, decomp, "cyclic_subgroup_classes", swap)
 
 
 def without_last_row(T: CharacterTable, H) -> CharacterTable:
@@ -286,6 +303,11 @@ CASES: dict[str, Case] = {
         lambda mp: wrap(mp, decomp, "cyclic_subgroup_classes", lambda cs, *args: cs[:-1]),
         lambda: bh_motive(symmetric_group(3)),
         "class count 3 and character-orbit count 2 disagree",
+        ("motive", "bh"), SAMPLES / "s3_quotient.json"),
+    "decomp.conjugation_character": Case(
+        swapped_exponents,
+        lambda: bh_motive(symmetric_group(3)),
+        "recorded exponents of the class of order 3 are not its conjugation character",
         ("motive", "bh"), SAMPLES / "s3_quotient.json"),
     "decomp.table_rank": Case(
         lambda mp: wrap(mp, decomp, "character_table", without_last_row),

@@ -32,3 +32,24 @@ def test_no_runtime_error_built_outside_errors_module():
     found = [f"{name}:{node.lineno}" for name, node in _nodes(ast.Call)
              if getattr(node.func, "id", None) == "RuntimeError" and name != "errors.py"]
     assert found == [], f"RuntimeError built outside errors.py: {', '.join(found)}"
+
+
+def test_trusted_perms_are_wrapped_only_in_perms_and_action_of():
+    # group actions are element-aligned image rows; a Perm is wrapped unchecked
+    # only where perms builds one from valid permutations, and on demand for
+    # the public EquivariantModel.action_of
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "perms.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and cls.name == "EquivariantModel"
+                   for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "action_of"
+                   for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_trusted"
+                  and id(node) not in allowed]
+    assert found == [], f"Perm._trusted called outside perms.py: {', '.join(found)}"
+    assert "Perm._trusted" in (SOURCE / "motives.py").read_text(encoding="utf-8")
