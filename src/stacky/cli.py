@@ -203,8 +203,12 @@ def parse_document(raw: Any) -> InputDocument:
     except StackyError as exc:
         raise ValidationError(f"group: {exc}") from exc
 
-    model = _parse_model(doc["model"], group) if "model" in doc else None
-    gerbe = _parse_gerbe(doc["gerbe"], group) if "gerbe" in doc else None
+    model = None
+    if "model" in doc:
+        model = _parse_model(doc["model"], group)
+    gerbe = None
+    if "gerbe" in doc:
+        gerbe = _parse_gerbe(doc["gerbe"], group)
     curve = None
     if "curve" in doc:
         cspec = _get_dict(doc["curve"], "curve")
@@ -243,7 +247,8 @@ def _parse_locus(obj: Any, path: str, group: FiniteGroup) -> FixedLocus:
     spec = _get_dict(obj, path)
     gen = _parse_perm(spec.get("generator"), f"{path}.generator", group.degree)
     dims = _parse_dims(spec.get("cells"), f"{path}.cells")
-    action_gens, action_imgs = [], []
+    action_gens = []
+    action_imgs = []
     if "normalizerGenerators" in spec or "normalizerImages" in spec:
         raw_gens = _get_list(spec.get("normalizerGenerators"), f"{path}.normalizerGenerators")
         raw_imgs = _get_list(spec.get("normalizerImages"), f"{path}.normalizerImages")
@@ -256,7 +261,8 @@ def _parse_locus(obj: Any, path: str, group: FiniteGroup) -> FixedLocus:
 
 def _parse_gerbe(obj: Any, group: FiniteGroup) -> GerbeDatum:
     spec = _get_dict(obj, "gerbe")
-    monodromy, rows = [], []
+    monodromy = []
+    rows = []
     for i, auto in enumerate(_get_list(spec.get("monodromy", []), "gerbe.monodromy")):
         images = _get_list(auto, f"gerbe.monodromy[{i}]")
         _expect(len(images) == len(group.generators), f"gerbe.monodromy[{i}]",
@@ -533,7 +539,9 @@ def _curve_arguments(args) -> tuple[int, tuple[int, ...]]:
                 orders = doc.curve[1]
     if genus is None:
         raise ValidationError("curve.genus: required (use --genus or an input document)")
-    return genus, orders or ()
+    if orders is None:
+        orders = ()
+    return genus, orders
 
 
 if __name__ == "__main__":

@@ -210,9 +210,12 @@ def _component_ranks(comp: CyclotomicInertiaComponent) -> dict[int, int]:
     model = comp.fixed_model
     k = comp.chars.size
     crows = list(map(comp.chars.image_row, model.group.elements))
-    return {d: _count_orbits([[i * k + j for i in row for j in crow] for row, crow in
-                              zip(_restrict_rows(model.element_actions, cells), crows)])
-            for d, cells in sorted(model.cells_of_dim().items())}
+    out = {}
+    for d, cells in sorted(model.cells_of_dim().items()):
+        rows = _restrict_rows(model.element_actions, cells)
+        out[d] = _count_orbits([[i * k + j for i in row for j in crow]
+                                for row, crow in zip(rows, crows)])
+    return out
 
 
 def inertial_quotient_motive(X: EquivariantModel, p: int = 0) -> InertialMotive:
@@ -234,7 +237,8 @@ def inertia_ranks_by_twist(X: EquivariantModel, p: int = 0) -> dict[int, int]:
     for comp in inertia(X, p):
         model = comp.fixed_model
         for d, cells in model.cells_of_dim().items():
-            out[d] = out.get(d, 0) + _count_orbits(_restrict_rows(model.element_actions, cells))
+            count = _count_orbits(_restrict_rows(model.element_actions, cells))
+            out[d] = out.get(d, 0) + count
     return {d: r for d, r in out.items() if r}
 
 

@@ -391,11 +391,7 @@ class MotiveAction:
     def __post_init__(self):
         if len(self.slot_actions) != len(self.motive.terms):
             raise InconsistentActionError("one action slot per motive term required")
-        # act(x g) = act(x) act(g) on image tuples, as (index of x, of g, of x g)
         G = self.group
-        idx = {x.images: i for i, x in enumerate(G.elements)}
-        steps = [(i, idx[g.images], idx[_compose(x.images, g.images)])
-                 for i, x in enumerate(G.elements) for g in G.generators]
         for (atom, twist, mult), rows in zip(self.motive.terms, self.slot_actions):
             if len(rows) != G.order:
                 raise InconsistentActionError("need one permutation per group element")
@@ -406,6 +402,11 @@ class MotiveAction:
                 if sorted(row) != list(range(mult)):
                     raise NonBijectionError(
                         f"images {tuple(row)!r} are not a bijection on 0..{mult - 1}")
+        # act(x g) = act(x) act(g) on image tuples, as (index of x, of g, of x g)
+        idx = {x.images: i for i, x in enumerate(G.elements)}
+        steps = [(i, idx[g.images], idx[_compose(x.images, g.images)])
+                 for i, x in enumerate(G.elements) for g in G.generators]
+        for (_, _, mult), rows in zip(self.motive.terms, self.slot_actions):
             if tuple(rows[idx[tuple(range(G.degree))]]) != tuple(range(mult)):
                 raise InconsistentActionError("identity must act trivially")
             if any(tuple(rows[xg]) != _compose(rows[x], rows[g]) for x, g, xg in steps):
@@ -415,8 +416,10 @@ class MotiveAction:
 def invariants(act: MotiveAction) -> Motive:
     """The fixed part: per (atom, twist) the multiplicity drops to the number
     of orbits of the group on the index set (rank of the averaging projector)."""
-    return Motive.of((atom, twist, _count_orbits(rows))
-                     for (atom, twist, _), rows in zip(act.motive.terms, act.slot_actions))
+    out = []
+    for (atom, twist, mult), rows in zip(act.motive.terms, act.slot_actions):
+        out.append((atom, twist, _count_orbits(rows)))
+    return Motive.of(out)
 
 
 def model_motive(X: EquivariantModel) -> MotiveAction:

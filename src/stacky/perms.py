@@ -536,14 +536,15 @@ def _count_orbits(rows: Sequence[Sequence[int]]) -> int:
     seen: set[int] = set()
     orbits = 0
     for start in range(points):
-        if start not in seen:
-            orbits += 1
-            seen.add(start)
-            stack = [start]
-            while stack:
-                fresh = set(map(operator.itemgetter(stack.pop()), rows)) - seen
-                seen |= fresh
-                stack.extend(fresh)
+        if start in seen:
+            continue
+        orbits += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            fresh = set(map(operator.itemgetter(stack.pop()), rows)) - seen
+            seen |= fresh
+            stack.extend(fresh)
 
     fixed_total = sum(sum(map(operator.eq, row, range(points))) for row in rows)
     check("perms.burnside", fixed_total == orbits * len(rows),

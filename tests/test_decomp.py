@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import stacky.decomp
 import stacky.perms
 from stacky.cli import load_document
 from stacky.decomp import (
     GerbeDatum,
+    InjectiveCharacters,
     bh_motive,
+    character_indices,
     cyclotomic_inertia,
     gerbe_motive,
     gerbe_rset,
@@ -496,10 +499,28 @@ def test_warm_quotient_motive_wraps_no_perm(monkeypatch):
     assert made == [0]
 
 
-def test_inertia_dimension_second_route_ignores_the_exponents():
-    # a wrong exponent table (all units, so it passes the unit checks) would
-    # change the character route only: the element-class route still counts
-    # three classes, and the character route refuses the table by name
+def test_inertia_dimension_second_route_ignores_the_exponents(monkeypatch):
+    # a wrong exponent table that got past the characters' own check changes
+    # the character route only, so the element-class route must catch it
+    S3 = symmetric_group(3)
+    real = stacky.decomp.injective_characters
+
+    def all_ones(c, G):
+        if c.order != 3:
+            return real(c, G)
+        return InjectiveCharacters(c, character_indices(c.order),
+                                   dict.fromkeys(c.normalizer.elements, 1))
+
+    monkeypatch.setattr(stacky.decomp, "injective_characters", all_ones)
+    report = check_inertia_dimension(EquivariantModel.point(S3))
+    assert not report.passed
+    assert (report.lhs, report.rhs) == ('{"0":4}', '{"0":3}')
+
+
+def test_character_route_refuses_exponents_that_are_not_the_conjugation_character():
+    # an exponent table of units passes the unit checks; the conjugation
+    # character check refuses it by name, and the element-class route,
+    # which never reads it, still counts three classes
     S3 = symmetric_group(3)
     c3 = next(c for c in cyclic_subgroup_classes(S3, 0) if c.order == 3)
     object.__setattr__(c3, "exponents", dict.fromkeys(c3.normalizer.elements, 1))

@@ -223,6 +223,21 @@ def test_motive_action_rejects_malformed_slots():
         MotiveAction(M, S3, (ident[1:] + ((0, 1, 2),),))
 
 
+def test_motive_action_checks_every_slot_shape_before_any_action():
+    # a non-homomorphism in the first slot is reported only once every slot
+    # has one permutation of the right degree per element
+    S3 = symmetric_group(3)
+    M = Motive.of([(UNIT, 0, 2), (UNIT, 1, 2)])
+    bad = tuple((0, 1) if g == S3.identity else (1, 0) for g in S3.elements)
+    ident = ((0, 1),) * S3.order
+    with pytest.raises(InconsistentActionError, match="^need one permutation per group element$"):
+        MotiveAction(M, S3, (bad, ident[1:]))
+    with pytest.raises(NonBijectionError, match=r"^images \(1, 1\) are not a bijection on 0..1$"):
+        MotiveAction(M, S3, (bad, ident[1:] + ((1, 1),)))
+    with pytest.raises(InconsistentActionError, match="^slot action is not a homomorphism$"):
+        MotiveAction(M, S3, (bad, ident))
+
+
 @pytest.mark.parametrize("row", [(0, 0), (1, 1), (0, 2), (-1, 0)])
 def test_motive_action_rejects_a_row_that_is_not_a_permutation(row):
     # each row must permute range(mult) before any value is composed or read
