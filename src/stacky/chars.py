@@ -19,7 +19,8 @@ product is reduced modulo Phi_e and divided by |G| once.  Rows stay Cyclotomic
 values.  One table is kept per group, as group-free parts stored on it.  Ring
 constants of such a verified table come mod a prime q = 1 mod e, q > 2|G|, and
 are checked by the exact pointwise identity chi_i chi_j = sum_k n_k chi_k on
-every class; a table built by hand, or a pair that fails, takes exact pairings.
+every class, and kept with the table's parts, so once per group; a table built
+by hand, or a pair that fails, takes exact pairings.
 """
 
 from __future__ import annotations
@@ -142,8 +143,11 @@ def inner_product(T: CharacterTable, phi: ClassFunction, psi: ClassFunction) -> 
 
 def rep_ring(T: CharacterTable) -> RepresentationRing:
     """Structure constants of the representation ring, fully verified: mod q on
-    a table character_table built, else (and where that fails) by exact pairings."""
+    a table character_table built, else (and where that fails) by exact pairings.
+    A built table's constants are kept with its kernel rows and computed once."""
     r, K, d = T.rank, T.kernel or _KernelRows(T.rows), T.degrees
+    if K.constants is not None:
+        return RepresentationRing(T, K.constants)
     e, den, order, sizes = K.conductor, K.den, T.group.order, [c.size for c in T.classes]
     q = _choose_prime(e, order * order)  # q > 2|G| > every d_i d_j
     if mod_q := T.kernel is not None and den % q != 0:
@@ -181,7 +185,8 @@ def rep_ring(T: CharacterTable) -> RepresentationRing:
                         f"product of rows {i},{j} does not re-expand on class {c}")
             # chi_i * chi_j = chi_j * chi_i exactly, so (j, i) repeats (i, j)
             constants[i][j] = constants[j][i] = tuple(coeffs)
-    return RepresentationRing(T, tuple(tuple(row) for row in constants))
+    K.constants = tuple(tuple(row) for row in constants)
+    return RepresentationRing(T, K.constants)
 
 
 def _first_miss(prod, coeffs, K) -> int | None:
@@ -220,9 +225,11 @@ def _as_cyclotomic(v: Union[Cyclotomic, int, Fraction]) -> Cyclotomic:
 
 class _KernelRows:
     """Table rows converted once: per-class exponent vectors over zeta_e, e the
-    lcm of every value's conductor, over one common denominator."""
+    lcm of every value's conductor, over one common denominator; and the ring
+    constants, once rep_ring has verified them."""
 
     def __init__(self, rows: Sequence[Sequence[Cyclotomic]]):
+        self.constants: tuple | None = None
         self.conductors = [math.lcm(*(v.conductor for v in row)) for row in rows]
         self.conductor = math.lcm(*self.conductors)
         flat, self.den = _exponent_vector([v for row in rows for v in row], self.conductor)

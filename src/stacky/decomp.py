@@ -13,7 +13,7 @@ import math
 from functools import cached_property
 from typing import Sequence
 
-from ._record import field, record
+from ._record import record
 from .chars import character_table, rep_ring
 from .errors import (BadOrderError, InconsistentActionError, NotAnAutomorphismError,
                      ValidationError, check)
@@ -24,8 +24,6 @@ from .motives import (
     FixedLocus,
     Motive,
     extend_action,
-    invariants,
-    model_motive,
     _restrict_rows,
 )
 from .perms import (
@@ -50,60 +48,39 @@ def character_indices(order: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, order) if math.gcd(j, order) == 1)
 
 
-@record
-class InjectiveCharacters:
-    """The injective characters of a cyclic class with the normalizer action.
-
-    Characters are indexed by exponents j prime to the order; an element n of
-    the normalizer with conjugation exponent a sends index j to j*a mod m.
-    ``rows`` holds that permutation of the positions once per distinct a.
-    """
-
-    cyclic: CyclicClass
-    indices: tuple[int, ...]
-    exponents: dict[Perm, int]
-    rows: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pos, m = {j: i for i, j in enumerate(self.indices)}, self.cyclic.order
-        object.__setattr__(self, "rows", {a: tuple(pos[j * a % m] for j in self.indices)
-                                          for a in set(self.exponents.values())})
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def image_row(self, n: Perm) -> tuple[int, ...]:
-        """The permutation of the character positions by n."""
-        return self.rows[self.exponents[n]]
-
-
-def injective_characters(c: CyclicClass, G: FiniteGroup) -> InjectiveCharacters:
-    """The characters of the cyclic class c of G.  The recorded exponents must
-    be units (else conjugation_exponent raises) and the conjugation character,
-    n^-1 g n = g^a(n), read off one walk of g's conjugates: then n -> a(n) is a
-    homomorphism N -> (Z/m)^x, and the character rows are an action."""
-    exps, N, m = c.exponents, c.normalizer.elements, c.order
-    if tuple(exps) != N or any(math.gcd(a, m) != 1 for a in set(exps.values())):
-        exps = {n: conjugation_exponent(n, c) for n in N}
+def character_rows(c: CyclicClass, G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The normalizer of the cyclic class c of G acting on its injective
+    characters: one row per element n of ``c.normalizer.elements``, in order,
+    on the positions of character_indices(m), n sending j to j*a mod m.  Each a
+    is read by conjugation_exponent (a unit) and checked against one walk of
+    g's conjugates (n^-1 g n = g^a), so n -> a is a homomorphism N -> (Z/m)^x
+    and the rows are an action.  They are checked once, and kept on the class."""
+    if c._character_rows is not None:
+        return c._character_rows
+    N, m = c.normalizer.elements, c.order
+    exps = [conjugation_exponent(n, c) for n in N]
     if m > 1:
         index, conj = G.index, G._conjugates(G.index[c.generator])
         pw = [index[y] for y in c.subgroup_elements]
         check("decomp.conjugation_character",
-              all(conj[index[n]] == pw[a % m] for n, a in exps.items()),
+              all(conj[index[n]] == pw[a % m] for n, a in zip(N, exps)),
               "recorded exponents of the class of order {} are not its conjugation character", m)
-    return InjectiveCharacters(c, character_indices(m), exps)
+    indices = character_indices(m)
+    pos = {j: i for i, j in enumerate(indices)}
+    row_of = {a: tuple(pos[j * a % m] for j in indices) for a in set(exps)}
+    object.__setattr__(c, "_character_rows", tuple(map(row_of.__getitem__, exps)))
+    return c._character_rows
 
 
 @record
 class CyclotomicInertiaComponent:
     """One component of the cyclotomic inertia of a model: a cyclic class,
-    its fixed-point model carrying the normalizer action, and the character
-    set s(c)."""
+    its fixed-point model carrying the normalizer action, and the action of
+    the normalizer on the character set s(c), as character_rows gives it."""
 
     cyclic: CyclicClass
     fixed_model: EquivariantModel
-    chars: InjectiveCharacters
+    chars: tuple[tuple[int, ...], ...]
 
 
 @record
@@ -146,7 +123,7 @@ def cyclotomic_inertia(X: EquivariantModel, p: int = 0
     for c in cyclic_subgroup_classes(X.group, p):
         dims, action = _locus_cells_and_action(X, c)
         fixed = EquivariantModel._restricted(c.normalizer, dims, action)
-        out.append(CyclotomicInertiaComponent(c, fixed, injective_characters(c, X.group)))
+        out.append(CyclotomicInertiaComponent(c, fixed, character_rows(c, X.group)))
     return tuple(out)
 
 
@@ -177,8 +154,11 @@ def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
 
 
 def quotient_motive(X: EquivariantModel) -> Motive:
-    """Motive of the quotient: the invariant part of the model's motive."""
-    return invariants(model_motive(X))
+    """Motive of the quotient, the invariant part of the model's motive: one
+    L^d per orbit on the cells of dimension d, counted on the rows that
+    extend_action checked when the model was built."""
+    return Motive.of((UNIT, d, _count_orbits(_restrict_rows(X.element_actions, cells)))
+                     for d, cells in X.cells_of_dim().items())
 
 
 @record
@@ -208,13 +188,12 @@ def _component_ranks(comp: CyclotomicInertiaComponent) -> dict[int, int]:
     """Per-twist orbit counts of the normalizer on fixed cells x characters;
     the pair (cell position i, character position j) is the point i*k + j."""
     model = comp.fixed_model
-    k = comp.chars.size
-    crows = list(map(comp.chars.image_row, model.group.elements))
+    k = len(comp.chars[0])
     out = {}
     for d, cells in sorted(model.cells_of_dim().items()):
         rows = _restrict_rows(model.element_actions, cells)
         out[d] = _count_orbits([[i * k + j for i in row for j in crow]
-                                for row, crow in zip(rows, crows)])
+                                for row, crow in zip(rows, comp.chars)])
     return out
 
 
@@ -262,10 +241,7 @@ def _bh_rank(H: FiniteGroup, p: int) -> int:
     rank = sum(1 for cls in conjugacy_classes(H)
                if p == 0 or cls.order % p != 0)
     # independent route: orbits of each normalizer on the injective characters
-    via_chars = 0
-    for c in cyclic_subgroup_classes(H, p):
-        chars = injective_characters(c, H)
-        via_chars += _count_orbits(list(map(chars.image_row, c.normalizer.elements)))
+    via_chars = sum(_count_orbits(character_rows(c, H)) for c in cyclic_subgroup_classes(H, p))
     check("decomp.bh_rank_vs_chars", via_chars == rank,
           "class count {} and character-orbit count {} disagree", rank, via_chars)
     return rank

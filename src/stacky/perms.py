@@ -282,13 +282,15 @@ class Subgroup:
 class CyclicClass:
     """A conjugacy class of cyclic subgroups, with canonical generator g, its
     normalizer and, per normalizer element n in order, the unit a (mod the
-    order) with n^-1 g n = g^a."""
+    order) with n^-1 g n = g^a.  decomp.character_rows keeps the normalizer's
+    action on the injective characters with it, on first use (None until then)."""
 
     generator: Perm
     order: int
     subgroup_elements: tuple[Perm, ...]  # powers g^0 .. g^(m-1)
     normalizer: Subgroup
     exponents: dict[Perm, int] = field(repr=False, compare=False)
+    _character_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def orbit(seeds: Iterable[Hashable], gens: Sequence[Any],

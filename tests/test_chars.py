@@ -538,6 +538,19 @@ def test_one_group_builds_its_table_once(monkeypatch):
     assert again == T and again is not T and again.kernel is T.kernel
 
 
+def test_a_second_rep_ring_call_recomputes_nothing(monkeypatch):
+    # the verified constants are kept with the table's parts, so a second call
+    # checks no identity; a hand-built table has no kernel and runs its own path
+    G = symmetric_group(4)
+    R = rep_ring(character_table(G))
+    calls = _count_calls(monkeypatch, chars, ["_first_miss"])
+    assert rep_ring(character_table(G)) == R
+    assert calls == []
+    T = character_table(G)
+    assert rep_ring(CharacterTable(G, T.classes, T.rows, T.degrees)).constants == R.constants
+    assert calls
+
+
 def test_kept_table_still_honours_the_cap_and_holds_no_group():
     G = symmetric_group(4)
     character_table(G)

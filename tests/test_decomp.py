@@ -12,22 +12,22 @@ import stacky.perms
 from stacky.cli import load_document
 from stacky.decomp import (
     GerbeDatum,
-    InjectiveCharacters,
     bh_motive,
     character_indices,
+    character_rows,
     cyclotomic_inertia,
     gerbe_motive,
     gerbe_rset,
     inertia,
     inertia_ranks_by_twist,
     inertial_quotient_motive,
-    injective_characters,
     orbifold_curve_motive,
     product_with_point_model,
     quotient_motive,
 )
 from stacky.errors import BadOrderError, InternalError, NotAnAutomorphismError, ValidationError
-from stacky.motives import Atom, EquivariantModel, FixedLocus, Motive, chow_dim
+from stacky.motives import (Atom, EquivariantModel, FixedLocus, Motive, MotiveAction,
+                            chow_dim, invariants, model_motive)
 from stacky.perms import (
     Perm,
     alternating_group,
@@ -58,7 +58,7 @@ def test_cyclotomic_inertia_s3_natural():
     comps = cyclotomic_inertia(s3_on_points(), 0)
     assert [c.cyclic.order for c in comps] == [1, 2, 3]
     assert [c.fixed_model.size for c in comps] == [3, 1, 0]
-    assert [c.chars.size for c in comps] == [1, 1, 2]
+    assert [len(c.chars[0]) for c in comps] == [1, 1, 2]
 
 
 def test_cyclotomic_inertia_trivial_group():
@@ -307,14 +307,15 @@ def test_product_model_rejects_cells():
         product_with_point_model(cells, cyclic_group(2))
 
 
-def test_injective_characters_action():
+def test_character_rows_action():
+    # a transposition has a = 2, so it swaps the positions of the indices 1, 2
     S3 = symmetric_group(3)
     c3 = next(c for c in cyclic_subgroup_classes(S3, 0) if c.order == 3)
-    chars = injective_characters(c3, S3)
-    assert chars.indices == (1, 2)
+    assert character_indices(c3.order) == (1, 2)
+    rows = dict(zip(c3.normalizer.elements, character_rows(c3, S3)))
     swap = next(n for n in c3.normalizer.elements if n.order() == 2)
-    assert chars.image_row(swap)[0] == 1 and chars.image_row(swap)[1] == 0
-    assert chars.image_row(S3.identity)[0] == 0
+    assert rows[swap][0] == 1 and rows[swap][1] == 0
+    assert rows[S3.identity][0] == 0
 
 
 def test_declared_locus_with_nontrivial_normalizer_action():
@@ -488,8 +489,8 @@ def test_point_model_and_its_components_build_no_perm(monkeypatch):
 
 
 def test_warm_quotient_motive_wraps_no_perm(monkeypatch):
-    # model_motive restricts the model's rows to each dimension's cells, the
-    # slot action is checked on those rows and invariants counts their orbits
+    # quotient_motive restricts the model's rows to each dimension's cells
+    # and counts their orbits
     S5 = symmetric_group(5)
     X = EquivariantModel.hset(S5, 5, S5.generators)
     first = quotient_motive(X)
@@ -499,19 +500,51 @@ def test_warm_quotient_motive_wraps_no_perm(monkeypatch):
     assert made == [0]
 
 
+def test_warm_quotient_motive_checks_no_motive_action(monkeypatch):
+    # the orbits are counted on the rows extend_action checked, so no
+    # MotiveAction is built; model_motive still builds and checks one
+    S5 = symmetric_group(5)
+    X = EquivariantModel.hset(S5, 5, S5.generators)
+    first = quotient_motive(X)
+    checked = []
+    real = MotiveAction.__post_init__
+    monkeypatch.setattr(MotiveAction, "__post_init__",
+                        lambda self: checked.append(self) or real(self))
+    assert quotient_motive(X) == first
+    assert checked == []
+    assert invariants(model_motive(X)) == first and len(checked) == 1
+
+
+def test_character_check_walks_each_class_once(monkeypatch):
+    # the checked character rows are kept on the class, so no later model,
+    # characteristic or bh_motive call walks its generator's conjugates again
+    S5 = symmetric_group(5)
+    X = EquivariantModel.hset(S5, 5, S5.generators)
+    classes = cyclic_subgroup_classes(S5, 0)
+    walked = []
+    real = stacky.perms.FiniteGroup._conjugates
+    monkeypatch.setattr(stacky.perms.FiniteGroup, "_conjugates",
+                        lambda G, x: walked.append(x) or real(G, x))
+    for p in (0, 2, 3):
+        inertial_quotient_motive(X, p)
+    for p in (0, 2, 3):
+        bh_motive(S5, p)
+    assert sorted(walked) == sorted(S5.index[c.generator] for c in classes if c.order > 1)
+
+
 def test_inertia_dimension_second_route_ignores_the_exponents(monkeypatch):
     # a wrong exponent table that got past the characters' own check changes
     # the character route only, so the element-class route must catch it
     S3 = symmetric_group(3)
-    real = stacky.decomp.injective_characters
+    real = stacky.decomp.character_rows
 
     def all_ones(c, G):
+        # every exponent a = 1: each row is the identity on the positions
         if c.order != 3:
             return real(c, G)
-        return InjectiveCharacters(c, character_indices(c.order),
-                                   dict.fromkeys(c.normalizer.elements, 1))
+        return ((0, 1),) * c.normalizer.order
 
-    monkeypatch.setattr(stacky.decomp, "injective_characters", all_ones)
+    monkeypatch.setattr(stacky.decomp, "character_rows", all_ones)
     report = check_inertia_dimension(EquivariantModel.point(S3))
     assert not report.passed
     assert (report.lhs, report.rhs) == ('{"0":4}', '{"0":3}')

@@ -83,11 +83,12 @@ from stacky.decomp import (
     _component_ranks,
     _locus_cells_and_action,
     character_indices,
+    character_rows,
     cyclotomic_inertia,
     gerbe_rset,
     inertia,
     inertia_ranks_by_twist,
-    injective_characters,
+    quotient_motive,
 )
 from stacky.errors import (
     InconsistentActionError,
@@ -171,20 +172,23 @@ def reference_orbit_count(elements, action, points: int) -> int:
     return orbits
 
 
-def reference_char_act(chars):
-    def act(n: Perm, pos: int) -> int:
-        m = chars.cyclic.order
-        if m == 1:
-            return 0
-        j = chars.indices[pos] * chars.exponents[n] % m
-        return chars.indices.index(j)
-    return act
+def reference_character_rows(c):
+    """Per normalizer element n, in order, the row j -> j*a mod m over the
+    positions of the injective character indices, a from reference exponents."""
+    indices = character_indices(c.order)
+    return tuple(tuple(indices.index(j * reference_conjugation_exponent(n, c) % c.order)
+                       for j in indices) for n in c.normalizer.elements)
+
+
+def reference_char_act(c):
+    rows = dict(zip(c.normalizer.elements, reference_character_rows(c)))
+    return lambda n, pos: rows[n][pos]
 
 
 def reference_component_ranks(comp) -> dict[int, int]:
     model = comp.fixed_model
-    k = comp.chars.size
-    act_char = reference_char_act(comp.chars)
+    k = len(comp.chars[0])
+    act_char = reference_char_act(comp.cyclic)
     out = {}
     for d, cells in sorted(model.cells_of_dim().items()):
         pos = {cell: i for i, cell in enumerate(cells)}
@@ -330,6 +334,7 @@ def test_orbit_counts_match_the_reference(index):
                                                                                X.size)
         motive = model_motive(X)
         assert [m for _, _, m in invariants(motive).terms] == reference_invariant_counts(motive)
+        assert quotient_motive(X) == invariants(motive)
         for p in (0, 2, 3):
             for comp in cyclotomic_inertia(X, p):
                 assert _component_ranks(comp) == reference_component_ranks(comp)
@@ -343,13 +348,12 @@ def test_character_actions_match_the_reference(index):
     for p in (0, 2, 3):
         via_chars = 0
         for c in cyclic_subgroup_classes(G, p):
-            chars = injective_characters(c, G)
-            ref = reference_char_act(chars)
-            elems = c.normalizer.elements
-            assert all(chars.image_row(n)[i] == ref(n, i)
-                       for n in elems for i in range(chars.size))
-            count = reference_orbit_count(elems, ref, chars.size)
-            assert orbit_count(elems, lambda n, i: chars.image_row(n)[i], chars.size) == count
+            rows = character_rows(c, G)
+            ref = reference_char_act(c)
+            elems, k = c.normalizer.elements, len(rows[0])
+            assert all(row[i] == ref(n, i) for n, row in zip(elems, rows) for i in range(k))
+            count = reference_orbit_count(elems, ref, k)
+            assert orbit_count(elems, lambda n, i: rows[c.normalizer.index[n]][i], k) == count
             via_chars += count
         assert _bh_rank(G, p) == via_chars == sum(
             1 for cls in conjugacy_classes(G) if p == 0 or cls.order % p != 0)
@@ -391,9 +395,7 @@ def assert_classes_match_the_reference(G):
         assert [(c.generator, c.order, c.subgroup_elements, c.normalizer.elements)
                 for c in classes] == ref
         for c in classes:
-            chars = injective_characters(c, G)
-            assert chars.exponents == {n: reference_conjugation_exponent(n, c)
-                                       for n in c.normalizer.elements}
+            assert character_rows(c, G) == reference_character_rows(c)
     classes = conjugacy_classes(G)
     assert classes == reference_conjugacy_classes(G)
     for cls in classes:
@@ -431,7 +433,7 @@ def test_non_normalizing_element_in_a_tampered_normalizer():
     c = CyclicClass(c.generator, c.order, c.subgroup_elements, Subgroup(G.degree, G.elements),
                     c.exponents)
     with pytest.raises(NotInNormalizerError, match="does not normalize the subgroup"):
-        injective_characters(c, G)
+        character_rows(c, G)
     with pytest.raises(ValueError, match="element is not in the cyclic subgroup"):
         {n: reference_conjugation_exponent(n, c) for n in c.normalizer.elements}
 
@@ -443,7 +445,7 @@ def test_non_unit_discrete_log_fails_the_gcd_check():
     c = _cyclic_class(G, 4)
     object.__setattr__(c, "exponents", {n: 2 for n in c.normalizer.elements})
     with pytest.raises(NotInNormalizerError, match="did not map the generator to a generator"):
-        injective_characters(c, G)
+        character_rows(c, G)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ RECORD_NAMES = {
     "corresp": ["Correspondence", "SplitFactor"],
     "decomp": ["CharacterOrbitSet", "ClassifyingStackMotive", "ComponentContribution",
                "CyclotomicInertiaComponent", "GerbeDatum", "GerbeMotive", "InertiaComponent",
-               "InertialMotive", "InjectiveCharacters", "OrbifoldCurveMotive"],
+               "InertialMotive", "OrbifoldCurveMotive"],
     "verify": ["VerificationReport"],
     "cli": ["InputDocument"],
 }
@@ -89,7 +89,7 @@ def test_the_value_classes_are_records():
     found = {layer: [c.__name__ for c in RECORDS if c.__module__ == f"stacky.{layer}"]
              for layer in RECORD_NAMES}
     assert found == RECORD_NAMES
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 23
 
 
 # ---------------------------------------------------------------------------
