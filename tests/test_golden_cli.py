@@ -2,9 +2,10 @@
 
 The corpus in tests/golden/cli_outputs.jsonl was recorded before the
 permutation-group core was rewritten around one orbit closure, and its last
-eight runs (the filtered cyclic-class listings and suite seeds 1 and 2)
-before inertia components became restrictions of the parent's action; every
-run must still produce the same bytes.  The generated documents it reads live
+eight runs before them (the filtered cyclic-class listings and suite seeds 1
+and 2) before inertia components became restrictions of the parent's action,
+and the named-group grid that ends it before the group's class caches moved
+into cached properties; every run must still produce the same bytes.  The generated documents it reads live
 in tests/golden/cli_docs/ and are built from raw image tuples below (the
 oracles' closure and composition, not the package).  Regenerate both (only
 for a deliberate change of output) with
@@ -140,6 +141,9 @@ def generated_documents() -> dict[str, dict]:
         "q8_gerbe.json": _q8_gerbe_doc(),
         "c5_gerbe.json": _c5_gerbe_doc(),
         "s4_cells_noncanonical.json": _s4_cells_doc(),
+        "s6_points.json": _points_doc(6),
+        "a5_group.json": {"group": {"degree": 5, "generators": [[1, 2, 0, 3, 4], _cycle(5)]}},
+        "c12_group.json": {"group": {"degree": 12, "generators": [_cycle(12)]}},
     }
 
 
@@ -180,6 +184,13 @@ def cases() -> list[tuple[str, list[str]]]:
                 (doc, ["group", "--characteristic", "3"])]
     out += [("s3_quotient.json", ["verify", "--check", "suite", "--seed", "1"]),
             ("s3_quotient.json", ["verify", "--check", "suite", "--seed", "2"])]
+    # the named-group grid: the character table and BH of S4, S5, S6, A5, D6, Q8
+    # and C12, each run once (some are recorded above)
+    for doc in ("s4_points.json", "s5_points.json", "s6_points.json", "a5_group.json",
+                "d6_cosets.json", "q8_regular.json", "c12_group.json"):
+        for args in (["group", "--chars"], ["motive", "bh"]):
+            if (doc, args) not in out:
+                out.append((doc, args))
     return out
 
 
