@@ -21,7 +21,6 @@ from .motives import (
     UNIT,
     Atom,
     EquivariantModel,
-    FixedLocus,
     Motive,
     extend_action,
     _restrict_rows,
@@ -93,36 +92,20 @@ class InertiaComponent:
     fixed_model: EquivariantModel
 
 
-def _locus_cells_and_action(X: EquivariantModel, c: CyclicClass
-                            ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Fixed cells of the class representative subgroup plus the action of
-    every normalizer element on them (local cell indices), in normalizer order."""
-    if c.order == 1:
-        # the trivial class sees the ambient cells with the full action
-        return X.dims, X.element_actions
-    # a class's subgroup is the canonical conjugate, so it keys the loci, whose
-    # actions were moved onto its normalizer when the model was validated; a
-    # point model's are computed on first use, from image tuples, and kept
-    key = frozenset(c.subgroup_elements)
-    if X.kind == "hset" and key not in X.locus_actions:
-        rows, index = X.element_actions, X.group.index
-        fixed = tuple(p for p, q in enumerate(rows[index[c.generator]]) if p == q)
-        X.locus_actions[key] = (FixedLocus(c.generator, (0,) * len(fixed)), _restrict_rows(
-            [rows[index[n]] for n in c.normalizer.elements], fixed))
-    locus = X.locus_actions.get(key)
-    if locus is None:
-        return (), ((),) * c.normalizer.order
-    return locus[0].dims, locus[1]
+def _require_group_model(X: EquivariantModel) -> None:
+    """Refuse a component's fixed model: it acts through a subgroup, which has no classes."""
+    if isinstance(X.group, Subgroup):
+        raise ValidationError("inertia needs a model of a group; this one acts through a subgroup")
 
 
 def cyclotomic_inertia(X: EquivariantModel, p: int = 0
                        ) -> tuple[CyclotomicInertiaComponent, ...]:
     """One component per conjugacy class of cyclic subgroups of order prime
     to p: the fixed model with its normalizer action and the character set."""
+    _require_group_model(X)
     out = []
     for c in cyclic_subgroup_classes(X.group, p):
-        dims, action = _locus_cells_and_action(X, c)
-        fixed = EquivariantModel._restricted(c.normalizer, dims, action)
+        fixed = EquivariantModel._restricted(c.normalizer, *X.locus(c))
         out.append(CyclotomicInertiaComponent(c, fixed, character_rows(c, X.group)))
     return tuple(out)
 
@@ -135,11 +118,12 @@ def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
     subgroup.  Neither the conjugation exponents nor the characters are read:
     this is the second route to the refined ranks.
     """
+    _require_group_model(X)
     G = X.group
     class_of = {x: i for i, cls in enumerate(conjugacy_classes(G)) for x in cls.members}
     out = []
     for c in cyclic_subgroup_classes(G, p):
-        dims, action = _locus_cells_and_action(X, c)
+        dims, action = X.locus(c)
         seen: set[int] = set()
         # in sorted order, the first generator of a class is its least
         for h in sorted(c.subgroup_elements[k] for k in character_indices(c.order)):
@@ -157,8 +141,20 @@ def quotient_motive(X: EquivariantModel) -> Motive:
     """Motive of the quotient, the invariant part of the model's motive: one
     L^d per orbit on the cells of dimension d, counted on the rows that
     extend_action checked when the model was built."""
-    return Motive.of((UNIT, d, _count_orbits(_restrict_rows(X.element_actions, cells)))
-                     for d, cells in X.cells_of_dim().items())
+    return Motive.of((UNIT, d, r) for d, r in _orbit_ranks(X).items())
+
+
+def _orbit_ranks(model: EquivariantModel, chars: Sequence | None = None) -> dict[int, int]:
+    """Per cell dimension, the orbits on the cells or, given character rows, on the
+    pairs (cell position i, character position j), each the point i*k + j."""
+    out = {}
+    for d, cells in model.cells_of_dim().items():
+        rows = _restrict_rows(model.element_actions, cells)
+        if chars is not None:
+            k = len(chars[0])
+            rows = [[i * k + j for i in row for j in crow] for row, crow in zip(rows, chars)]
+        out[d] = _count_orbits(rows)
+    return out
 
 
 @record
@@ -184,25 +180,12 @@ class InertialMotive:
         return self.motive.unit_multiplicities()
 
 
-def _component_ranks(comp: CyclotomicInertiaComponent) -> dict[int, int]:
-    """Per-twist orbit counts of the normalizer on fixed cells x characters;
-    the pair (cell position i, character position j) is the point i*k + j."""
-    model = comp.fixed_model
-    k = len(comp.chars[0])
-    out = {}
-    for d, cells in sorted(model.cells_of_dim().items()):
-        rows = _restrict_rows(model.element_actions, cells)
-        out[d] = _count_orbits([[i * k + j for i in row for j in crow]
-                                for row, crow in zip(rows, comp.chars)])
-    return out
-
-
 def inertial_quotient_motive(X: EquivariantModel, p: int = 0) -> InertialMotive:
     """The character-refined motive: sum over cyclotomic inertia components
     of the normalizer-invariants of (fixed cells) x (injective characters)."""
     contribs = []
     for comp in cyclotomic_inertia(X, p):
-        ranks = _component_ranks(comp)
+        ranks = _orbit_ranks(comp.fixed_model, comp.chars)
         mot = Motive.of([(UNIT, d, r) for d, r in ranks.items()])
         contribs.append(ComponentContribution(comp, tuple(sorted(ranks.items())), mot))
     total = Motive.of(t for cc in contribs for t in cc.motive.terms)
@@ -214,10 +197,8 @@ def inertia_ranks_by_twist(X: EquivariantModel, p: int = 0) -> dict[int, int]:
     independent second route to the refined ranks."""
     out: dict[int, int] = {}
     for comp in inertia(X, p):
-        model = comp.fixed_model
-        for d, cells in model.cells_of_dim().items():
-            count = _count_orbits(_restrict_rows(model.element_actions, cells))
-            out[d] = out.get(d, 0) + count
+        for d, r in _orbit_ranks(comp.fixed_model).items():
+            out[d] = out.get(d, 0) + r
     return {d: r for d, r in out.items() if r}
 
 

@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 from ._record import field, record
 from .errors import InconsistentActionError, NonBijectionError, OpaqueTensorError
-from .perms import (FiniteGroup, Perm, Subgroup, _compose, _count_orbits,
-                    cyclic_subgroup_classes, generate_group)
+from .perms import (CyclicClass, FiniteGroup, Perm, Subgroup, _compose, _count_orbits,
+                    generate_group)
 
 
 @record
@@ -222,9 +222,9 @@ class EquivariantModel:
     """A finite point set or graded cell list with a group action.
 
     The generator images are verified to extend to an action of the whole
-    group; the action of every element is precomputed (see extend_action).  For "hset"
-    models fixed loci are computed from the points; "cells" models carry
-    declared fixed loci (see FixedLocus).
+    group; the action of every element is precomputed (see extend_action).  The
+    model keeps its fixed loci (see locus): "hset" models compute them from the
+    points, "cells" models declare them (see FixedLocus).
     """
 
     def __init__(self, group: FiniteGroup, dims: Sequence[int],
@@ -256,9 +256,9 @@ class EquivariantModel:
                     raise InconsistentActionError(
                         f"generator image {i} moves cell {cell} across dimensions")
         self.element_actions = extend_action(group, self.generator_images, n)
-        # per declared locus, keyed by its class's subgroup: rows aligned with its normalizer
+        # per fixed locus, keyed by its class's subgroup: (dims, rows aligned with its normalizer)
         self.locus_actions: dict[frozenset[Perm],
-                                 tuple[FixedLocus, tuple[tuple[int, ...], ...]]] = {}
+                                 tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
         for locus in self.fixed_loci:
             self._validate_locus(locus)
 
@@ -285,9 +285,8 @@ class EquivariantModel:
             raise ValueError("fixed-locus generator is not a group element")
         if g.is_identity():
             raise ValueError("the ambient cells already model the trivial locus")
-        cyclic_subgroup_classes(G)  # fills the subgroup -> class map
         sub = G._cyclic_subgroups[G.index[g]]
-        c = G._class_of_subgroup[sub]
+        c = G._cyclic_classes[1][sub]
         key = frozenset(c.subgroup_elements)
         if key in self.locus_actions:
             raise ValueError("two fixed loci declare conjugate subgroups")
@@ -325,7 +324,22 @@ class EquivariantModel:
         if any(rows[c.normalizer.index[y]] != ident for y in c.subgroup_elements):
             raise InconsistentActionError(
                 "the fixing subgroup must act trivially on its own fixed cells")
-        self.locus_actions[key] = (locus, rows)
+        self.locus_actions[key] = (locus.dims, rows)
+
+    def locus(self, c: CyclicClass) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The cells fixed by the cyclic class c with its normalizer's action: (dims,
+        rows aligned with c.normalizer.elements).  All cells for the trivial class; a
+        point model's fixed points, found on first use and kept; else the declared locus
+        or none."""
+        if c.order == 1:
+            return self.dims, self.element_actions
+        key = frozenset(c.subgroup_elements)
+        if self.kind == "hset" and key not in self.locus_actions:
+            rows, index = self.element_actions, self.group.index
+            fixed = tuple(p for p, q in enumerate(rows[index[c.generator]]) if p == q)
+            self.locus_actions[key] = ((0,) * len(fixed), _restrict_rows(
+                [rows[index[n]] for n in c.normalizer.elements], fixed))
+        return self.locus_actions.get(key) or ((), ((),) * c.normalizer.order)
 
     @property
     def size(self) -> int:

@@ -133,7 +133,26 @@ class Perm:
         return f"Perm({self.images!r})"
 
 
-class FiniteGroup:
+class _ElementList:
+    """What a group and a subgroup share: a sorted list of elements of one degree."""
+
+    @cached_property
+    def index(self) -> dict[Perm, int]:
+        return {g: i for i, g in enumerate(self.elements)}
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @property
+    def identity(self) -> Perm:
+        return Perm.identity(self.degree)
+
+    def __contains__(self, g: Perm) -> bool:
+        return g in self.index
+
+
+class FiniteGroup(_ElementList):
     """A finite permutation group with its full, canonically ordered element list.
 
     Construct through :func:`generate_group` or the named-family helpers; the
@@ -148,24 +167,8 @@ class FiniteGroup:
         # element -> generator word, product read left to right; in discovery
         # order, so every non-empty word's prefix is the word of an earlier element
         self.words = words
-        self.index = {g: i for i, g in enumerate(elements)}
         self._by_images = {g.images: i for i, g in enumerate(elements)}
-        self._conjugacy_classes: tuple[ConjugacyClass, ...] | None = None
-        self._cyclic_classes: tuple[CyclicClass, ...] | None = None
-        # each cyclic subgroup, as _cyclic_subgroups gives it, to its class
-        self._class_of_subgroup: dict[tuple[int, ...], CyclicClass] = {}
         self._table_parts: tuple | None = None  # set by chars.character_table; no group in it
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
-
-    def __contains__(self, g: Perm) -> bool:
-        return g in self.index
 
     def __iter__(self):
         return iter(self.elements)
@@ -178,7 +181,7 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         """The lcm of the element orders, read off the conjugacy classes."""
-        return math.lcm(*(c.order for c in conjugacy_classes(self)))
+        return math.lcm(*(c.order for c in self._conjugacy_classes))
 
     def is_abelian(self) -> bool:
         gens = [g.images for g in self.generators]
@@ -235,6 +238,43 @@ class FiniteGroup:
                 subs.update((x, pw) for k, x in enumerate(pw) if math.gcd(k, len(pw)) == 1)
         return subs
 
+    @cached_property
+    def _conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
+        seen, classes = set(), []
+        for i, seed in enumerate(self.elements):
+            if i in seen:
+                continue
+            # elements are sorted, so the first one not yet seen is its class's least
+            members = sorted(orbit([i], self._conjugation_rows, lambda x, row: row[x]))
+            classes.append(ConjugacyClass(seed, tuple(map(self.elements.__getitem__, members)),
+                                          seed.order()))
+            seen.update(members)
+        classes.sort(key=lambda c: (c.order, c.representative.images))
+        return tuple(classes)
+
+    @cached_property
+    def _cyclic_classes(self) -> tuple[tuple[CyclicClass, ...], dict]:
+        """The classes of cyclic subgroups, canonically ordered, and the map
+        from each cyclic subgroup, as _cyclic_subgroups gives it, to its class."""
+        subs, class_of, classes = self._cyclic_subgroups, {}, []
+        # element-index sets sort as their sorted image tuples do
+        for pw in sorted(dict.fromkeys(subs.values()), key=sorted):
+            if pw in class_of:
+                continue
+            m = len(pw)
+            # visited in key order, so the first one not yet seen is the least of its
+            # conjugacy class; c[i] = e_i^-1 g e_i for the least generator g generates
+            # a conjugate, and is g^a for e_i in the normalizer (a = 1 if m = 1)
+            c = self._conjugates(pw[1 % m])
+            a_of = {pw[k % m]: k for k in range(1, m + 1) if math.gcd(k, m) == 1}
+            exps = {self.elements[i]: a_of[x] for i, x in enumerate(c) if x in a_of}
+            pw = tuple(map(self.elements.__getitem__, pw))
+            classes.append(CyclicClass(pw[1 % m], m, pw, Subgroup(self.degree, tuple(exps)),
+                                       exps))
+            class_of.update(dict.fromkeys(map(subs.__getitem__, c), classes[-1]))
+        classes.sort(key=lambda c: (c.order, c.generator.images))
+        return tuple(classes), class_of
+
 
 @record
 class ConjugacyClass:
@@ -250,32 +290,17 @@ class ConjugacyClass:
 
 
 @record
-class Subgroup:
+class Subgroup(_ElementList):
     """A subgroup given by its element subset inside a group of this degree,
-    with a FiniteGroup's ``index``, ``identity`` and ``generators``; it keeps
-    no reference to the group, so the classes cached on a group form no cycle."""
+    with a FiniteGroup's ``generators``; it keeps no reference to the group,
+    so the classes cached on a group form no cycle."""
 
     degree: int
     elements: tuple[Perm, ...]
-    index: dict[Perm, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", {g: i for i, g in enumerate(self.elements)})
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
 
     @cached_property
     def generators(self) -> tuple[Perm, ...]:
         return reduce_generators(self.elements, self.degree)
-
-    def __contains__(self, g: Perm) -> bool:
-        return g in self.index
 
 
 @record
@@ -377,21 +402,7 @@ def reduce_generators(elements: Sequence[Perm], degree: int) -> tuple[Perm, ...]
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     """Partition the group into conjugacy classes, canonically ordered."""
-    if G._conjugacy_classes is not None:
-        return G._conjugacy_classes
-    seen, classes = set(), []
-    for i, seed in enumerate(G.elements):
-        if i in seen:
-            continue
-        # elements are sorted, so the first one not yet seen is its class's least
-        members = sorted(orbit([i], G._conjugation_rows, lambda x, row: row[x]))
-        classes.append(ConjugacyClass(seed, tuple(map(G.elements.__getitem__, members)),
-                                      seed.order()))
-        seen.update(members)
-    classes.sort(key=lambda c: (c.order, c.representative.images))
-    result = tuple(classes)
-    G._conjugacy_classes = result
-    return result
+    return G._conjugacy_classes
 
 
 def _is_prime(n: int) -> bool:
@@ -423,25 +434,7 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     All classes are computed once per group; p drops whole ones, in order.
     """
     check_characteristic(p)
-    if G._cyclic_classes is None:
-        subs, class_of, classes = G._cyclic_subgroups, {}, []
-        # element-index sets sort as their sorted image tuples do
-        for pw in sorted(dict.fromkeys(subs.values()), key=sorted):
-            if pw in class_of:
-                continue
-            m = len(pw)
-            # visited in key order, so the first one not yet seen is the least of its
-            # conjugacy class; c[i] = e_i^-1 g e_i for the least generator g generates
-            # a conjugate, and is g^a for e_i in the normalizer (a = 1 if m = 1)
-            c = G._conjugates(pw[1 % m])
-            a_of = {pw[k % m]: k for k in range(1, m + 1) if math.gcd(k, m) == 1}
-            exps = {G.elements[i]: a_of[x] for i, x in enumerate(c) if x in a_of}
-            pw = tuple(map(G.elements.__getitem__, pw))
-            classes.append(CyclicClass(pw[1 % m], m, pw, Subgroup(G.degree, tuple(exps)), exps))
-            class_of.update(dict.fromkeys(map(subs.__getitem__, c), classes[-1]))
-        classes.sort(key=lambda c: (c.order, c.generator.images))
-        G._cyclic_classes, G._class_of_subgroup = tuple(classes), class_of
-    return tuple(c for c in G._cyclic_classes if p == 0 or c.order % p != 0)
+    return tuple(c for c in G._cyclic_classes[0] if p == 0 or c.order % p != 0)
 
 
 def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[tuple[Perm, ...], ...]:

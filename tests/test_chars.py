@@ -594,3 +594,28 @@ def test_rep_ring_constants_satisfy_the_ring_axioms(G):
             assert all(isinstance(x, int) and x >= 0 for x in n[i][j])
             assert n[i][j][0] == (1 if j == dual[i] else 0)
             assert sum(x * dk for x, dk in zip(n[i][j], d)) == d[i] * d[j]
+
+
+@settings(max_examples=60)
+@given(relabelled_groups())
+def test_character_tables_satisfy_orthogonality_and_the_degree_laws(G):
+    # Isaacs, ch. 2: sum_C |C| chi_i(C) conj(chi_j(C)) = |G| delta_ij, and
+    # sum_i chi_i(C) conj(chi_i(C')) = |G|/|C| delta_CC'; every degree divides
+    # |G| and the squares of the degrees sum to |G|
+    T = character_table(G)
+    zero = Cyclotomic.from_rational(0)
+    conj = [[v.conjugate() for v in row] for row in T.rows]
+    for i in range(T.rank):
+        for j in range(T.rank):
+            total = zero
+            for c, a, b in zip(T.classes, T.rows[i], conj[j]):
+                total = total + a * b * c.size
+            assert total == (G.order if i == j else 0)
+    for a in range(T.rank):
+        for b in range(T.rank):
+            total = zero
+            for row, crow in zip(T.rows, conj):
+                total = total + row[a] * crow[b]
+            assert total == (Fraction(G.order, T.classes[a].size) if a == b else 0)
+    assert all(G.order % d == 0 for d in T.degrees)
+    assert sum(d * d for d in T.degrees) == G.order

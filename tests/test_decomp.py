@@ -307,6 +307,20 @@ def test_product_model_rejects_cells():
         product_with_point_model(cells, cyclic_group(2))
 
 
+@pytest.mark.parametrize("order,coarse", [(2, Motive.point()), (3, Motive.zero())])
+def test_refined_inertia_refuses_a_components_fixed_model(order, coarse):
+    # a component's fixed model acts through the normalizer, a subgroup that
+    # keeps no classes: every refined-inertia entry point refuses it, while the
+    # coarse motive and the model's motive still read its rows
+    comp = next(c for c in cyclotomic_inertia(s3_on_points()) if c.cyclic.order == order)
+    Y = comp.fixed_model
+    for route in (inertial_quotient_motive, cyclotomic_inertia, inertia, inertia_ranks_by_twist,
+                  check_inertia_dimension):
+        with pytest.raises(ValidationError, match="this one acts through a subgroup"):
+            route(Y)
+    assert quotient_motive(Y) == invariants(model_motive(Y)) == coarse
+
+
 def test_character_rows_action():
     # a transposition has a = 2, so it swaps the positions of the indices 1, 2
     S3 = symmetric_group(3)
@@ -385,8 +399,8 @@ def test_noncanonical_locus_action_is_keyed_by_the_canonical_normalizer():
     X = load_document(str(NONCANONICAL_DOC)).model
     classes = {frozenset(c.subgroup_elements): c for c in cyclic_subgroup_classes(X.group, 0)}
     assert len(X.locus_actions) == 2
-    for key, (locus, rows) in X.locus_actions.items():
-        assert locus.generator not in key
+    for locus, (key, (dims, rows)) in zip(X.fixed_loci, X.locus_actions.items()):
+        assert locus.generator not in key and dims == locus.dims
         N = classes[key].normalizer
         assert len(rows) == N.order
         act = {n: Perm(row) for n, row in zip(N.elements, rows)}

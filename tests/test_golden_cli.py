@@ -1,14 +1,14 @@
 """Golden CLI corpus: exit code, stdout and stderr of `stacky` runs, byte for byte.
 
 The corpus in tests/golden/cli_outputs.jsonl was recorded before the
-permutation-group core was rewritten around one orbit closure, and its last
-eight runs before them (the filtered cyclic-class listings and suite seeds 1
-and 2) before inertia components became restrictions of the parent's action,
-and the named-group grid that ends it before the group's class caches moved
-into cached properties; every run must still produce the same bytes.  The generated documents it reads live
-in tests/golden/cli_docs/ and are built from raw image tuples below (the
-oracles' closure and composition, not the package).  Regenerate both (only
-for a deliberate change of output) with
+permutation-group core was rewritten around one orbit closure; the filtered
+cyclic-class listings and suite seeds 1 and 2 before inertia components became
+restrictions of the parent's action; and the named-group grid at its end (the
+character table and BH of S4-S6, A5, D6, Q8 and C12) before the class caches
+became cached properties of the group.  Every run must still produce the same
+bytes.  The generated documents it reads live in tests/golden/cli_docs/ and are
+built from raw image tuples below (the oracles' closure and composition, not the
+package).  Regenerate both (only for a deliberate change of output) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """

@@ -2,8 +2,8 @@
 against the old kernels.
 
 ``orbit_count`` tabulates one image row per element and counts orbits on the
-rows; the internal callers (``decomp._component_ranks``,
-``decomp.inertia_ranks_by_twist``, ``decomp._bh_rank`` and
+rows; the internal callers (``decomp._orbit_ranks`` for the refined and the
+element-indexed ranks, ``decomp._bh_rank`` and
 ``motives.invariants``) build the rows themselves.  ``mat_mul`` multiplies
 integer numerators over a common denominator.  Conjugacy classes and cyclic
 subgroup classes close element indices under one conjugation row per
@@ -80,8 +80,7 @@ from stacky.decomp import (
     CharacterOrbitSet,
     _automorphism_map,
     _bh_rank,
-    _component_ranks,
-    _locus_cells_and_action,
+    _orbit_ranks,
     character_indices,
     character_rows,
     cyclotomic_inertia,
@@ -337,7 +336,8 @@ def test_orbit_counts_match_the_reference(index):
         assert quotient_motive(X) == invariants(motive)
         for p in (0, 2, 3):
             for comp in cyclotomic_inertia(X, p):
-                assert _component_ranks(comp) == reference_component_ranks(comp)
+                ranks = _orbit_ranks(comp.fixed_model, comp.chars)
+                assert ranks == reference_component_ranks(comp)
             assert inertia_ranks_by_twist(X, p) == reference_inertia_ranks(X, p)
 
 
@@ -405,7 +405,7 @@ def assert_classes_match_the_reference(G):
         for g in G.elements[:8]:
             conj = [g * x * g.inverse() for x in c.subgroup_elements]
             # the conjugated generator's subgroup finds its class by lookup
-            found = G._class_of_subgroup[G._cyclic_subgroups[G.index[conj[1 % c.order]]]]
+            found = G._cyclic_classes[1][G._cyclic_subgroups[G.index[conj[1 % c.order]]]]
             assert found is c
             assert frozenset(found.subgroup_elements) == reference_canonical_conjugate(G, conj)
 
@@ -808,12 +808,12 @@ def test_extension_and_loci_match_the_reference(name, make):
         assert list(ref) == list(G.elements)
         assert X.element_actions == tuple(a.images for a in ref.values())
         for c in cyclic_subgroup_classes(G, 0)[1:]:
-            dims, act = _locus_cells_and_action(X, c)
+            dims, act = X.locus(c)
             ref_dims, ref_act = reference_hset_locus(X, c)
             assert list(ref_act) == list(c.normalizer.elements)
             assert dims == ref_dims and act == tuple(a.images for a in ref_act.values())
             # kept on the model: the second call returns the same rows
-            assert _locus_cells_and_action(X, c)[1] is act
+            assert X.locus(c)[1] is act
 
 
 @st.composite

@@ -123,14 +123,14 @@ def test_canonical_conjugate_is_the_least_of_the_class(group):
              for cls in oracles.subgroup_conj_classes(elems, oracles.cyclic_subgroups(elems))
              for sub in cls}
     subs = set(G._cyclic_subgroups.values())
-    assert set(G._class_of_subgroup) == subs
+    assert set(G._cyclic_classes[1]) == subs
     assert {frozenset(G.elements[i].images for i in pw) for pw in subs} == set(least)
     for pw in subs:
-        c = G._class_of_subgroup[pw]
+        c = G._cyclic_classes[1][pw]
         canon = frozenset(x.images for x in c.subgroup_elements)
         assert canon == least[frozenset(G.elements[i].images for i in pw)]
     for c in classes:
-        assert G._class_of_subgroup[G._cyclic_subgroups[G.index[c.generator]]] is c
+        assert G._cyclic_classes[1][G._cyclic_subgroups[G.index[c.generator]]] is c
 
 
 def test_normalizer_orders_match_an_all_pairs_scan(group):

@@ -53,3 +53,37 @@ def test_trusted_perms_are_wrapped_only_in_perms_and_action_of():
                   and id(node) not in allowed]
     assert found == [], f"Perm._trusted called outside perms.py: {', '.join(found)}"
     assert "Perm._trusted" in (SOURCE / "motives.py").read_text(encoding="utf-8")
+
+
+def test_locus_actions_are_written_only_in_motives():
+    # a model owns its fixed loci: EquivariantModel declares them and keeps a
+    # point model's on first use (EquivariantModel.locus); no other module
+    # assigns the dict, an item of it, or calls one of its mutating methods
+    found, in_motives = [], 0
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [
+                    node.target]
+                hit = any(isinstance(sub, ast.Attribute) and sub.attr == "locus_actions"
+                          for t in targets for sub in ast.walk(t))
+            else:
+                hit = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear")
+                       and getattr(node.func.value, "attr", None) == "locus_actions")
+            if hit and path.name == "motives.py":
+                in_motives += 1
+            elif hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"locus_actions written outside motives.py: {', '.join(found)}"
+    assert in_motives >= 3  # the constructor, a declared locus and a point model's
+
+
+def test_class_listings_are_not_called_for_a_side_effect():
+    # the group computes its classes on first read; a call whose result is
+    # dropped can only be there for a side effect, which no longer exists
+    found = [f"{name}:{node.lineno}" for name, node in _nodes(ast.Expr)
+             if isinstance(node.value, ast.Call)
+             and getattr(node.value.func, "id", getattr(node.value.func, "attr", None))
+             in ("cyclic_subgroup_classes", "conjugacy_classes")]
+    assert found == [], f"class listings called for a side effect: {', '.join(found)}"
