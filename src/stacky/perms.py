@@ -181,7 +181,7 @@ class FiniteGroup(_ElementList):
 
     def exponent(self) -> int:
         """The lcm of the element orders, read off the conjugacy classes."""
-        return math.lcm(*(c.order for c in self._conjugacy_classes))
+        return math.lcm(*(c.order for c in conjugacy_classes(self)))
 
     def is_abelian(self) -> bool:
         gens = [g.images for g in self.generators]

@@ -307,6 +307,18 @@ def test_product_model_rejects_cells():
         product_with_point_model(cells, cyclic_group(2))
 
 
+def test_model_locus_for_each_kind_of_class_and_model():
+    # the trivial class sees the whole model; <(1 2)> fixes the point 0 and its
+    # normalizer of order 2 keeps it; a cell model without declared loci has none
+    S3 = symmetric_group(3)
+    trivial, c2, c3 = cyclic_subgroup_classes(S3, 0)
+    X = s3_on_points()
+    assert X.locus(trivial) == (X.dims, X.element_actions)
+    assert X.locus(c2) == ((0,), ((0,), (0,)))
+    Y = EquivariantModel(S3, (0, 1), [Perm([0, 1])] * 2, kind="cells")
+    assert Y.locus(c3) == ((), ((),) * 6) and Y.locus_actions == {}
+
+
 @pytest.mark.parametrize("order,coarse", [(2, Motive.point()), (3, Motive.zero())])
 def test_refined_inertia_refuses_a_components_fixed_model(order, coarse):
     # a component's fixed model acts through the normalizer, a subgroup that
