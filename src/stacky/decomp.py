@@ -23,7 +23,6 @@ from .motives import (
     EquivariantModel,
     Motive,
     extend_action,
-    _restrict_rows,
 )
 from .perms import (
     CyclicClass,
@@ -120,18 +119,17 @@ def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
     """
     _require_group_model(X)
     G = X.group
-    class_of = {x: i for i, cls in enumerate(conjugacy_classes(G)) for x in cls.members}
     out = []
     for c in cyclic_subgroup_classes(G, p):
+        if c._centralizers is None:
+            gens = {c.subgroup_elements[k] for k in character_indices(c.order)}
+            # the least generator in each element class that meets them, in order
+            reps = sorted(min(gens.intersection(cls.members)) for cls in conjugacy_classes(G)
+                          if cls.order == c.order and not gens.isdisjoint(cls.members))
+            object.__setattr__(c, "_centralizers", tuple((h, centralizer(G, h)) for h in reps))
         dims, action = X.locus(c)
-        seen: set[int] = set()
-        # in sorted order, the first generator of a class is its least
-        for h in sorted(c.subgroup_elements[k] for k in character_indices(c.order)):
-            if class_of[h] in seen:
-                continue
-            seen.add(class_of[h])
+        for h, Z in c._centralizers:
             # C(h) lies in N(<h>), so the normalizer's action restricts to it
-            Z = centralizer(G, h)
             rows = tuple(action[c.normalizer.index[z]] for z in Z.elements)
             out.append(InertiaComponent(h, Z, EquivariantModel._restricted(Z, dims, rows)))
     return tuple(out)
@@ -146,15 +144,9 @@ def quotient_motive(X: EquivariantModel) -> Motive:
 
 def _orbit_ranks(model: EquivariantModel, chars: Sequence | None = None) -> dict[int, int]:
     """Per cell dimension, the orbits on the cells or, given character rows, on the
-    pairs (cell position i, character position j), each the point i*k + j."""
-    out = {}
-    for d, cells in model.cells_of_dim().items():
-        rows = _restrict_rows(model.element_actions, cells)
-        if chars is not None:
-            k = len(chars[0])
-            rows = [[i * k + j for i in row for j in crow] for row, crow in zip(rows, chars)]
-        out[d] = _count_orbits(rows)
-    return out
+    pairs (cell, character position), counted on the model's own rows."""
+    return {d: _count_orbits(model.element_actions, cells, chars)
+            for d, cells in model.cells_of_dim().items()}
 
 
 @record

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import cached_property
+from operator import eq, itemgetter, mul
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ._record import field, record
@@ -316,6 +316,7 @@ class CyclicClass:
     normalizer: Subgroup
     exponents: dict[Perm, int] = field(repr=False, compare=False)
     _character_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _centralizers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def orbit(seeds: Iterable[Hashable], gens: Sequence[Any],
@@ -522,28 +523,44 @@ def orbit_count(elements: Sequence[Perm], action: Callable[[Perm, int], int], po
     return _count_orbits(rows)
 
 
-def _count_orbits(rows: Sequence[Sequence[int]]) -> int:
-    """The number of orbits of a group, given as one image row per element,
-    by a search over the rows, checked by the Burnside average.  The rows must
-    be an action already checked where it was built (extend_action, its
-    restrictions, the conjugation character); orbit_count checks outside ones."""
-    points = len(rows[0])
-    seen: set[int] = set()
-    orbits = 0
-    for start in range(points):
+def _count_orbits(rows: Sequence[Sequence[int]], cells: Sequence[int] | None = None,
+                  chars: Sequence[Sequence[int]] | None = None) -> int:
+    """The number of orbits of a group, given as one image row per element, on
+    ``cells`` (cells the rows preserve; all by default) or, given one character row
+    per element, on the pairs (cell, character position), by a search over the rows
+    checked by the Burnside average.  The rows must be an action checked where it was
+    built (extend_action, the loci, the conjugation character) or in orbit_count."""
+    every = cells is None or len(cells) == len(rows[0])
+    cells = range(len(rows[0])) if every else cells
+    if chars is not None and len(chars[0]) == 1:
+        chars = None  # a single character: the pairs are the cells
+    if chars is None:
+        points, images = cells, lambda x: set(map(itemgetter(x), rows))
+    else:
+        points = itertools.product(cells, range(len(chars[0])))
+        images = lambda x: set(zip(map(itemgetter(x[0]), rows), map(itemgetter(x[1]), chars)))
+    seen, orbits = set(), 0
+    for start in points:
         if start in seen:
             continue
         orbits += 1
         seen.add(start)
         stack = [start]
         while stack:
-            fresh = set(map(operator.itemgetter(stack.pop()), rows)) - seen
+            fresh = images(stack.pop()) - seen
             seen |= fresh
             stack.extend(fresh)
 
-    fixed_total = sum(sum(map(operator.eq, row, range(points))) for row in rows)
-    check("perms.burnside", fixed_total == orbits * len(rows),
-          "Burnside average {}/{} disagrees with orbit count {}", fixed_total, len(rows), orbits)
+    if every and chars is None:
+        fixed = sum(map(eq, itertools.chain.from_iterable(rows), itertools.cycle(cells)))
+    else:
+        # an element fixes a pair when it fixes both its cell and its character
+        fix_cells = [sum(map(eq, map(row.__getitem__, cells), cells)) for row in rows]
+        fix_chars = itertools.repeat(1) if chars is None else [
+            sum(map(eq, row, range(len(row)))) for row in chars]
+        fixed = sum(map(mul, fix_cells, fix_chars))
+    check("perms.burnside", fixed == orbits * len(rows),
+          "Burnside average {}/{} disagrees with orbit count {}", fixed, len(rows), orbits)
     return orbits
 
 

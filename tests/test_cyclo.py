@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from stacky.cyclo import (
@@ -174,3 +177,60 @@ def test_products_add_exponents_and_reduce_once():
         assert den == 1
         prod = [(a + b, u * w) for a, u in xv for b, w in yv]
         assert _from_vector(prod, 1, e) == x * y
+
+
+# ---------------------------------------------------------------------------
+# Ring axioms at mixed conductors, as properties against the integer kernel.
+
+CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+
+
+@st.composite
+def cyclotomics(draw) -> Cyclotomic:
+    e = draw(st.sampled_from(CONDUCTORS))
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return Cyclotomic(e, draw(st.lists(coeff, min_size=euler_phi(e), max_size=euler_phi(e))))
+
+
+@settings(max_examples=80)
+@given(cyclotomics(), cyclotomics(), cyclotomics())
+def test_ring_axioms_at_mixed_conductors_against_the_integer_kernel(x, y, z):
+    e = math.lcm(x.conductor, y.conductor)
+    (xv, yv), den = _exponent_vector([x, y], e)
+    # the kernel: sums join exponent vectors, products add exponents, one reduction
+    assert (x + y).conductor == (x * y).conductor == e
+    assert x + y == _from_vector(xv + yv, den, e)
+    assert x * y == _from_vector([(a + b, u * w) for a, u in xv for b, w in yv], den * den, e)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x and x * 0 == 0
+    assert x - y == x + (-y) and x - x == 0
+
+
+@settings(max_examples=80)
+@given(cyclotomics(), cyclotomics())
+def test_conjugation_is_a_ring_automorphism(x, y):
+    (xv,), den = _exponent_vector([x], x.conductor)
+    assert x.conjugate() == _from_vector([(-k, c) for k, c in xv], den, x.conductor)
+    assert x.conjugate().conductor == x.conductor
+    assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert x.conjugate().conjugate() == x
+    assert Cyclotomic.from_rational(1).conjugate() == 1
+
+
+@settings(max_examples=80)
+@given(cyclotomics(), st.integers(1, 4), st.integers(1, 3))
+def test_promotion_then_reduction_loses_nothing(x, f, g):
+    e = x.conductor * f
+    up = x.promoted(e)
+    # promotion scales the exponents by f, then reduces once modulo Phi_e
+    (xv,), den = _exponent_vector([x], e)
+    assert up.conductor == e and up.coeffs == _from_vector(xv, den, e).coeffs
+    assert up == x and abs(_numeric(up) - _numeric(x)) < 1e-9
+    # Phi_e is monic and integral, so the reduction brings in no denominator
+    assert all(den % c.denominator == 0 for c in up.coeffs)
+    # promoting in two steps is promoting at once, and arithmetic commutes with it
+    assert up.promoted(e * g).coeffs == x.promoted(e * g).coeffs
+    assert (x * x).promoted(e).coeffs == (up * up).coeffs

@@ -3,11 +3,13 @@ stacks, gerbes and orbifold curves, with dual-route cross-checks."""
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import stacky.decomp
+import stacky.motives
 import stacky.perms
 from stacky.cli import load_document
 from stacky.decomp import (
@@ -40,9 +42,10 @@ from stacky.perms import (
     trivial_group,
 )
 from stacky.verify import check_inertia_dimension
+from test_kernel_reference import pairs_model
 
-NONCANONICAL_DOC = (Path(__file__).resolve().parent / "golden" / "cli_docs"
-                    / "s4_cells_noncanonical.json")
+ROOT = Path(__file__).resolve().parent.parent
+NONCANONICAL_DOC = ROOT / "tests" / "golden" / "cli_docs" / "s4_cells_noncanonical.json"
 
 
 def s3_on_points():
@@ -515,8 +518,7 @@ def test_point_model_and_its_components_build_no_perm(monkeypatch):
 
 
 def test_warm_quotient_motive_wraps_no_perm(monkeypatch):
-    # quotient_motive restricts the model's rows to each dimension's cells
-    # and counts their orbits
+    # quotient_motive counts each dimension's orbits on the model's own rows
     S5 = symmetric_group(5)
     X = EquivariantModel.hset(S5, 5, S5.generators)
     first = quotient_motive(X)
@@ -539,6 +541,44 @@ def test_warm_quotient_motive_checks_no_motive_action(monkeypatch):
     assert quotient_motive(X) == first
     assert checked == []
     assert invariants(model_motive(X)) == first and len(checked) == 1
+
+
+def test_warm_inertia_routes_restrict_no_rows(monkeypatch):
+    # orbits are counted on the model's own rows, on cells and on (cell,
+    # character) pairs in place; a point model's loci are restricted once,
+    # on first use, so once warm no route builds a restricted row
+    X = pairs_model(6)
+
+    def run():
+        return [quotient_motive(X)] + [(inertial_quotient_motive(X, p).motive,
+                                        inertia_ranks_by_twist(X, p)) for p in (0, 2, 3)]
+
+    first = run()
+    calls = []
+    real = stacky.motives._restrict_rows
+    for module in (stacky.motives, stacky.decomp):  # wherever the name might be read
+        monkeypatch.setattr(module, "_restrict_rows",
+                            lambda rows, cells: calls.append(cells) or real(rows, cells),
+                            raising=False)
+    assert run() == first
+    assert calls == []
+
+
+def test_inertia_job_list_takes_each_centralizer_once(monkeypatch):
+    # the benchmark's inertia job list runs the element-inertia route on the
+    # same S5 and S6 models at several characteristics; each cyclic class
+    # keeps its representatives and their centralizers from the first call
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    calls = Counter()
+    real = stacky.decomp.centralizer
+    monkeypatch.setattr(stacky.decomp, "centralizer",
+                        lambda G, h: calls.update([(id(G), h)]) or real(G, h))
+    workload = workloads.build_inertia(0)
+    for job in workload.jobs:
+        job.run({})
+    assert len(calls) == 17 and set(calls.values()) == {1}
 
 
 def test_character_check_walks_each_class_once(monkeypatch):

@@ -51,6 +51,12 @@ to its cyclic classes; the reference is its least conjugate, closed under
 ``Perm`` conjugation.  Actions on cells and automorphisms are rows aligned
 with the group's elements; the references' ``Perm``-keyed dicts are read as
 rows before they are compared.
+
+``_orbit_ranks`` counts each dimension's orbits on the model's own rows, on
+the cells of that dimension or on the pairs (cell, character position),
+walked in place.  Its reference is the construction it replaces: the rows
+restricted to the dimension's cells by ``_restrict_rows``, then one row per
+element on the points i*k + j of the pairs, counted.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import stacky.chars
 from stacky.chars import (
@@ -98,12 +104,14 @@ from stacky.errors import (
     NotInNormalizerError,
     ShapeMismatchError,
 )
-from stacky.motives import EquivariantModel, FixedLocus, extend_action, invariants, model_motive
+from stacky.motives import (EquivariantModel, FixedLocus, _restrict_rows, extend_action,
+                            invariants, model_motive)
 from stacky.perms import (
     ConjugacyClass,
     CyclicClass,
     Perm,
     Subgroup,
+    _count_orbits,
     _require_subgroup,
     alternating_group,
     centralizer,
@@ -121,7 +129,9 @@ from stacky.perms import (
     reduce_generators,
     symmetric_group,
 )
+from stacky.cli import load_document
 from stacky.verify import random_coset_model
+from test_inertia_reference import CELL_DOCS, SMALL, _group
 from test_perm_properties import CASES
 
 
@@ -526,6 +536,106 @@ def test_partial_element_list_fails_the_burnside_check():
     assert outcomes.count(1) == 3
     assert outcomes.count((InternalError, "internal error: Burnside average 6/5 "
                                           "disagrees with orbit count 1")) == 2
+
+
+# ---------------------------------------------------------------------------
+# Orbit counts on the model's own rows.
+
+def reference_orbit_ranks(model, chars=None) -> dict[int, int]:
+    """Per dimension, the rows restricted to its cells and, given character
+    rows, one row per element on the points i*k + j of the pairs (cell
+    position i, character position j), counted."""
+    out = {}
+    for d, cells in model.cells_of_dim().items():
+        rows = _restrict_rows(model.element_actions, cells)
+        if chars is not None:
+            k = len(chars[0])
+            rows = [[i * k + j for i in row for j in crow] for row, crow in zip(rows, chars)]
+        out[d] = _count_orbits(rows)
+    return out
+
+
+def pairs_model(n: int) -> EquivariantModel:
+    """S_n on the 2-subsets of its points."""
+    G = symmetric_group(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    pos = {p: i for i, p in enumerate(pairs)}
+    return EquivariantModel.hset(G, len(pairs), [
+        Perm([pos[tuple(sorted(map(g, p)))] for p in pairs]) for g in G.generators])
+
+
+def assert_orbit_ranks_match_the_reference(X) -> None:
+    assert _orbit_ranks(X) == reference_orbit_ranks(X)
+    for p in (0, 2, 3):
+        for comp in cyclotomic_inertia(X, p):
+            for chars in (None, comp.chars):
+                assert (_orbit_ranks(comp.fixed_model, chars)
+                        == reference_orbit_ranks(comp.fixed_model, chars))
+        for comp in inertia(X, p):
+            assert _orbit_ranks(comp.fixed_model) == reference_orbit_ranks(comp.fixed_model)
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_orbit_ranks_on_point_and_pair_models_match_the_reference(n):
+    G = symmetric_group(n)
+    assert_orbit_ranks_match_the_reference(EquivariantModel.hset(G, n, G.generators))
+    assert_orbit_ranks_match_the_reference(pairs_model(n))
+
+
+@pytest.mark.parametrize("path", CELL_DOCS, ids=lambda p: p.name)
+def test_orbit_ranks_on_cell_models_match_the_reference(path):
+    # several dimensions, so each count runs on a proper subset of the cells
+    X = load_document(str(path)).model
+    assert len(X.cells_of_dim()) > 1
+    assert_orbit_ranks_match_the_reference(X)
+
+
+def test_orbit_ranks_on_empty_loci_match_the_reference():
+    # S4's double transpositions and 4-cycles declare no locus in the cell
+    # model, and S5's 5-cycles and elements of order 6 fix no point of the
+    # point model
+    S5 = symmetric_group(5)
+    models = [load_document(str(CELL_DOCS[0])).model, EquivariantModel.hset(S5, 5, S5.generators)]
+    empty = 0
+    for X in models:
+        for comp in cyclotomic_inertia(X):
+            if comp.fixed_model.size == 0:
+                empty += 1
+                assert _orbit_ranks(comp.fixed_model, comp.chars) == {}
+                assert reference_orbit_ranks(comp.fixed_model, comp.chars) == {}
+    assert empty == 4
+
+
+def reference_inertia_components(G, p):
+    """Per cyclic class, the generators of its subgroup in sorted order, the first
+    met of each element class (by a fresh element -> class dict), and its
+    centralizer by conjugation."""
+    class_of = {x: i for i, cls in enumerate(reference_conjugacy_classes(G)) for x in cls.members}
+    out = []
+    for c in cyclic_subgroup_classes(G, p):
+        seen = set()
+        for h in sorted(c.subgroup_elements[k] for k in character_indices(c.order)):
+            if class_of[h] not in seen:
+                seen.add(class_of[h])
+                out.append((h, reference_centralizer(G, h)))
+    return out
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_inertia_representatives_and_centralizers_match_the_reference(n):
+    # the second call reads the pairs each class kept from the first
+    X = pairs_model(n)
+    for p in (0, 2, 3):
+        ref = reference_inertia_components(X.group, p)
+        for _ in range(2):
+            assert [(comp.representative, comp.centralizer.elements)
+                    for comp in inertia(X, p)] == ref
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(SMALL), st.integers(0, 2**32))
+def test_orbit_ranks_on_random_coset_models_match_the_reference(index, seed):
+    assert_orbit_ranks_match_the_reference(random_coset_model(random.Random(seed), _group(index)))
 
 
 # ---------------------------------------------------------------------------

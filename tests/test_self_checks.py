@@ -24,8 +24,9 @@ import stacky.decomp as decomp
 from stacky.chars import CharacterTable, character_table
 from stacky.cli import main
 from stacky.corresp import Correspondence, split_idempotent, splitting_certificate
-from stacky.decomp import bh_motive, gerbe_rset
+from stacky.decomp import bh_motive, gerbe_rset, inertial_quotient_motive, quotient_motive
 from stacky.errors import InternalError, check
+from stacky.motives import EquivariantModel
 from stacky.perms import (
     ConjugacyClass,
     CyclicClass,
@@ -375,3 +376,44 @@ def test_a_passing_check_builds_no_message():
     with pytest.raises(InternalError, match=r"^internal error: value 1/2$") as exc:
         check("census.fail", 0, "value {}", Fraction(1, 2))
     assert exc.value.name == "census.fail"
+
+
+# The orbit counts walk the model's rows in place: on a proper subset of the
+# cells, and on (cell, character) pairs, whose fixed count per element is the
+# product of its fixed cells and fixed characters.  Burnside fires on both.
+
+def assert_burnside_fires(call, message: str) -> None:
+    with pytest.raises(InternalError) as exc:
+        call()
+    assert exc.value.name == "perms.burnside"
+    assert str(exc.value) == f"internal error: {message}"
+
+
+def test_burnside_fires_through_the_pair_path(monkeypatch):
+    # S3 on a point: one transposition's character row is made the identity,
+    # so it fixes both injective characters of the 3-cycles (8 fixed pairs, not 6)
+    real = decomp.character_rows
+
+    def tampered(c, G):
+        rows = real(c, G)
+        if c.order != 3:
+            return rows
+        i = next(i for i, row in enumerate(rows) if row != (0, 1))
+        return rows[:i] + ((0, 1),) + rows[i + 1:]
+
+    monkeypatch.setattr(decomp, "character_rows", tampered)
+    assert_burnside_fires(lambda: inertial_quotient_motive(EquivariantModel.point(
+        symmetric_group(3))), "Burnside average 8/6 disagrees with orbit count 1")
+
+
+def test_burnside_fires_through_a_proper_subset_of_cells(monkeypatch):
+    # S3 on one cell of dimension 0 and three of dimension 1: a 3-cycle's row is
+    # made the identity, so the dimension-1 cells, 3 of 4, have 9 fixed points, not 6
+    S3 = symmetric_group(3)
+    X = EquivariantModel(S3, (0, 1, 1, 1), [
+        Perm((0,) + tuple(x + 1 for x in g.images)) for g in S3.generators], kind="cells")
+    rows = list(X.element_actions)
+    rows[next(i for i, g in enumerate(S3.elements) if g.order() == 3)] = (0, 1, 2, 3)
+    monkeypatch.setattr(X, "element_actions", tuple(rows))
+    assert_burnside_fires(lambda: quotient_motive(X),
+                          "Burnside average 9/6 disagrees with orbit count 1")

@@ -87,3 +87,14 @@ def test_class_listings_are_not_called_for_a_side_effect():
              and getattr(node.value.func, "id", getattr(node.value.func, "attr", None))
              in ("cyclic_subgroup_classes", "conjugacy_classes")]
     assert found == [], f"class listings called for a side effect: {', '.join(found)}"
+
+
+def test_decomp_restricts_no_rows():
+    # decomp counts orbits on the model's own rows (perms._count_orbits with a
+    # dimension's cells and the character rows), so it never names _restrict_rows
+    tree = ast.parse((SOURCE / "decomp.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.ImportFrom, ast.Import))
+             and any(alias.name == "_restrict_rows" for alias in node.names)
+             or getattr(node, "id", getattr(node, "attr", None)) == "_restrict_rows"]
+    assert found == [], f"decomp.py names _restrict_rows at lines {found}"
