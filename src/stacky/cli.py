@@ -322,7 +322,7 @@ def cmd_group(doc: InputDocument, with_chars: bool) -> dict:
             for c in classes],
         "cyclicClasses": [
             {"order": c.order, "generator": list(c.generator.images),
-             "normalizerOrder": c.normalizer.order}
+             "normalizerOrder": len(c.normalizer_indices)}
             for c in cyclics],
     }
     if with_chars:

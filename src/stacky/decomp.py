@@ -48,20 +48,24 @@ def character_indices(order: int) -> tuple[int, ...]:
 
 def character_rows(c: CyclicClass, G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """The normalizer of the cyclic class c of G acting on its injective
-    characters: one row per element n of ``c.normalizer.elements``, in order,
-    on the positions of character_indices(m), n sending j to j*a mod m.  Each a
-    is read by conjugation_exponent (a unit) and checked against one walk of
-    g's conjugates (n^-1 g n = g^a), so n -> a is a homomorphism N -> (Z/m)^x
-    and the rows are an action.  They are checked once, and kept on the class."""
+    characters: one row per normalizer element n, in the order of
+    ``c.normalizer_indices``, on the positions of character_indices(m), n sending
+    j to j*a mod m.  Each a is read off the exponent row, checked to be a unit as
+    conjugation_exponent checks it, and against one walk of g's conjugates
+    (n^-1 g n = g^a), so n -> a is a homomorphism N -> (Z/m)^x and the rows are an
+    action.  They are checked once, and kept on the class."""
     if c._character_rows is not None:
         return c._character_rows
-    N, m = c.normalizer.elements, c.order
-    exps = [conjugation_exponent(n, c) for n in N]
+    N, m = c.normalizer_indices, c.order
+    exps = list(map(c.exponent_row.__getitem__, N))
+    if any(math.gcd(a, m) != 1 for a in set(exps)):
+        for i in N:  # raises at the first n that fails
+            conjugation_exponent(G.elements[i], c)
     if m > 1:
         index, conj = G.index, G._conjugates(G.index[c.generator])
         pw = [index[y] for y in c.subgroup_elements]
         check("decomp.conjugation_character",
-              all(conj[index[n]] == pw[a % m] for n, a in zip(N, exps)),
+              all(conj[i] == pw[a % m] for i, a in zip(N, exps)),
               "recorded exponents of the class of order {} are not its conjugation character", m)
     indices = character_indices(m)
     pos = {j: i for i, j in enumerate(indices)}
@@ -126,11 +130,14 @@ def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
             # the least generator in each element class that meets them, in order
             reps = sorted(min(gens.intersection(cls.members)) for cls in conjugacy_classes(G)
                           if cls.order == c.order and not gens.isdisjoint(cls.members))
-            object.__setattr__(c, "_centralizers", tuple((h, centralizer(G, h)) for h in reps))
+            # C(h) lies in N(<h>): its elements' positions in N restrict N's action to it
+            at = {i: k for k, i in enumerate(c.normalizer_indices)}
+            object.__setattr__(c, "_centralizers", tuple(
+                (h, Z, tuple(at[G.index[z]] for z in Z.elements))
+                for h, Z in ((h, centralizer(G, h)) for h in reps)))
         dims, action = X.locus(c)
-        for h, Z in c._centralizers:
-            # C(h) lies in N(<h>), so the normalizer's action restricts to it
-            rows = tuple(action[c.normalizer.index[z]] for z in Z.elements)
+        for h, Z, positions in c._centralizers:
+            rows = tuple(map(action.__getitem__, positions))
             out.append(InertiaComponent(h, Z, EquivariantModel._restricted(Z, dims, rows)))
     return tuple(out)
 

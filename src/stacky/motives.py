@@ -295,7 +295,7 @@ class EquivariantModel:
         # canonical normalizer acts on the declared cells as x^-1 n x does
         x = next(x for x, y in zip(G.elements, G._conjugates(G.index[c.generator])) if y in sub)
         xinv = x.inverse()
-        declared = [xinv * n * x for n in c.normalizer.elements]
+        declared = [xinv * G.elements[n] * x for n in c.normalizer_indices]
         N = sorted(declared)  # the declared subgroup's normalizer
         n_loc = len(locus.dims)
         if len(locus.action_generators) != len(locus.action_images):
@@ -321,14 +321,15 @@ class EquivariantModel:
         else:
             rows = (ident,) * len(declared)
         # the declared subgroup is x^-1 <g0> x, so it acts at the positions of <g0>
-        if any(rows[c.normalizer.index[y]] != ident for y in c.subgroup_elements):
+        row_of = dict(zip(c.normalizer_indices, rows))
+        if any(row_of[G.index[y]] != ident for y in c.subgroup_elements):
             raise InconsistentActionError(
                 "the fixing subgroup must act trivially on its own fixed cells")
         self.locus_actions[key] = (locus.dims, rows)
 
     def locus(self, c: CyclicClass) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """The cells fixed by the cyclic class c with its normalizer's action: (dims,
-        rows aligned with c.normalizer.elements).  All cells for the trivial class; a
+        rows aligned with c.normalizer_indices).  All cells for the trivial class; a
         point model's fixed points, found on first use and kept; else the declared locus
         or none."""
         if c.order == 1:
@@ -338,8 +339,8 @@ class EquivariantModel:
             rows, index = self.element_actions, self.group.index
             fixed = tuple(p for p, q in enumerate(rows[index[c.generator]]) if p == q)
             self.locus_actions[key] = ((0,) * len(fixed), _restrict_rows(
-                [rows[index[n]] for n in c.normalizer.elements], fixed))
-        return self.locus_actions.get(key) or ((), ((),) * c.normalizer.order)
+                list(map(rows.__getitem__, c.normalizer_indices)), fixed))
+        return self.locus_actions.get(key) or ((), ((),) * len(c.normalizer_indices))
 
     @property
     def size(self) -> int:
@@ -372,23 +373,27 @@ def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int
     The result is stacky's one format of a group action on cells: a tuple of
     image tuples, the i-th the action of ``group.elements[i]``.
 
-    Along the word tree, each element acts as its parent composed with one
-    generator image; then act(x s) = act(x) img_s is checked at every element,
-    in order, and every generator, by a right-multiplication row lookup."""
+    In discovery order, each element x and generator s form one product act(x) img_s,
+    the closure's x s: it defines act(x s) on the word-tree edge, where the closure
+    first reached x s, and is checked against it everywhere else."""
     if len(group.generators) != len(images):
         raise InconsistentActionError("generator and image counts differ")
     if any(img.degree != degree for img in images):
         raise NonBijectionError("cannot compose permutations of different degrees")
     imgs = [img.images for img in images]
-    acts = [tuple(range(degree))] * group.order
-    for i, parent, s in group._word_tree:
-        acts[i] = tuple(map(acts[parent].__getitem__, imgs[s]))
-    rows = group._right_rows
-    for i, (x, fx) in enumerate(zip(group.elements, acts)):
-        for row, img in zip(rows, imgs):
-            if acts[row[i]] != tuple(map(fx.__getitem__, img)):
-                raise InconsistentActionError(
-                    f"images do not extend to a group action at {x.cycle_string()}")
+    acts = [tuple(range(degree))] + [None] * (group.order - 1)  # the identity comes first
+    bad = []
+    for x in group._discovery:
+        fx = acts[x]
+        for row, img in zip(group._right_rows, imgs):
+            y, xs = tuple(map(fx.__getitem__, img)), row[x]
+            if acts[xs] is None:
+                acts[xs] = y
+            elif acts[xs] != y:
+                bad.append(x)
+    if bad:
+        raise InconsistentActionError(
+            f"images do not extend to a group action at {group.elements[min(bad)].cycle_string()}")
     return tuple(acts)
 
 

@@ -8,6 +8,7 @@ and all operations are pure functions.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from functools import cached_property
@@ -159,15 +160,24 @@ class FiniteGroup(_ElementList):
     constructor trusts its arguments.
     """
 
-    def __init__(self, degree: int, generators: tuple[Perm, ...], elements: tuple[Perm, ...],
-                 words: dict[Perm, tuple[int, ...]]):
-        self.degree = degree
-        self.generators = generators
-        self.elements = elements
+    def __init__(self, degree: int, generators: tuple[Perm, ...],
+                 closed: dict[tuple[int, ...], tuple[int, ...]], products: list[tuple[int, ...]]):
+        """``closed`` maps each element's images to its word, in discovery order;
+        ``products`` holds the closure's x s, per x in that order and generator s."""
+        found = list(closed)
+        perms = list(map(Perm._trusted, found))
+        first = sorted(range(len(found)), key=found.__getitem__)  # discovery position, sorted
+        self.degree, self.generators = degree, generators
+        self.elements = tuple(map(perms.__getitem__, first))
         # element -> generator word, product read left to right; in discovery
         # order, so every non-empty word's prefix is the word of an earlier element
-        self.words = words
-        self._by_images = {g.images: i for i, g in enumerate(elements)}
+        self.words = dict(zip(perms, closed.values()))
+        self._by_images = by_images = {found[k]: i for i, k in enumerate(first)}
+        self._discovery = tuple(sorted(range(len(first)), key=first.__getitem__))  # identity first
+        # per generator s, the row i -> index of e_i s, read off the closure's products
+        k = len(generators)
+        self._right_rows = tuple(tuple(map(by_images.__getitem__, map(products[s::k].__getitem__,
+                                                                      first))) for s in range(k))
         self._table_parts: tuple | None = None  # set by chars.character_table; no group in it
 
     def __iter__(self):
@@ -189,16 +199,13 @@ class FiniteGroup(_ElementList):
 
     @cached_property
     def _conjugation_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per generator s, the row i -> index of s^-1 e_i s over the element indices."""
-        by_images = self._by_images
-        return tuple(tuple(by_images[_compose(t, _compose(e.images, s))] for e in self.elements)
-                     for s, t in ((g.images, g.inverse().images) for g in self.generators))
-
-    @cached_property
-    def _right_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per generator s, the row i -> index of e_i s over the element indices."""
-        return tuple(tuple(self._by_images[_compose(e.images, s.images)] for e in self.elements)
-                     for s in self.generators)
+        """Per generator s, the row i -> index of s^-1 e_i s over the element indices,
+        four lookups each: s^-1 e s = (e^-1 s)^-1 s through the right row and the inverses."""
+        by_images, points = self._by_images, range(self.degree)
+        # the inverse's images sort the points by their images
+        inv = [by_images[tuple(sorted(points, key=g.images.__getitem__))] for g in self.elements]
+        return tuple(tuple(map(r.__getitem__, map(inv.__getitem__, map(r.__getitem__, inv))))
+                     for r in self._right_rows)
 
     @cached_property
     def _word_tree(self) -> tuple[tuple[int, int, int], ...]:
@@ -256,22 +263,27 @@ class FiniteGroup(_ElementList):
     def _cyclic_classes(self) -> tuple[tuple[CyclicClass, ...], dict]:
         """The classes of cyclic subgroups, canonically ordered, and the map
         from each cyclic subgroup, as _cyclic_subgroups gives it, to its class."""
-        subs, class_of, classes = self._cyclic_subgroups, {}, []
-        # element-index sets sort as their sorted image tuples do
+        subs, class_of, classes, elems = self._cyclic_subgroups, {}, [], self.elements
+        everything, ones = tuple(range(self.order)), (1,) * self.order
+        # element-index sets sort as their sorted image tuples do, so the first one
+        # not yet seen is the least of its conjugacy class
         for pw in sorted(dict.fromkeys(subs.values()), key=sorted):
             if pw in class_of:
                 continue
-            m = len(pw)
-            # visited in key order, so the first one not yet seen is the least of its
-            # conjugacy class; c[i] = e_i^-1 g e_i for the least generator g generates
-            # a conjugate, and is g^a for e_i in the normalizer (a = 1 if m = 1)
-            c = self._conjugates(pw[1 % m])
-            a_of = {pw[k % m]: k for k in range(1, m + 1) if math.gcd(k, m) == 1}
-            exps = {self.elements[i]: a_of[x] for i, x in enumerate(c) if x in a_of}
-            pw = tuple(map(self.elements.__getitem__, pw))
-            classes.append(CyclicClass(pw[1 % m], m, pw, Subgroup(self.degree, tuple(exps)),
-                                       exps))
-            class_of.update(dict.fromkeys(map(subs.__getitem__, c), classes[-1]))
+            m, g = len(pw), pw[1 % len(pw)]
+            if all(row[g] == g for row in self._conjugation_rows):
+                # central: the normalizer is G and every exponent 1, with no walk
+                N, exps, conjugates = everything, ones, (pw,)
+            else:
+                # c[i] = e_i^-1 g e_i generates a conjugate, and is g^a for e_i in N
+                c = self._conjugates(g)
+                a_of = {pw[k]: k for k in range(1, m) if math.gcd(k, m) == 1}
+                exps = tuple(map(a_of.get, c, itertools.repeat(0)))
+                N = tuple(itertools.compress(everything, exps))
+                conjugates = map(subs.__getitem__, c)
+            classes.append(CyclicClass(elems[g], m, tuple(map(elems.__getitem__, pw)), N, exps,
+                                       elems))
+            class_of.update(dict.fromkeys(conjugates, classes[-1]))
         classes.sort(key=lambda c: (c.order, c.generator.images))
         return tuple(classes), class_of
 
@@ -305,18 +317,26 @@ class Subgroup(_ElementList):
 
 @record
 class CyclicClass:
-    """A conjugacy class of cyclic subgroups, with canonical generator g, its
-    normalizer and, per normalizer element n in order, the unit a (mod the
-    order) with n^-1 g n = g^a.  decomp.character_rows keeps the normalizer's
-    action on the injective characters with it, on first use (None until then)."""
+    """A conjugacy class of cyclic subgroups, with canonical generator g, on its
+    group's element indices: the normalizer N's, in order, and a row over all
+    holding the unit a (mod the order) with n^-1 g n = g^a at n in N, 0 elsewhere.
+    N as a Subgroup is built on first read.  decomp.character_rows keeps N's action
+    on the injective characters with it, on first use (None until then)."""
 
     generator: Perm
     order: int
     subgroup_elements: tuple[Perm, ...]  # powers g^0 .. g^(m-1)
-    normalizer: Subgroup
-    exponents: dict[Perm, int] = field(repr=False, compare=False)
+    normalizer_indices: tuple[int, ...]
+    exponent_row: tuple[int, ...] = field(repr=False, compare=False)
+    group_elements: tuple[Perm, ...] = field(repr=False, compare=False)
     _character_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _centralizers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def normalizer(self) -> Subgroup:
+        N, elems = self.normalizer_indices, self.group_elements
+        return Subgroup(self.generator.degree,
+                        elems if len(N) == len(elems) else tuple(map(elems.__getitem__, N)))
 
 
 def orbit(seeds: Iterable[Hashable], gens: Sequence[Any],
@@ -372,7 +392,8 @@ def generate_group(degree: int, generators: Sequence[Perm], *,
     """Close a generating set under composition and return the full group.
 
     Elements are sorted lexicographically on image tuples; each element also
-    receives a word in the generators (used to transport actions on models).
+    receives a word in the generators (used to transport actions on models),
+    and the closure's products x s become the group's right-multiplication rows.
     """
     if degree > degree_cap:
         raise GroupTooLargeError(f"degree {degree} exceeds cap {degree_cap}")
@@ -383,9 +404,14 @@ def generate_group(degree: int, generators: Sequence[Perm], *,
         if g.degree != degree:
             raise NonBijectionError(f"generator {i} has degree {g.degree}, expected {degree}")
 
-    closed = orbit([tuple(range(degree))], [g.images for g in gens], _compose, cap=element_cap)
-    words = {Perm._trusted(x): w for x, w in closed.items()}
-    return FiniteGroup(degree, gens, tuple(sorted(words)), words)
+    products: list[tuple[int, ...]] = []
+
+    def right(x: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
+        products.append(y := _compose(x, s))
+        return y
+
+    closed = orbit([tuple(range(degree))], [g.images for g in gens], right, cap=element_cap)
+    return FiniteGroup(degree, gens, closed, products)
 
 
 def reduce_generators(elements: Sequence[Perm], degree: int) -> tuple[Perm, ...]:
@@ -477,11 +503,12 @@ def centralizer(G: FiniteGroup, h: Perm) -> Subgroup:
 
 def conjugation_exponent(n: Perm, c: CyclicClass) -> int:
     """The unit a (mod the subgroup order) with n^-1 g n = g^a for the canonical
-    generator g, as recorded with the normalizer."""
+    generator g, as recorded at n's index in the exponent row."""
     if c.order == 1:
         return 1
-    a = c.exponents.get(n)
-    if a is None:
+    i = bisect.bisect_left(c.group_elements, n)
+    a = c.exponent_row[i] if c.group_elements[i:i + 1] == (n,) else 0
+    if a == 0:
         raise NotInNormalizerError(f"{n.cycle_string()} does not normalize the subgroup")
     if math.gcd(a, c.order) != 1:
         raise NotInNormalizerError("conjugation did not map the generator to a generator")

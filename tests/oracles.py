@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 
 def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -30,6 +31,34 @@ def closure(degree: int, gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
         if not new:
             return elems
         elems |= new
+
+
+def direct_product_elements(factors: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """Every element of the direct product of the factors, each given by all its
+    image tuples, acting on the disjoint union of their points in order."""
+    shifted, offset = [], 0
+    for elems in factors:
+        shifted.append([tuple(x + offset for x in g) for g in elems])
+        offset += len(elems[0])
+    return [sum(parts, ()) for parts in product(*shifted)]
+
+
+def cyclic_normalizer_orders(elems, gens) -> list[int]:
+    """For each g in gens, the order of the normalizer of <g> in the group elems:
+    a scan of every x, which normalizes <g> iff x g x^-1 lies in <g> (conjugation
+    keeps the order).  Each x g x^-1 is two itemgetter calls, so the degree must be
+    at least 2 for them to return tuples."""
+    elems = list(elems)
+    inverses = [itemgetter(*invert(x)) for x in elems]
+    out = []
+    for g in gens:
+        sub, x = {tuple(range(len(g)))}, g
+        while x not in sub:
+            sub.add(x)
+            x = compose(x, g)
+        conjugates = map(lambda inv, xg: inv(xg), inverses, map(itemgetter(*g), elems))
+        out.append(sum(map(sub.__contains__, conjugates)))
+    return out
 
 
 def conj_classes(elems: set[tuple[int, ...]]) -> list[set[tuple[int, ...]]]:

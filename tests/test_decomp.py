@@ -622,7 +622,7 @@ def test_character_route_refuses_exponents_that_are_not_the_conjugation_characte
     # which never reads it, still counts three classes
     S3 = symmetric_group(3)
     c3 = next(c for c in cyclic_subgroup_classes(S3, 0) if c.order == 3)
-    object.__setattr__(c3, "exponents", dict.fromkeys(c3.normalizer.elements, 1))
+    object.__setattr__(c3, "exponent_row", tuple(1 if a else 0 for a in c3.exponent_row))
     X = EquivariantModel.point(S3)
     assert inertia_ranks_by_twist(X) == {0: 3}
     with pytest.raises(InternalError) as exc:

@@ -20,13 +20,22 @@ for multiplicativity at every pair of elements.  Results must be equal; a
 tampered action must raise the reference's exception type, and the same
 message where it has a single defect.
 
-``extend_action`` now composes image tuples along the word tree and checks
-the homomorphism by right-multiplication rows, the conjugation exponents are
-walked down the word tree through inverse conjugation rows, and a point
-model's fixed loci are built once per class from image tuples.  Their
-references are the ``Perm`` routes they replace: a full word replay per
-element checked by ``Perm`` products, one ``_conjugate`` per element per
-class, and the loci rebuilt through the validating constructor.
+``extend_action`` now forms one image-tuple product per element and
+generator, in discovery order, which defines the action on the word-tree edge
+and is checked everywhere else; the conjugation exponents are walked down the
+word tree through inverse conjugation rows, and a point model's fixed loci are
+built once per class from image tuples.  Their references are the ``Perm``
+routes they replace: a full word replay per element checked by ``Perm``
+products, one ``_conjugate`` per element per class, and the loci rebuilt
+through the validating constructor.
+
+Generation keeps the closure's products as the right-multiplication rows, the
+conjugation rows are four lookups per element in a right row and the inverse
+row, and a cyclic class holds its exponents as one row over the element
+indices, 0 outside its normalizer, whose indices it keeps.  Their references
+are the products those replace: e_i s by ``_compose``, s^-1 e_i s by two
+products per element, one ``_conjugate`` per element for the exponents and the
+normalizer scan.
 
 Group generation, ``powers`` and ``reduce_generators`` close image tuples
 and wrap each element once, and ``centralizer`` walks the word tree through
@@ -111,6 +120,7 @@ from stacky.perms import (
     CyclicClass,
     Perm,
     Subgroup,
+    _compose,
     _count_orbits,
     _require_subgroup,
     alternating_group,
@@ -131,6 +141,7 @@ from stacky.perms import (
 )
 from stacky.cli import load_document
 from stacky.verify import random_coset_model
+from test_chars import relabelled_groups
 from test_inertia_reference import CELL_DOCS, SMALL, _group
 from test_perm_properties import CASES
 
@@ -397,8 +408,10 @@ def reference_exponents(G, c):
 def assert_classes_match_the_reference(G):
     """G is freshly generated, so nothing is cached before the first call."""
     for c in cyclic_subgroup_classes(G, 0):
-        # equal in content and in order
-        assert list(c.exponents.items()) == list(reference_exponents(G, c).items())
+        # equal in content and in order: the row holds a on the normalizer, 0 elsewhere
+        ref = reference_exponents(G, c)
+        assert c.exponent_row == tuple(ref.get(g, 0) for g in G.elements)
+        assert tuple(map(G.elements.__getitem__, c.normalizer_indices)) == tuple(ref)
     for p in (0, 2, 3):
         classes = cyclic_subgroup_classes(G, p)
         ref = reference_cyclic_subgroup_classes(G, p)
@@ -431,6 +444,42 @@ def test_classes_match_the_reference_on_named_groups(name):
     assert_classes_match_the_reference(NAMED_GROUPS[name]())
 
 
+def reference_right_rows(G):
+    """Per generator s, i -> index of e_i s, each product formed by _compose."""
+    return tuple(tuple(G._by_images[_compose(e.images, s.images)] for e in G.elements)
+                 for s in G.generators)
+
+
+def reference_conjugation_rows(G):
+    """Per generator s, i -> index of s^-1 e_i s by two products per element."""
+    return tuple(tuple(G._by_images[_compose(t, _compose(e.images, s))] for e in G.elements)
+                 for s, t in ((g.images, g.inverse().images) for g in G.generators))
+
+
+def assert_index_rows_match_the_reference(G):
+    """The rows recorded at generation, the conjugation rows by lookup, and each
+    class's exponent row and normalizer indices."""
+    assert G._right_rows == reference_right_rows(G)
+    assert G._conjugation_rows == reference_conjugation_rows(G)
+    for c in cyclic_subgroup_classes(G, 0):
+        ref = reference_exponents(G, c)
+        assert c.exponent_row == tuple(ref.get(g, 0) for g in G.elements)
+        N = reference_normalizer(G, c.subgroup_elements).elements
+        assert tuple(map(G.elements.__getitem__, c.normalizer_indices)) == N
+        assert c.normalizer.elements == N
+
+
+@pytest.mark.parametrize("name", NAMED_GROUPS)
+def test_index_rows_match_the_reference_on_named_groups(name):
+    assert_index_rows_match_the_reference(NAMED_GROUPS[name]())
+
+
+@settings(max_examples=40)
+@given(relabelled_groups())
+def test_index_rows_match_the_reference_on_random_groups(G):
+    assert_index_rows_match_the_reference(G)
+
+
 def _cyclic_class(G, order):
     return next(c for c in cyclic_subgroup_classes(G, 0) if c.order == order)
 
@@ -440,8 +489,8 @@ def test_non_normalizing_element_in_a_tampered_normalizer():
     # not normalize the subgroup, and that is what is raised now
     G = symmetric_group(3)
     c = _cyclic_class(G, 2)
-    c = CyclicClass(c.generator, c.order, c.subgroup_elements, Subgroup(G.degree, G.elements),
-                    c.exponents)
+    c = CyclicClass(c.generator, c.order, c.subgroup_elements, tuple(range(G.order)),
+                    c.exponent_row, G.elements)
     with pytest.raises(NotInNormalizerError, match="does not normalize the subgroup"):
         character_rows(c, G)
     with pytest.raises(ValueError, match="element is not in the cyclic subgroup"):
@@ -453,7 +502,7 @@ def test_non_unit_discrete_log_fails_the_gcd_check():
     # table can send the generator to a non-generator
     G = cyclic_group(4)
     c = _cyclic_class(G, 4)
-    object.__setattr__(c, "exponents", {n: 2 for n in c.normalizer.elements})
+    object.__setattr__(c, "exponent_row", tuple(2 if a else 0 for a in c.exponent_row))
     with pytest.raises(NotInNormalizerError, match="did not map the generator to a generator"):
         character_rows(c, G)
 

@@ -68,8 +68,9 @@ def test_orbit_and_generate_group_match_the_closure(group):
 
 
 def test_words_are_a_tree_in_discovery_order(group):
-    # extend_action and the conjugation exponents walk this tree: each
-    # element's word is an earlier element's word and one generator more
+    # the conjugates and the class sums walk this tree, and extend_action defines
+    # each action on its edge: each element's word is an earlier element's word
+    # and one generator more
     G, _ = group
     words = list(G.words.values())
     assert words[0] == () and words == sorted(words, key=len)

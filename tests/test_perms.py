@@ -230,12 +230,17 @@ def test_conjugation_exponent_is_a_homomorphism():
 
 
 def test_exponent_table_is_keyed_by_the_normalizer():
-    # the exponents are recorded in normalizer order, and each is the a with
-    # n^-1 g n = g^a, checked here with Perm products
+    # the exponents are recorded on the group's element indices, non-zero exactly
+    # at the normalizer's, and each is the a with n^-1 g n = g^a, checked here
+    # with Perm products
     for G in (symmetric_group(4), quaternion_group(), dihedral_group(6), cyclic_group(12)):
         for c in cyclic_subgroup_classes(G, 0):
-            assert tuple(c.exponents) == c.normalizer.elements
-            for n, a in c.exponents.items():
+            assert len(c.exponent_row) == G.order
+            assert tuple(i for i, a in enumerate(c.exponent_row) if a) == c.normalizer_indices
+            assert tuple(map(G.elements.__getitem__, c.normalizer_indices)) == \
+                c.normalizer.elements
+            for i in c.normalizer_indices:
+                n, a = G.elements[i], c.exponent_row[i]
                 assert n.inverse() * c.generator * n == c.subgroup_elements[a % c.order]
 
 
@@ -320,18 +325,37 @@ def test_centralizer_conjugates_nothing(monkeypatch):
 
 
 def test_cyclic_subgroup_classes_conjugate_for_the_rows_only(monkeypatch):
-    # the conjugation rows compose image tuples, one per generator and element;
-    # the exponents are then walked down the word tree, one walk per class and
-    # no Perm product
+    # the conjugation rows are looked up in the right rows and the inverses,
+    # with no image product; the exponents are then walked down the word tree,
+    # one walk per class that is not central and no Perm product
     G = symmetric_group(5)
+    composes = _count_calls(monkeypatch, stacky.perms, "_compose")
+    G._conjugation_rows
+    assert composes[0] == 0
     walks = _count_calls(monkeypatch, FiniteGroup, "_conjugates")
     products = _count_calls(monkeypatch, Perm, "__mul__")
     classes = cyclic_subgroup_classes(G, 0)
     monkeypatch.undo()
     assert len(classes) == 7
-    assert walks[0] == len(classes)
+    # S5 has a trivial centre, so only the trivial class is central
+    assert walks[0] == 6
     assert products[0] == 0
     assert all(len(row) == G.order for row in G._conjugation_rows)
+
+
+def test_a_group_forms_products_only_in_its_closure_and_powers(monkeypatch):
+    # generation keeps the closure's |G| k products as the right rows; the
+    # conjugation rows and the cyclic classes then form only the powers of
+    # each cyclic subgroup, one product per power
+    composes = _count_calls(monkeypatch, stacky.perms, "_compose")
+    G = symmetric_group(5)
+    G._right_rows
+    G._conjugation_rows
+    cyclic_subgroup_classes(G, 0)
+    monkeypatch.undo()
+    subgroups = oracles.cyclic_subgroups({g.images for g in G.elements})
+    assert sum(map(len, subgroups)) == 231
+    assert composes[0] == G.order * len(G.generators) + 231 == 471
 
 
 def test_normalizer_walks_once_per_generator(monkeypatch):

@@ -160,11 +160,12 @@ def swapped_exponents(monkeypatch) -> None:
     # conjugation check can refuse them
     def swap(classes, *args):
         c = classes[-1]
-        exps = dict(c.exponents)
-        first, *_, last = exps
+        exps = list(c.exponent_row)
+        first, *_, last = c.normalizer_indices
         exps[first], exps[last] = exps[last], exps[first]
         return classes[:-1] + (CyclicClass(c.generator, c.order, c.subgroup_elements,
-                                           c.normalizer, exps),)
+                                           c.normalizer_indices, tuple(exps),
+                                           c.group_elements),)
 
     wrap(monkeypatch, decomp, "cyclic_subgroup_classes", swap)
 

@@ -1,0 +1,49 @@
+"""Worst-case legal groups inside the caps, through the ``group`` command in process.
+
+An elementary abelian group has one class of cyclic subgroups per element, so
+any work per class that grows with |G| shows here as |G|^2.  C2^10 is ten
+disjoint transpositions on 20 points; S3 x C2^3 adds a non-abelian factor.  The
+class count and every normalizer order are checked against a scan of the whole
+group (tests/oracles.py), whose elements are built as the direct product.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+import oracles
+from stacky.cli import cmd_group, parse_document
+
+
+def _swap(degree: int, a: int) -> list[int]:
+    images = list(range(degree))
+    images[a], images[a + 1] = a + 1, a
+    return images
+
+
+C2 = [(0, 1), (1, 0)]
+GRID = {
+    "C2^10": (20, [_swap(20, 2 * i) for i in range(10)], [C2] * 10),
+    "S3xC2^3": (9, [_swap(9, 0), [1, 2, 0, 3, 4, 5, 6, 7, 8]] + [_swap(9, 3 + 2 * i)
+                                                                for i in range(3)],
+                [list(itertools.permutations(range(3)))] + [C2] * 3),
+}
+
+
+@pytest.mark.parametrize("name", GRID)
+def test_group_command_normalizer_orders_match_a_scan(name):
+    degree, gens, factors = GRID[name]
+    out = cmd_group(parse_document({"group": {"degree": degree, "generators": gens}}), False)
+    elems = oracles.direct_product_elements(factors)
+    assert out["order"] == len(elems)
+    subgroups = {H: next(x for x in H if oracles.elem_order(x) == len(H))
+                 for H in oracles.cyclic_subgroups(set(elems))}
+    orders = dict(zip(subgroups, oracles.cyclic_normalizer_orders(elems, subgroups.values())))
+    # orbit-stabilizer: a class holds |G|/|N(H)| conjugates H, so the |N(H)| sum to |G| per class
+    classes = out["cyclicClasses"]
+    assert sum(orders.values()) == len(classes) * len(elems)
+    for c in classes:
+        (H,) = oracles.cyclic_subgroups({tuple(c["generator"])})
+        assert c["normalizerOrder"] == orders[H]
