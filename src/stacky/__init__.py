@@ -37,11 +37,8 @@ from .motives import (
     EquivariantModel,
     FixedLocus,
     Motive,
-    MotiveAction,
     chow_dim,
     direct_sum,
-    invariants,
-    model_motive,
     poincare_polynomial,
     tensor,
 )
@@ -61,7 +58,6 @@ from .perms import (
     direct_product,
     generate_group,
     normalizer,
-    orbit_count,
     quaternion_group,
     symmetric_group,
     trivial_group,

@@ -523,11 +523,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _curve_arguments(args) -> tuple[int, tuple[int, ...]]:
-    genus = args.genus
+    genus = None if args.genus is None else _get_int(args.genus, "--genus", minimum=0)
     orders: tuple[int, ...] | None = None
     if args.orders is not None:
         try:
-            orders = tuple(int(x) for x in args.orders.split(",") if x != "")
+            orders = tuple(_get_int(int(x), f"--orders[{i}]", minimum=2)
+                           for i, x in enumerate(args.orders.split(",")) if x != "")
         except ValueError as exc:
             raise ValidationError(f"--orders: {exc}") from exc
     if args.input is not None:
@@ -539,9 +540,7 @@ def _curve_arguments(args) -> tuple[int, tuple[int, ...]]:
                 orders = doc.curve[1]
     if genus is None:
         raise ValidationError("curve.genus: required (use --genus or an input document)")
-    if orders is None:
-        orders = ()
-    return genus, orders
+    return genus, orders or ()
 
 
 if __name__ == "__main__":

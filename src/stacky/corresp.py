@@ -80,10 +80,6 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(tuple(r) for r in rows), tuple(pivots)
 
 
-def mat_rank(a: Matrix) -> int:
-    return len(rref(a)[1])
-
-
 @record
 class Correspondence:
     """A morphism between pure-Tate motives, one rational block per twist.

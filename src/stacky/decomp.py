@@ -414,7 +414,7 @@ def product_with_point_model(X: EquivariantModel, H: FiniteGroup) -> Equivariant
     """The model (X, G) x (point, H): the product group acts on X's points
     with the second factor acting trivially.  Point-set models only."""
     if X.kind != "hset":
-        raise ValidationError("product models are supported for point-set models")
+        raise ValidationError("model: product models are supported for point-set models")
     GH = direct_product(X.group, H)
     ident = Perm.identity(X.size)
     images = list(X.generator_images) + [ident] * len(H.generators)

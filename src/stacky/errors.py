@@ -27,10 +27,6 @@ class NotInNormalizerError(StackyError):
     """Element does not normalize the given cyclic subgroup."""
 
 
-class NotAnActionError(StackyError):
-    """Claimed group action violates the action axioms on a sampled point."""
-
-
 class NotRationalError(StackyError):
     """Cyclotomic value asserted rational has a nonzero irrational part."""
 

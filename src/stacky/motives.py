@@ -1,5 +1,5 @@
 """Formal Tate-type motives: twisted atoms, direct sums, tensor products,
-group actions, invariants, and graded Chow dimensions.
+equivariant models and their actions, and graded Chow dimensions.
 
 A motive is a finite multiset of (atom, twist, multiplicity) terms.  Unit
 atoms are the Tate pieces; curve weight-1 parts, etale covers and other
@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ._record import field, record
+from ._record import record
 from .errors import InconsistentActionError, NonBijectionError, OpaqueTensorError
-from .perms import (CyclicClass, FiniteGroup, Perm, Subgroup, _compose, _count_orbits,
-                    generate_group)
+from .perms import CyclicClass, FiniteGroup, Perm, Subgroup, generate_group
 
 
 @record
@@ -395,59 +394,6 @@ def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int
         raise InconsistentActionError(
             f"images do not extend to a group action at {group.elements[min(bad)].cycle_string()}")
     return tuple(acts)
-
-
-@record
-class MotiveAction:
-    """A group acting on a motive by permuting the copies of each (atom, twist):
-    per motive term, image rows on range(mult) aligned with ``group.elements``,
-    each checked to be a permutation and all together a homomorphism."""
-
-    motive: Motive
-    group: FiniteGroup | Subgroup
-    slot_actions: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.slot_actions) != len(self.motive.terms):
-            raise InconsistentActionError("one action slot per motive term required")
-        G = self.group
-        for (atom, twist, mult), rows in zip(self.motive.terms, self.slot_actions):
-            if len(rows) != G.order:
-                raise InconsistentActionError("need one permutation per group element")
-            for row in rows:
-                if len(row) != mult:
-                    raise InconsistentActionError(
-                        f"slot ({atom.render()}, {twist}) permutations must have degree {mult}")
-                if sorted(row) != list(range(mult)):
-                    raise NonBijectionError(
-                        f"images {tuple(row)!r} are not a bijection on 0..{mult - 1}")
-        # act(x g) = act(x) act(g) on image tuples, as (index of x, of g, of x g)
-        idx = {x.images: i for i, x in enumerate(G.elements)}
-        steps = [(i, idx[g.images], idx[_compose(x.images, g.images)])
-                 for i, x in enumerate(G.elements) for g in G.generators]
-        for (_, _, mult), rows in zip(self.motive.terms, self.slot_actions):
-            if tuple(rows[idx[tuple(range(G.degree))]]) != tuple(range(mult)):
-                raise InconsistentActionError("identity must act trivially")
-            if any(tuple(rows[xg]) != _compose(rows[x], rows[g]) for x, g, xg in steps):
-                raise InconsistentActionError("slot action is not a homomorphism")
-
-
-def invariants(act: MotiveAction) -> Motive:
-    """The fixed part: per (atom, twist) the multiplicity drops to the number
-    of orbits of the group on the index set (rank of the averaging projector)."""
-    out = []
-    for (atom, twist, mult), rows in zip(act.motive.terms, act.slot_actions):
-        out.append((atom, twist, _count_orbits(rows)))
-    return Motive.of(out)
-
-
-def model_motive(X: EquivariantModel) -> MotiveAction:
-    """h(X) of a model: one Tate summand per cell at the cell's dimension,
-    with the induced permutation action, as rows restricted from the model's."""
-    by_dim = X.cells_of_dim()
-    motive = Motive.of([(UNIT, d, len(cells)) for d, cells in by_dim.items()])
-    return MotiveAction(motive, X.group, tuple(_restrict_rows(X.element_actions, by_dim[twist])
-                                               for _, twist, _ in motive.terms))
 
 
 def _restrict_rows(rows: Sequence[tuple[int, ...]], cells: tuple[int, ...]

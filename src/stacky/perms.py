@@ -20,7 +20,6 @@ from .errors import (
     BadCharacteristicError,
     GroupTooLargeError,
     NonBijectionError,
-    NotAnActionError,
     NotASubgroupError,
     NotInNormalizerError,
     check,
@@ -515,48 +514,13 @@ def conjugation_exponent(n: Perm, c: CyclicClass) -> int:
     return a
 
 
-def orbit_count(elements: Sequence[Perm], action: Callable[[Perm, int], int], points: int) -> int:
-    """Number of orbits of a group action on {0..points-1}.
-
-    ``elements`` must be the full group, each element once (else
-    NotASubgroupError).  ``action`` is called once per (element, point) to
-    tabulate one image row per element.  This is the entry for an outside
-    action, so the rows are checked here: the identity fixes every point,
-    every value is a point, and the action axioms hold on a bounded sample
-    (else NotAnActionError); _count_orbits then checks the Burnside average.
-    """
-    elems = list(elements)
-    if not elems or Perm.identity(elems[0].degree) not in elems or len(set(elems)) < len(elems):
-        raise NotASubgroupError("element list lacks the identity or repeats an element")
-    if points == 0:
-        return 0
-    rows = [[action(g, pt) for pt in range(points)] for g in elems]
-    index = {g.images: i for i, g in enumerate(elems)}
-    moved = next((pt for pt, y in enumerate(rows[index[tuple(range(elems[0].degree))]])
-                  if y != pt), None)
-    if moved is not None:
-        raise NotAnActionError(f"identity moves point {moved}")
-    # before any value is used as an index, so a negative one cannot wrap round
-    out = next((pt for row in rows for pt, y in enumerate(row) if not 0 <= y < points), None)
-    if out is not None:
-        raise NotAnActionError(f"action maps point {out} out of range")
-    sample = [(g.images, row) for g, row in zip(elems[:6], rows)]
-    for (a, ra), (b, rb) in itertools.product(sample, repeat=2):
-        k = index.get(_compose(a, b))
-        if k is not None:
-            for pt in range(min(points, 6)):
-                if rows[k][pt] != ra[rb[pt]]:
-                    raise NotAnActionError(f"action violates (a*b)(x) = a(b(x)) at point {pt}")
-    return _count_orbits(rows)
-
-
 def _count_orbits(rows: Sequence[Sequence[int]], cells: Sequence[int] | None = None,
                   chars: Sequence[Sequence[int]] | None = None) -> int:
     """The number of orbits of a group, given as one image row per element, on
     ``cells`` (cells the rows preserve; all by default) or, given one character row
     per element, on the pairs (cell, character position), by a search over the rows
     checked by the Burnside average.  The rows must be an action checked where it was
-    built (extend_action, the loci, the conjugation character) or in orbit_count."""
+    built (extend_action, the loci, the conjugation character)."""
     every = cells is None or len(cells) == len(rows[0])
     cells = range(len(rows[0])) if every else cells
     if chars is not None and len(chars[0]) == 1:

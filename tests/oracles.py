@@ -128,6 +128,19 @@ def burnside(elems, action, points: int) -> Fraction:
     return Fraction(total, len(elems))
 
 
+def quotient_ranks(X) -> dict[int, int]:
+    """The coarse quotient motive h(X)^G by its definition: per cell dimension,
+    the number of orbits of every group element, acting through X.action_of,
+    on that dimension's cells."""
+    acts = {g: X.action_of(g) for g in X.group.elements}
+    out = {}
+    for d in sorted(set(X.dims)):
+        cells = [c for c, e in enumerate(X.dims) if e == d]
+        pos = {c: i for i, c in enumerate(cells)}
+        out[d] = len(orbits(X.group.elements, lambda g, i: pos[acts[g](cells[i])], len(cells)))
+    return out
+
+
 def units_mod(m: int) -> list[int]:
     if m == 1:
         return [0]

@@ -412,3 +412,26 @@ def test_conjugate_loci_are_refused(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: model: two fixed loci declare conjugate subgroups\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--genus", "-1"), "--genus: expected an integer >= 0"),
+    (("--genus", "0", "--orders", "1"), "--orders[0]: expected an integer >= 2"),
+    (("--genus", "0", "--orders", "3,0"), "--orders[1]: expected an integer >= 2"),
+    # a flag is checked before the document it overrides is read
+    (("--input", str(SAMPLES / "curve_0_33.json"), "--genus", "-2"),
+     "--genus: expected an integer >= 0"),
+])
+def test_curve_flags_are_refused_with_their_names(capsys, flags, message):
+    assert main(["motive", "curve", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_kunneth_on_a_cell_model_is_refused_with_its_path(capsys):
+    doc = GOLDEN_DOCS / "s4_cells_noncanonical.json"
+    assert main(["verify", "--check", "kunneth", "--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: model: product models are supported for point-set models\n"

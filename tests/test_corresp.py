@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stacky.corresp import (
     Correspondence,
@@ -14,7 +15,6 @@ from stacky.corresp import (
     graph_correspondences,
     is_idempotent,
     mat_mul,
-    mat_rank,
     matrix,
     rref,
     split_idempotent,
@@ -27,7 +27,7 @@ from stacky.errors import (
     NotTotalError,
     ShapeMismatchError,
 )
-from stacky.motives import Atom, Motive
+from stacky.motives import UNIT, Atom, Motive
 
 
 def test_rref_rank_against_brute_force():
@@ -36,7 +36,7 @@ def test_rref_rank_against_brute_force():
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         a = matrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                      for _ in range(m)] for _ in range(n)])
-        rank = mat_rank(a)
+        rank = len(rref(a)[1])
         # oracle: rank = size of the largest invertible square submatrix,
         # probed via determinants of all square submatrices
         from itertools import combinations
@@ -189,6 +189,47 @@ def test_split_random_idempotents():
         assert compose(factor.inclusion, factor.retraction) == p
         assert compose(factor.retraction, factor.inclusion) == \
             Correspondence.identity(factor.image)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(-3, 3), min_size=1, max_size=3,
+                                           unique=True))
+def test_random_idempotents_of_several_twists_split_exactly(seed, twists):
+    # one conjugated projector of random rank per twist, as one correspondence
+    parts = {t: (k, p.blocks[0]) for t, (k, p) in zip(twists, random_idempotents(seed))}
+    M = Motive.of([(UNIT, t, len(b)) for t, (_, b) in parts.items()])
+    p = Correspondence(M, M, {t: b for t, (_, b) in parts.items()})
+    factor = split_idempotent(p)
+    assert compose(factor.inclusion, factor.retraction) == p
+    assert compose(factor.retraction, factor.inclusion) == Correspondence.identity(factor.image)
+    assert factor.image.unit_multiplicities() == {t: k for t, (k, _) in parts.items() if k}
+
+
+@st.composite
+def composable_triples(draw):
+    """x, y, z with x.source == y.target and y.source == z.target, on 1-2 twists
+    with multiplicities 0-3 and small rational entries."""
+    twists = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2, unique=True))
+    motives = [Motive.of([(UNIT, t, draw(st.integers(0, 3))) for t in twists])
+               for _ in range(4)]
+    entries = st.fractions(-3, 3, max_denominator=3)
+    out = []
+    for src, tgt in zip(motives[1:], motives):
+        blocks = {}
+        for t in twists:
+            rows, cols = tgt.unit_multiplicity(t), src.unit_multiplicity(t)
+            if rows and cols:
+                blocks[t] = matrix(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                                 min_size=rows, max_size=rows)))
+        out.append(Correspondence(src, tgt, blocks))
+    return out
+
+
+@settings(max_examples=40)
+@given(composable_triples())
+def test_compose_is_associative(triple):
+    x, y, z = triple
+    assert compose(compose(x, y), z) == compose(x, compose(y, z))
 
 
 def test_splitting_certificate_covers():

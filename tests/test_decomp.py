@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import stacky.decomp
 import stacky.motives
 import stacky.perms
@@ -28,8 +29,7 @@ from stacky.decomp import (
     quotient_motive,
 )
 from stacky.errors import BadOrderError, InternalError, NotAnAutomorphismError, ValidationError
-from stacky.motives import (Atom, EquivariantModel, FixedLocus, Motive, MotiveAction,
-                            chow_dim, invariants, model_motive)
+from stacky.motives import Atom, EquivariantModel, FixedLocus, Motive, chow_dim
 from stacky.perms import (
     Perm,
     alternating_group,
@@ -326,14 +326,15 @@ def test_model_locus_for_each_kind_of_class_and_model():
 def test_refined_inertia_refuses_a_components_fixed_model(order, coarse):
     # a component's fixed model acts through the normalizer, a subgroup that
     # keeps no classes: every refined-inertia entry point refuses it, while the
-    # coarse motive and the model's motive still read its rows
+    # coarse motive still reads its rows
     comp = next(c for c in cyclotomic_inertia(s3_on_points()) if c.cyclic.order == order)
     Y = comp.fixed_model
     for route in (inertial_quotient_motive, cyclotomic_inertia, inertia, inertia_ranks_by_twist,
                   check_inertia_dimension):
         with pytest.raises(ValidationError, match="this one acts through a subgroup"):
             route(Y)
-    assert quotient_motive(Y) == invariants(model_motive(Y)) == coarse
+    assert quotient_motive(Y) == coarse
+    assert {t: m for _, t, m in coarse.terms} == oracles.quotient_ranks(Y)
 
 
 def test_character_rows_action():
@@ -526,21 +527,6 @@ def test_warm_quotient_motive_wraps_no_perm(monkeypatch):
     assert quotient_motive(X) == first == Motive.point()
     monkeypatch.undo()
     assert made == [0]
-
-
-def test_warm_quotient_motive_checks_no_motive_action(monkeypatch):
-    # the orbits are counted on the rows extend_action checked, so no
-    # MotiveAction is built; model_motive still builds and checks one
-    S5 = symmetric_group(5)
-    X = EquivariantModel.hset(S5, 5, S5.generators)
-    first = quotient_motive(X)
-    checked = []
-    real = MotiveAction.__post_init__
-    monkeypatch.setattr(MotiveAction, "__post_init__",
-                        lambda self: checked.append(self) or real(self))
-    assert quotient_motive(X) == first
-    assert checked == []
-    assert invariants(model_motive(X)) == first and len(checked) == 1
 
 
 def test_warm_inertia_routes_restrict_no_rows(monkeypatch):

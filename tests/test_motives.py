@@ -3,26 +3,23 @@
 from __future__ import annotations
 
 import random
-import re
 
 import pytest
 
 import oracles
-from stacky.errors import InconsistentActionError, NonBijectionError, OpaqueTensorError
+from stacky.decomp import quotient_motive
+from stacky.errors import InconsistentActionError, OpaqueTensorError
 from stacky.motives import (
     UNIT,
     Atom,
     EquivariantModel,
     Motive,
-    MotiveAction,
     chow_dim,
     direct_sum,
-    invariants,
-    model_motive,
     poincare_polynomial,
     tensor,
 )
-from stacky.perms import Perm, cyclic_group, orbit_count, symmetric_group, trivial_group
+from stacky.perms import Perm, cyclic_group, symmetric_group, trivial_group
 from stacky.verify import random_coset_model
 
 
@@ -113,20 +110,19 @@ def test_chow_dim():
 def test_invariants_examples():
     C2 = cyclic_group(2)
     X = EquivariantModel.hset(C2, 2, [Perm([1, 0])])
-    act = model_motive(X)
-    assert invariants(act) == Motive.point()
+    assert quotient_motive(X) == Motive.point()
 
     T = trivial_group()
     Y = EquivariantModel(T, (0, 1), [], kind="cells")
-    assert invariants(model_motive(Y)) == units((0, 1), (1, 1))
+    assert quotient_motive(Y) == units((0, 1), (1, 1))
 
     S3 = symmetric_group(3)
     Z = EquivariantModel.hset(S3, 3, list(S3.generators))
-    assert invariants(model_motive(Z)) == Motive.point()
+    assert quotient_motive(Z) == Motive.point()
 
     # three Lefschetz copies permuted naturally collapse to one
     W = EquivariantModel(S3, (1, 1, 1), list(S3.generators), kind="cells")
-    assert invariants(model_motive(W)) == Motive.lefschetz()
+    assert quotient_motive(W) == Motive.lefschetz()
 
 
 def test_invariants_matches_orbit_count_on_random_models():
@@ -141,20 +137,15 @@ def test_invariants_matches_orbit_count_on_random_models():
             imgs.append(Perm([g(p) for p in range(3)] +
                              [3 + shuffle.index(g(shuffle[p - 3])) for p in range(3, 6)]))
         X = EquivariantModel.hset(S3, 6, imgs)
-        act = model_motive(X)
-        inv = invariants(act)
-        direct = orbit_count(S3.elements, lambda g, p: X.action_of(g)(p), 6)
-        assert inv.unit_multiplicity(0) == direct
         oracle = len(oracles.orbits([g for g in S3.elements],
                                     lambda g, p: X.action_of(g)(p), 6))
-        assert direct == oracle
+        assert quotient_motive(X).unit_multiplicity(0) == oracle
 
 
-def test_model_motive_cells():
+def test_model_cells_by_dimension():
     T = trivial_group()
     X = EquivariantModel(T, (0, 1), [], kind="cells")
-    act = model_motive(X)
-    assert act.motive == units((0, 1), (1, 1))
+    assert X.cells_of_dim() == {0: (0,), 1: (1,)}
 
 
 def test_model_rejects_dimension_moving_action():
@@ -173,8 +164,8 @@ def test_model_rejects_non_action():
 def test_invariants_of_trivial_action_is_identity():
     T = trivial_group()
     M = EquivariantModel(T, (0, 0, 1, 2), [], kind="cells")
-    act = model_motive(M)
-    assert invariants(act) == act.motive
+    # h(M) has one Tate summand per cell, at the cell's dimension
+    assert quotient_motive(M) == units((0, 2), (1, 1), (2, 1))
 
 
 def test_invariants_never_increase_multiplicity():
@@ -189,68 +180,14 @@ def test_invariants_never_increase_multiplicity():
                 else list(range(size))
             imgs.append(Perm(base))
         X = EquivariantModel.hset(S3, size, imgs)
-        act = model_motive(X)
-        inv = invariants(act)
-        for (atom, twist, mult) in inv.terms:
-            assert mult <= act.motive.unit_multiplicity(twist)
+        cells = X.cells_of_dim()
+        for (atom, twist, mult) in quotient_motive(X).terms:
+            assert mult <= len(cells[twist])
 
 
-def test_motive_action_rejects_a_non_homomorphism():
-    S3 = symmetric_group(3)
-    M = Motive.point(2)
-    swap, ident = (1, 0), (0, 1)
-    # the sign action is one; swapping the copies for every non-identity element is not
-    sign = [swap if sum(len(c) - 1 for c in g.cycles()) % 2 else ident for g in S3.elements]
-    assert MotiveAction(M, S3, (tuple(sign),)).slot_actions == (tuple(sign),)
-    bad = [ident if g == S3.identity else swap for g in S3.elements]
-    with pytest.raises(InconsistentActionError, match="^slot action is not a homomorphism$"):
-        MotiveAction(M, S3, (tuple(bad),))
-    with pytest.raises(InconsistentActionError, match="^identity must act trivially$"):
-        MotiveAction(M, S3, ((swap,) * S3.order,))
-
-
-def test_motive_action_rejects_malformed_slots():
-    S3 = symmetric_group(3)
-    M = Motive.point(2)
-    ident = ((0, 1),) * S3.order
-    with pytest.raises(InconsistentActionError,
-                       match="^one action slot per motive term required$"):
-        MotiveAction(M, S3, (ident, ident))
-    with pytest.raises(InconsistentActionError, match="^need one permutation per group element$"):
-        MotiveAction(M, S3, (ident[1:],))
-    with pytest.raises(InconsistentActionError,
-                       match=r"^slot \(1, 0\) permutations must have degree 2$"):
-        MotiveAction(M, S3, (ident[1:] + ((0, 1, 2),),))
-
-
-def test_motive_action_checks_every_slot_shape_before_any_action():
-    # a non-homomorphism in the first slot is reported only once every slot
-    # has one permutation of the right degree per element
-    S3 = symmetric_group(3)
-    M = Motive.of([(UNIT, 0, 2), (UNIT, 1, 2)])
-    bad = tuple((0, 1) if g == S3.identity else (1, 0) for g in S3.elements)
-    ident = ((0, 1),) * S3.order
-    with pytest.raises(InconsistentActionError, match="^need one permutation per group element$"):
-        MotiveAction(M, S3, (bad, ident[1:]))
-    with pytest.raises(NonBijectionError, match=r"^images \(1, 1\) are not a bijection on 0..1$"):
-        MotiveAction(M, S3, (bad, ident[1:] + ((1, 1),)))
-    with pytest.raises(InconsistentActionError, match="^slot action is not a homomorphism$"):
-        MotiveAction(M, S3, (bad, ident))
-
-
-@pytest.mark.parametrize("row", [(0, 0), (1, 1), (0, 2), (-1, 0)])
-def test_motive_action_rejects_a_row_that_is_not_a_permutation(row):
-    # each row must permute range(mult) before any value is composed or read
-    S3 = symmetric_group(3)
-    rows = ((0, 1),) * (S3.order - 1) + (row,)
-    with pytest.raises(NonBijectionError,
-                       match=rf"^images {re.escape(repr(row))} are not a bijection on 0..1$"):
-        MotiveAction(Motive.point(2), S3, (rows,))
-
-
-def test_model_motive_forms_and_validates_no_perm(monkeypatch):
-    # slot permutations restrict the verified action, and the homomorphism is
-    # checked on image tuples: no Perm product and no validating constructor
+def test_quotient_motive_forms_and_validates_no_perm(monkeypatch):
+    # the orbits are counted on the verified action's own rows: no Perm
+    # product and no validating constructor
     X = random_coset_model(random.Random(3), symmetric_group(5))
     counts = {"__mul__": 0, "__init__": 0}
     for name in counts:
@@ -258,11 +195,10 @@ def test_model_motive_forms_and_validates_no_perm(monkeypatch):
             counts[name] += 1
             return inner(*args)
         monkeypatch.setattr(Perm, name, counting)
-    act = model_motive(X)
+    coarse = quotient_motive(X)
     monkeypatch.undo()
     assert counts == {"__mul__": 0, "__init__": 0}
-    # a point model has one slot, on which each element acts as on the points
-    assert act.slot_actions == (X.element_actions,)
+    assert {t: m for _, t, m in coarse.terms} == oracles.quotient_ranks(X)
 
 
 def test_coset_model_forms_no_perm_products(monkeypatch):

@@ -39,7 +39,7 @@ from stacky.decomp import (
     inertial_quotient_motive,
     orbifold_curve_motive,
 )
-from stacky.motives import Atom, EquivariantModel, Motive, chow_dim, model_motive
+from stacky.motives import Atom, EquivariantModel, Motive, chow_dim
 from stacky.perms import (
     Perm,
     conjugacy_classes,
@@ -58,7 +58,7 @@ DOCUMENTS = sorted((ROOT / "sample_inputs").glob("*.json")) + sorted(
 RECORD_NAMES = {
     "perms": ["ConjugacyClass", "CyclicClass", "Subgroup"],
     "chars": ["CharacterTable", "RepresentationRing"],
-    "motives": ["Atom", "ChowDimensions", "FixedLocus", "Motive", "MotiveAction"],
+    "motives": ["Atom", "ChowDimensions", "FixedLocus", "Motive"],
     "corresp": ["Correspondence", "SplitFactor"],
     "decomp": ["CharacterOrbitSet", "ClassifyingStackMotive", "ComponentContribution",
                "CyclotomicInertiaComponent", "GerbeDatum", "GerbeMotive", "InertiaComponent",
@@ -89,7 +89,7 @@ def test_the_value_classes_are_records():
     found = {layer: [c.__name__ for c in RECORDS if c.__module__ == f"stacky.{layer}"]
              for layer in RECORD_NAMES}
     assert found == RECORD_NAMES
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 22
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def _roots():
         X = EquivariantModel.hset(G, G.degree, G.generators)
         M = inertial_quotient_motive(X, 0)
         yield (conjugacy_classes(G), cyclic_subgroup_classes(G, 0), cyclotomic_inertia(X, 0),
-               inertia(X, 0), M, model_motive(X), chow_dim(M.motive, 0),
+               inertia(X, 0), M, chow_dim(M.motive, 0),
                rep_ring(character_table(G)), bh_motive(G, 0), bh_motive(G, 2))
     for path in DOCUMENTS:
         doc = load_document(str(path))
@@ -141,7 +141,7 @@ def _roots():
         p = doc.characteristic
         if doc.model is not None:
             M = inertial_quotient_motive(doc.model, p)
-            yield M, chow_dim(M.motive, 1), model_motive(doc.model)
+            yield M, chow_dim(M.motive, 1)
         if doc.gerbe is not None:
             yield (gerbe_motive(doc.gerbe, p),
                    gerbe_rset(doc.gerbe.group, p, doc.gerbe.monodromy))

@@ -98,3 +98,19 @@ def test_decomp_restricts_no_rows():
              and any(alias.name == "_restrict_rows" for alias in node.names)
              or getattr(node, "id", getattr(node, "attr", None)) == "_restrict_rows"]
     assert found == [], f"decomp.py names _restrict_rows at lines {found}"
+
+
+def test_every_imported_name_is_used():
+    # a deletion can leave an import behind; __init__.py imports to re-export
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  if (name := (alias.asname or alias.name).split(".")[0]) not in used]
+    assert found == [], f"imported names never used: {', '.join(found)}"
