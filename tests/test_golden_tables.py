@@ -35,6 +35,12 @@ TABLE_GROUPS = {
     # 20 classes against q = 13: eigenspaces of dimension d >= q occur
     "D4xC2xC2": lambda: direct_product(dihedral_group(4),
                                        direct_product(cyclic_group(2), cyclic_group(2))),
+    # groups where one cyclic subgroup's powers meet classes of several orders
+    "D12": lambda: dihedral_group(12),
+    "D15": lambda: dihedral_group(15),
+    "A6": lambda: alternating_group(6),
+    "S7": lambda: symmetric_group(7),
+    "D50": lambda: dihedral_group(50),
 }
 
 RING_GROUPS = {
