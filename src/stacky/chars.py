@@ -2,15 +2,20 @@
 
 Tables are computed by the classical prime-field method (Dixon 1967, as
 revised by Schneider 1990): class-algebra structure constants, counted on
-element indices with one word-tree walk per class; simultaneous eigenvectors
-over F_q with q = 1 mod exp(G) and q > 2*sqrt(|G|), each invariant subspace
-split at the roots of one characteristic polynomial, which a division-free
-Hessenberg recurrence gives in any characteristic; then lifting each value to
-an exact cyclotomic number by an inverse discrete Fourier transform of length
-m, the order of the class representative, against theta^(exp(G)/m) for a
-fixed element theta of order exp(G) in F_q.  Abelian groups take a direct
-fast path.  Every produced table is verified against the orthogonality
-identity X diag(|C|) conj(X)^T = |G| I before it is returned.
+element indices with one word-tree walk per class and kept mod q as sparse
+rows of nonzero (column, value) pairs, since sum |C_i| = |G| leaves most of
+them zero; simultaneous eigenvectors over F_q with q = 1 mod exp(G) and
+q > 2*sqrt(|G|), each invariant subspace split at the roots of one
+characteristic polynomial, which a division-free Hessenberg recurrence gives
+in any characteristic, and each checked against every class-sum matrix; then
+exact cyclotomic values, lifted once per covering cyclic subgroup.  Walking
+the classes by decreasing order, a representative g whose class no earlier
+lift reached has its eigenvalue multiplicities taken by an inverse discrete
+Fourier transform of length m = ord(g) against theta^(exp(G)/m), theta a fixed
+element of order exp(G) in F_q; every class of a power g^j gets its value from
+them at its own order m/gcd(j, m).  Abelian groups take a direct fast path.
+Every produced table is verified against the orthogonality identity
+X diag(|C|) conj(X)^T = |G| I before it is returned.
 
 Inner products and the orthogonality check run on the integer kernel of
 stacky.cyclo: a table's rows are converted once, and kept with it, to integer
@@ -111,8 +116,10 @@ def _table_parts(G: FiniteGroup) -> tuple:
         check("chars.degree_positive", value.is_rational() and deg.denominator == 1 and deg > 0,
               "character degree {} is not a positive integer", value)
         decorated.append((int(deg), row))
+    # the reduced power basis is unique: a value is 1 exactly when its
+    # coefficients are (1, 0, ..., 0)
     trivial = [i for i, (deg, row) in enumerate(decorated)
-               if deg == 1 and all(v == 1 for v in row)]
+               if deg == 1 and all(v.coeffs[0] == 1 and not any(v.coeffs[1:]) for v in row)]
     check("chars.trivial_character", len(trivial) == 1, "trivial character not found exactly once")
     # order by degree, then by the values' coefficients at conductor exp(G),
     # the lcm of the class orders (as Cyclotomic.sort_key gives them), read
@@ -321,10 +328,15 @@ def _prime_field_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, .
 
     q = _choose_prime(e, n)
     theta = _element_of_order(q, e)
-    mats = [[[x % q for x in row] for row in M] for M in a]
+    # each class-sum matrix mod q as sparse rows: (column, value) pairs, value != 0
+    mats = [[[(j, x % q) for j, x in enumerate(row) if x % q] for row in M] for M in a]
 
-    # power map: class of z_i^j for j in 0..order(z_i)-1, z_i the representatives
-    power_class = [[class_of[G.index[x]] for x in powers(c.representative)] for c in classes]
+    # covering cyclic subgroups: by decreasing order, the representative of each
+    # class no earlier one's powers reach, with the class of each power g^j
+    covering: list[list[int]] = []
+    for i in sorted(range(r), key=lambda i: -classes[i].order):
+        if not any(i in power_class for power_class in covering):
+            covering.append([class_of[G.index[x]] for x in powers(classes[i].representative)])
 
     spaces = [[[1 if t == s else 0 for t in range(r)] for s in range(r)]]
     for i in range(r):
@@ -353,8 +365,11 @@ def _prime_field_characters(G: FiniteGroup, classes) -> list[tuple[Cyclotomic, .
         check("chars.degree_found", deg is not None, "could not identify a character degree")
         chi_q = [deg * omega[i] % q * pow(sizes[i], -1, q) % q for i in range(r)]
 
-        rows.append(tuple(_lift_value(chi_q, power_class[i], e, q, theta, deg)
-                          for i in range(r)))
+        # a class two lifts reach gets the same exact value at its own order from both
+        row: dict[int, Cyclotomic] = {}
+        for power_class in covering:
+            row.update(_lift_powers(chi_q, power_class, e, q, theta, deg))
+        rows.append(tuple(row[i] for i in range(r)))
     return rows
 
 
@@ -386,12 +401,14 @@ def _class_sum_matrices(G: FiniteGroup, classes) -> tuple[list, list[int], list[
     return [counts[t] for t in inv_class], class_of, inv_class
 
 
-def _lift_value(chi_q, powers, e, q, theta, deg) -> Cyclotomic:
-    """Recover a sum of m-th roots of unity from its mod-q character values.
+def _lift_powers(chi_q, powers, e, q, theta, deg) -> dict[int, Cyclotomic]:
+    """Exact values, at the class of every power of g, from mod-q character values.
 
-    m = len(powers) is the order of the class representative g and powers[j]
-    the class of g^j.  The multiplicity of the eigenvalue zeta_m^t is an
-    inverse DFT of length m against theta^(e/m), an element of order m in F_q.
+    m = len(powers) is the order of g and powers[j] the class of g^j.  The
+    multiplicity of g's eigenvalue zeta_m^t is an inverse DFT of length m against
+    theta^(e/m), an element of order m in F_q.  g^j has the eigenvalues
+    zeta_m^(t j) = zeta_m'^(t j/d) with the same multiplicities, d = gcd(j, m),
+    so its value lies at conductor m' = m/d, the order of g^j.
     """
     m = len(powers)
     root_inv = pow(theta, -(e // m), q)
@@ -407,7 +424,14 @@ def _lift_value(chi_q, powers, e, q, theta, deg) -> Cyclotomic:
         mults.append(mk)
     check("chars.multiplicity_sum", (total := sum(mults)) == deg,
           "lifted multiplicities sum to {}, not the degree {}", total, deg)
-    return Cyclotomic(m, _reduce_exponents(enumerate(mults), m))
+    values: dict[int, Cyclotomic] = {}
+    for j, c in enumerate(powers):
+        if c not in values:
+            d = math.gcd(j, m)
+            step, order = j // d, m // d
+            values[c] = Cyclotomic(order, _reduce_exponents(
+                ((t * step, mk) for t, mk in enumerate(mults)), order))
+    return values
 
 
 def _split_invariant_subspace(M, B, q) -> list[list[list[int]]]:
@@ -468,7 +492,8 @@ def _charpoly(A, q) -> list[int]:
 
 
 def _matvec(M, v, q):
-    return [sum(M[i][j] * v[j] for j in range(len(v))) % q for i in range(len(M))]
+    """M v over F_q, M given as sparse rows of (column, value) pairs."""
+    return [sum(x * v[j] for j, x in row) % q for row in M]
 
 
 def _coords_in_basis(B, imgs, q):

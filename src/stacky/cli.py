@@ -526,9 +526,11 @@ def _curve_arguments(args) -> tuple[int, tuple[int, ...]]:
     genus = None if args.genus is None else _get_int(args.genus, "--genus", minimum=0)
     orders: tuple[int, ...] | None = None
     if args.orders is not None:
+        # "" is the empty list; an empty entry in a longer one is refused like 0
+        entries = args.orders.split(",") if args.orders else []
         try:
-            orders = tuple(_get_int(int(x), f"--orders[{i}]", minimum=2)
-                           for i, x in enumerate(args.orders.split(",")) if x != "")
+            orders = tuple(_get_int(int(x) if x else 0, f"--orders[{i}]", minimum=2)
+                           for i, x in enumerate(entries))
         except ValueError as exc:
             raise ValidationError(f"--orders: {exc}") from exc
     if args.input is not None:

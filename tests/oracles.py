@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
@@ -106,6 +107,14 @@ def subgroup_conj_classes(elems, subgroups):
     return out
 
 
+def maximal_cyclic_class_count(elems: set[tuple[int, ...]]) -> int:
+    """The number of conjugacy classes of cyclic subgroups contained in no
+    larger cyclic subgroup."""
+    subs = cyclic_subgroups(elems)
+    maximal = {s for s in subs if not any(s < t for t in subs)}
+    return len(subgroup_conj_classes(elems, maximal))
+
+
 def orbits(elems, action, points: int) -> list[set[int]]:
     """Flood fill orbits of an action given as a callable (images, point) -> point."""
     left = set(range(points))
@@ -173,10 +182,11 @@ def poly_mod_cyclotomic_naive(coeffs: list[Fraction], e: int) -> list[Fraction]:
     return coeffs
 
 
-def cyclotomic_poly_naive(e: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def cyclotomic_poly_naive(e: int) -> tuple[Fraction, ...]:
     """Phi_e by dividing x^e - 1 by the product of all lower Phi_d."""
     if e == 1:
-        return [Fraction(-1), Fraction(1)]
+        return (Fraction(-1), Fraction(1))
     num = [Fraction(0)] * (e + 1)
     num[0], num[e] = Fraction(-1), Fraction(1)
     den = [Fraction(1)]
@@ -192,7 +202,23 @@ def cyclotomic_poly_naive(e: int) -> list[Fraction]:
         for j, dv in enumerate(den):
             rem[i + j] -= c * dv
     assert all(r == 0 for r in rem)
-    return out
+    return tuple(out)
+
+
+def per_class_lift(chi_q, powers, e: int, q: int, theta: int, deg: int) -> list[Fraction]:
+    """A character value at g from its values mod q, one class at a time:
+    powers[j] is the class of g^j, m = len(powers) the order of g, theta an
+    element of order e in F_q.  Each eigenvalue multiplicity of g is an inverse
+    DFT of length m against theta^(e/m); their polynomial in zeta_m, reduced
+    modulo Phi_m, gives the power-basis coefficients at conductor m."""
+    m = len(powers)
+    root_inv = pow(theta, -(e // m), q)
+    inv_powers = [pow(root_inv, u, q) for u in range(m)]
+    mults = [sum(chi_q[c] * inv_powers[j * t % m] for j, c in enumerate(powers))
+             * pow(m, -1, q) % q for t in range(m)]
+    if max(mults) > deg or sum(mults) != deg:
+        raise ValueError(f"multiplicities {mults} do not make up degree {deg}")
+    return poly_mod_cyclotomic_naive([Fraction(x) for x in mults], m)
 
 
 def perm_char_fixed_points(images: tuple[int, ...]) -> int:

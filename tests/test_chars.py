@@ -337,9 +337,13 @@ def test_lift_rejects_multiplicities_not_summing_to_degree():
     # on the powers of an order-4 element lift to multiplicity 2 for every
     # eigenvalue: each is at most the degree, but they sum to 8
     with pytest.raises(RuntimeError, match="lifted multiplicities sum to 8, not the degree 3"):
-        chars._lift_value([3, 0, 0, 0], [0, 1, 2, 3], 4, 5, 2, 3)
-    # the values of the 1-dimensional character g -> i lift to zeta_4
-    assert chars._lift_value([1, 2, 4, 3], [0, 1, 2, 3], 4, 5, 2, 1) == Cyclotomic.zeta(4)
+        chars._lift_powers([3, 0, 0, 0], [0, 1, 2, 3], 4, 5, 2, 3)
+    # the values of the 1-dimensional character g -> i lift to zeta_4, and at
+    # g^j to zeta_4^j, each at the conductor of the order of g^j
+    lifted = chars._lift_powers([1, 2, 4, 3], [0, 1, 2, 3], 4, 5, 2, 1)
+    assert lifted[1] == Cyclotomic.zeta(4)
+    assert lifted == {0: 1, 1: Cyclotomic.zeta(4), 2: -1, 3: Cyclotomic.zeta(4, 3)}
+    assert [v.conductor for v in lifted.values()] == [1, 4, 2, 4]
 
 
 def test_irrational_degree_fails_the_degree_check(monkeypatch):
@@ -396,6 +400,20 @@ def test_s5_table_forms_no_perm_product_and_one_nullspace_per_eigenspace(monkeyp
     assert T.rank == 7
     assert products == []
     assert 0 < len(nullspaces) == len(eigenspaces)
+
+
+@pytest.mark.parametrize("name,make,lifts", [("D50", lambda: dihedral_group(50), 84),
+                                             ("S6", lambda: symmetric_group(6), 55),
+                                             ("D12", lambda: dihedral_group(12), 27)])
+def test_one_lift_per_covering_cyclic_subgroup_and_character(monkeypatch, name, make, lifts):
+    # the values at the powers of g all come from g's multiplicities, so a
+    # character lifts once per class of maximal cyclic subgroups: D50's
+    # rotations and its two classes of reflections, 3 x 28 lifts, not 28 x 28
+    G = make()
+    calls = _count_calls(monkeypatch, chars, ["_lift_powers"])
+    T = character_table(G)
+    elems = {g.images for g in G.elements}
+    assert len(calls) == lifts == T.rank * oracles.maximal_cyclic_class_count(elems)
 
 
 @pytest.mark.parametrize("name,make", ALL_GROUPS)

@@ -421,12 +421,25 @@ def test_conjugate_loci_are_refused(capsys, tmp_path):
     # a flag is checked before the document it overrides is read
     (("--input", str(SAMPLES / "curve_0_33.json"), "--genus", "-2"),
      "--genus: expected an integer >= 0"),
+    # an empty entry is refused at its position, not dropped
+    (("--genus", "0", "--orders", "2,,3"), "--orders[1]: expected an integer >= 2"),
+    (("--genus", "0", "--orders", "3,"), "--orders[1]: expected an integer >= 2"),
+    (("--genus", "0", "--orders", ",3"), "--orders[0]: expected an integer >= 2"),
 ])
 def test_curve_flags_are_refused_with_their_names(capsys, flags, message):
     assert main(["motive", "curve", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_empty_orders_flag_is_the_empty_list(capsys):
+    # it also overrides the orders of an input document
+    for extra in ((), ("--input", str(SAMPLES / "curve_0_33.json"))):
+        assert main(["motive", "curve", "--genus", "0", "--orders", "", *extra,
+                     "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["genus"], out["orders"]) == (0, [])
 
 
 def test_kunneth_on_a_cell_model_is_refused_with_its_path(capsys):

@@ -55,6 +55,14 @@ characteristic polynomial.  Their references are the count by ``Perm``
 inverses and products per element and class, and the split that takes a
 nullspace at every lambda in F_q.
 
+The table kernel keeps each class-sum matrix mod q as sparse rows of nonzero
+(column, value) pairs, and lifts the values once per covering cyclic
+subgroup: the classes of all powers g^j from g's eigenvalue multiplicities.
+Their references are the dense matrices of ``_class_sum_matrices`` reduced
+mod q, and the lift it replaces, one inverse DFT at every class's own
+representative (``oracles.per_class_lift``); ``reference_split`` densifies the
+sparse rows it is given.
+
 A cyclic subgroup finds its class by lookup in the map each group keeps next
 to its cyclic classes; the reference is its least conjugate, closed under
 ``Perm`` conjugation.  Actions on cells and automorphisms are rows aligned
@@ -85,7 +93,6 @@ from stacky.chars import (
     _charpoly,
     _class_sum_matrices,
     _coords_in_basis,
-    _matvec,
     _nullspace,
     _row_reduce,
     _split_invariant_subspace,
@@ -1075,10 +1082,26 @@ def reference_structure_constants(G, classes):
     return a
 
 
+def densify(M, width):
+    """Sparse rows of (column, value) pairs as dense rows of the given width."""
+    dense = [[0] * width for _ in M]
+    for out, row in zip(dense, M):
+        for j, x in row:
+            out[j] = x
+    return dense
+
+
+def sparse(A, q):
+    """Dense rows as sparse rows: the (column, value) pairs with value != 0 mod q."""
+    return [[(j, x % q) for j, x in enumerate(row) if x % q] for row in A]
+
+
 def reference_split(M, B, q):
-    """The eigenspaces of M on span(B), a nullspace taken at every lambda in F_q."""
-    d = len(B)
-    A = _coords_in_basis(B, [_matvec(M, b, q) for b in B], q)
+    """The eigenspaces of M (sparse rows) on span(B), densified, a nullspace
+    taken at every lambda in F_q."""
+    d, dense = len(B), densify(M, len(B[0]))
+    A = _coords_in_basis(B, [[sum(x * y for x, y in zip(row, b)) % q for row in dense]
+                             for b in B], q)
     grouped, found = [], 0
     for lam in range(q):
         shifted = [[(A[u][t] - (lam if u == t else 0)) % q for t in range(d)] for u in range(d)]
@@ -1144,6 +1167,85 @@ def test_table_splits_match_the_q_scan(monkeypatch, name):
         assert max(len(B) - q for _, B, q, _ in seen) == 7
 
 
+# ---------------------------------------------------------------------------
+# Character values: one lift per covering cyclic subgroup, on sparse rows.
+
+def lift_calls(G):
+    """Every _lift_powers call character_table(G) makes, with its result."""
+    calls, real = [], stacky.chars._lift_powers
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stacky.chars, "_lift_powers", recording)
+        character_table(G)
+    return calls
+
+
+def assert_lifts_match_the_per_class_lift(G):
+    classes = conjugacy_classes(G)
+    class_of = {g: i for i, c in enumerate(classes) for g in c.members}
+    power_class = [[class_of[x] for x in powers(c.representative)] for c in classes]
+    reached: dict[tuple[int, ...], set[int]] = {}
+    calls = lift_calls(G)
+    for (chi_q, pw, e, q, theta, deg), values in calls:
+        # each lift runs on the powers of a class representative
+        assert pw == power_class[pw[1 % len(pw)]]
+        for c, value in values.items():
+            want = oracles.per_class_lift(chi_q, power_class[c], e, q, theta, deg)
+            assert (value.conductor, value.coeffs) == (classes[c].order, tuple(want))
+        reached.setdefault(tuple(chi_q), set()).update(values)
+    # the lifts of each character reach every class
+    assert calls or G.is_abelian()
+    assert all(cs == set(range(len(classes))) for cs in reached.values())
+    assert len(reached) == (0 if G.is_abelian() else len(classes))
+
+
+LIFT_GROUPS = {**SPLIT_GROUPS, "D12": lambda: dihedral_group(12),
+               "D15": lambda: dihedral_group(15), "D50": lambda: dihedral_group(50)}
+
+
+@pytest.mark.parametrize("name", LIFT_GROUPS)
+def test_covering_lifts_match_the_per_class_lift_on_named_groups(name):
+    assert_lifts_match_the_per_class_lift(LIFT_GROUPS[name]())
+
+
+@settings(max_examples=30)
+@given(relabelled_groups())
+def test_covering_lifts_match_the_per_class_lift_on_relabelled_groups(G):
+    assert_lifts_match_the_per_class_lift(G)
+
+
+@pytest.mark.parametrize("name", LIFT_GROUPS)
+def test_sparse_rows_hold_the_nonzeros_of_the_class_sums(name):
+    # the joint-eigenvector check multiplies by every class-sum matrix, so the
+    # matrices handed to _matvec are all the sparse rows the kernel built
+    G, seen = LIFT_GROUPS[name](), {}
+    real = stacky.chars._matvec
+
+    def recording(M, v, q):
+        seen[id(M)] = (M, q)
+        return real(M, v, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stacky.chars, "_matvec", recording)
+        character_table(G)
+    if G.is_abelian():
+        assert not seen
+        return
+    classes = conjugacy_classes(G)
+    r = len(classes)
+    (q,) = {q for _, q in seen.values()}
+    for M, _ in seen.values():
+        for row in M:
+            assert [j for j, _ in row] == sorted({j for j, _ in row})
+            assert all(0 < x < q for _, x in row)
+    dense = [[[x % q for x in row] for row in M] for M in _class_sum_matrices(G, classes)[0]]
+    assert sorted(densify(M, r) for M, _ in seen.values()) == sorted(dense)
+
+
 def _evaluate(poly, lam, q):
     value = 0
     for c in poly:
@@ -1201,12 +1303,13 @@ def test_charpoly_roots_are_the_eigenvalues(q):
                     value = [[(x + c * e) % q for x, e in zip(row, unit)]
                              for row, unit in zip(value, identity)]
                 assert not any(map(any, value))
-                # the q-scan and the roots split the whole space alike
+                # the q-scan and the roots split the whole space alike, given
+                # A as the sparse rows the table kernel hands over
                 B = [list(row) for row in identity]
                 outcomes = []
                 for split in (_split_invariant_subspace, reference_split):
                     try:
-                        outcomes.append(split(A, B, q))
+                        outcomes.append(split(sparse(A, q), B, q))
                     except InternalError as exc:
                         outcomes.append(exc.name)
                 assert outcomes[0] == outcomes[1]

@@ -249,10 +249,10 @@ CASES: dict[str, Case] = {
         "could not identify a character degree",
         GROUP_CHARS, group_doc(quaternion_group())),
     "chars.multiplicity_bound": Case(
-        # D4 lifts over F_13; 2 has order 12 there, not exp(D4) = 4
-        lambda mp: mp.setattr(chars, "_element_of_order", lambda q, e: 2),
+        # D4 lifts over F_13; 3 has order 3 there, not exp(D4) = 4
+        lambda mp: mp.setattr(chars, "_element_of_order", lambda q, e: 3),
         lambda: character_table(dihedral_group(4)),
-        "eigenvalue multiplicity 4 exceeds degree 2",
+        "eigenvalue multiplicity 12 exceeds degree 2",
         GROUP_CHARS, group_doc(dihedral_group(4))),
     "chars.multiplicity_sum": Case(
         lambda mp: mp.setattr(chars, "_element_of_order", lambda q, e: 1),
