@@ -358,6 +358,20 @@ def test_irrational_degree_fails_the_degree_check(monkeypatch):
         character_table(cyclic_group(3))
 
 
+def test_a_row_whose_values_lead_with_one_is_not_the_trivial_row(monkeypatch):
+    # zeta_6^5 = 1 - zeta_6 has the coefficients (1, -1): a linear row of C6 with
+    # that value off the identity is not trivial, so the table finds one trivial
+    # row and its pairings fail, not the trivial-character check
+    z = Cyclotomic.zeta(6, 5)
+    assert z.coeffs == (1, -1)
+    real = chars._abelian_characters
+    monkeypatch.setattr(chars, "_abelian_characters", lambda G, classes: (
+        rows := real(G, classes))[:-1] + [tuple(v if c.order == 1 else z
+                                               for v, c in zip(rows[-1], classes))])
+    with pytest.raises(NotRationalError, match=r"^inner product 1/6 \+ 5/6\*z6 is not rational$"):
+        character_table(cyclic_group(6))
+
+
 def test_abelian_words_that_miss_an_element_fail_the_self_check(monkeypatch):
     # the reduced generators of V4 are cut to one, so their words reach two
     # of its four elements
