@@ -22,8 +22,8 @@ from .decomp import (
     orbifold_curve_motive,
     _automorphism_map,
 )
-from .errors import (NotAnAutomorphismError, ParseError, StackyError, ValidationError,
-                     internal_error_text)
+from .errors import (GroupTooLargeError, NotAnAutomorphismError, ParseError, StackyError,
+                     ValidationError, internal_error_text)
 from .motives import Atom, EquivariantModel, FixedLocus, Motive, chow_dim, poincare_polynomial
 from .perms import (
     FiniteGroup,
@@ -43,6 +43,11 @@ from .verify import (
 )
 
 CHECK_NAMES = ("inertia-dim", "kunneth", "rep-ring", "splitting", "suite", "all")
+# Size caps on r, the number of conjugacy classes, where the output grows faster
+# than the group: a character table has r^2 values, and the ring's r^3 product
+# constants take r^4 work.  Both sit far above every recorded run.
+TABLE_CLASS_CAP = 256
+RING_CONSTANT_CAP = 128 ** 3
 
 
 @record
@@ -308,10 +313,21 @@ def _motive_payload(M: Motive) -> dict:
             "chowDims": _chow_dims_json(M)}
 
 
+def _require_ring_size(G: FiniteGroup) -> None:
+    """Refuse a group whose representation ring has too many product constants."""
+    r = len(conjugacy_classes(G))
+    if r ** 3 > RING_CONSTANT_CAP:
+        raise GroupTooLargeError(f"group: {r} conjugacy classes give {r ** 3} product "
+                                 f"constants, above the cap {RING_CONSTANT_CAP}")
+
+
 def cmd_group(doc: InputDocument, with_chars: bool) -> dict:
     G = doc.group
     p = doc.characteristic
     classes = conjugacy_classes(G)
+    if with_chars and len(classes) > TABLE_CLASS_CAP:
+        raise GroupTooLargeError(f"group: {len(classes)} conjugacy classes exceed the "
+                                 f"character-table cap {TABLE_CLASS_CAP}")
     cyclics = cyclic_subgroup_classes(G, p)
     out: dict[str, Any] = {
         "command": "group",
@@ -336,6 +352,8 @@ def cmd_group(doc: InputDocument, with_chars: bool) -> dict:
 
 
 def cmd_motive_bh(doc: InputDocument) -> dict:
+    if doc.characteristic == 0:
+        _require_ring_size(doc.group)
     res = bh_motive(doc.group, doc.characteristic)
     out = {"command": "motive-bh", "characteristic": doc.characteristic,
            "rank": res.rank, **_motive_payload(res.motive)}
@@ -382,6 +400,8 @@ def cmd_motive_curve(genus: int, orders: Sequence[int]) -> dict:
 
 
 def cmd_verify(doc: InputDocument, check: str, seed: int) -> dict:
+    if check in ("rep-ring", "all"):
+        _require_ring_size(doc.group)
     model = doc.model if doc.model is not None else EquivariantModel.point(doc.group)
     p = doc.characteristic
     reports = []

@@ -108,7 +108,7 @@ def cyclotomic_inertia(X: EquivariantModel, p: int = 0
     _require_group_model(X)
     out = []
     for c in cyclic_subgroup_classes(X.group, p):
-        fixed = EquivariantModel._restricted(c.normalizer, *X.locus(c))
+        fixed = EquivariantModel._from_rows(c.normalizer, *X.locus(c))
         out.append(CyclotomicInertiaComponent(c, fixed, character_rows(c, X.group)))
     return tuple(out)
 
@@ -138,7 +138,7 @@ def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
         dims, action = X.locus(c)
         for h, Z, positions in c._centralizers:
             rows = tuple(map(action.__getitem__, positions))
-            out.append(InertiaComponent(h, Z, EquivariantModel._restricted(Z, dims, rows)))
+            out.append(InertiaComponent(h, Z, EquivariantModel._from_rows(Z, dims, rows)))
     return tuple(out)
 
 
@@ -415,7 +415,8 @@ def product_with_point_model(X: EquivariantModel, H: FiniteGroup) -> Equivariant
     with the second factor acting trivially.  Point-set models only."""
     if X.kind != "hset":
         raise ValidationError("model: product models are supported for point-set models")
-    GH = direct_product(X.group, H)
-    ident = Perm.identity(X.size)
-    images = list(X.generator_images) + [ident] * len(H.generators)
-    return EquivariantModel.hset(GH, X.size, images)
+    # (g_i, h_j) acts as g_i does: X's checked row, at each of its |H| indices
+    rows = tuple(row for row in X.element_actions for _ in range(H.order))
+    images = X.generator_images + (Perm.identity(X.size),) * len(H.generators)
+    return EquivariantModel._from_rows(direct_product(X.group, H), X.dims, rows, kind="hset",
+                                     generator_images=images)

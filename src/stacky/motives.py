@@ -262,17 +262,19 @@ class EquivariantModel:
             self._validate_locus(locus)
 
     @classmethod
-    def _restricted(cls, group: Subgroup, dims: Sequence[int],
-                    rows: tuple[tuple[int, ...], ...]) -> "EquivariantModel":
-        """A cell model of ``group`` acting through ``rows`` (aligned with its
-        elements), unchecked: only for restricting an action already verified on
-        a parent model to a subgroup preserving the cells.  ``rows`` is not copied."""
+    def _from_rows(cls, group: FiniteGroup | Subgroup, dims: Sequence[int],
+                 rows: tuple[tuple[int, ...], ...], *, kind: str = "cells",
+                 generator_images: tuple[Perm, ...] = ()) -> "EquivariantModel":
+        """A model of ``group`` acting through ``rows`` (aligned with its elements),
+        unchecked: only for an action already verified on a parent model, restricted
+        to a subgroup preserving the cells or pulled back along a projection of
+        groups.  ``rows`` is not copied."""
         X = object.__new__(cls)
         X.group = group
-        X.kind = "cells"
+        X.kind = kind
         X.dims = tuple(dims)
         X.element_actions = rows
-        X.generator_images, X.fixed_loci, X.locus_actions = (), (), {}
+        X.generator_images, X.fixed_loci, X.locus_actions = generator_images, (), {}
         return X
 
     def _validate_locus(self, locus: FixedLocus) -> None:

@@ -12,7 +12,7 @@ import bisect
 import itertools
 import math
 from functools import cached_property
-from operator import eq, itemgetter, mul
+from operator import add, eq, itemgetter, mul
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ._record import field, record
@@ -155,28 +155,24 @@ class _ElementList:
 class FiniteGroup(_ElementList):
     """A finite permutation group with its full, canonically ordered element list.
 
-    Construct through :func:`generate_group` or the named-family helpers; the
-    constructor trusts its arguments.
+    Construct through :func:`generate_group`, :func:`direct_product` or the
+    named-family helpers; the constructor trusts its arguments.
     """
 
     def __init__(self, degree: int, generators: tuple[Perm, ...],
-                 closed: dict[tuple[int, ...], tuple[int, ...]], products: list[tuple[int, ...]]):
-        """``closed`` maps each element's images to its word, in discovery order;
-        ``products`` holds the closure's x s, per x in that order and generator s."""
-        found = list(closed)
-        perms = list(map(Perm._trusted, found))
-        first = sorted(range(len(found)), key=found.__getitem__)  # discovery position, sorted
+                 by_images: dict[tuple[int, ...], int], words: dict[int, tuple[int, ...]],
+                 right_rows: tuple[tuple[int, ...], ...]):
+        """``by_images`` maps the elements' image tuples, sorted, to their indices;
+        ``words`` maps each element index to its word, in discovery order;
+        ``right_rows`` holds, per generator s, the row i -> index of e_i s."""
         self.degree, self.generators = degree, generators
-        self.elements = tuple(map(perms.__getitem__, first))
+        self.elements = elements = tuple(map(Perm._trusted, by_images))
         # element -> generator word, product read left to right; in discovery
         # order, so every non-empty word's prefix is the word of an earlier element
-        self.words = dict(zip(perms, closed.values()))
-        self._by_images = by_images = {found[k]: i for i, k in enumerate(first)}
-        self._discovery = tuple(sorted(range(len(first)), key=first.__getitem__))  # identity first
-        # per generator s, the row i -> index of e_i s, read off the closure's products
-        k = len(generators)
-        self._right_rows = tuple(tuple(map(by_images.__getitem__, map(products[s::k].__getitem__,
-                                                                      first))) for s in range(k))
+        self.words = dict(zip(map(elements.__getitem__, words), words.values()))
+        self._by_images = by_images
+        self._discovery = tuple(words)  # identity first
+        self._right_rows = right_rows
         self._table_parts: tuple | None = None  # set by chars.character_table; no group in it
 
     def __iter__(self):
@@ -212,8 +208,8 @@ class FiniteGroup(_ElementList):
         but the identity, read off the words in discovery order: parents first."""
         by_word: dict[tuple[int, ...], int] = {}
         tree = []
-        for x, w in self.words.items():
-            i = by_word[w] = self.index[x]
+        for i, w in zip(self._discovery, self.words.values()):
+            by_word[w] = i
             if w:
                 tree.append((i, by_word[w[:-1]], w[-1]))
         return tuple(tree)
@@ -410,7 +406,15 @@ def generate_group(degree: int, generators: Sequence[Perm], *,
         return y
 
     closed = orbit([tuple(range(degree))], [g.images for g in gens], right, cap=element_cap)
-    return FiniteGroup(degree, gens, closed, products)
+    found = list(closed)
+    first = sorted(range(len(found)), key=found.__getitem__)  # discovery position, sorted
+    by_images = {found[k]: i for i, k in enumerate(first)}
+    # per generator s, the row i -> index of e_i s, read off the closure's products
+    k = len(gens)
+    rows = tuple(tuple(map(by_images.__getitem__, map(products[s::k].__getitem__, first)))
+                 for s in range(k))
+    words = dict(zip(map(by_images.__getitem__, found), closed.values()))
+    return FiniteGroup(degree, gens, by_images, words, rows)
 
 
 def reduce_generators(elements: Sequence[Perm], degree: int) -> tuple[Perm, ...]:
@@ -604,8 +608,55 @@ def quaternion_group() -> FiniteGroup:
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, *,
                    element_cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
-    """G x H acting on the disjoint union of the two point sets."""
-    a, b = G.degree, H.degree
-    gens = [Perm(tuple(g.images) + tuple(range(a, a + b))) for g in G.generators]
-    gens += [Perm(tuple(range(a)) + tuple(x + a for x in h.images)) for h in H.generators]
-    return generate_group(a + b, gens, element_cap=element_cap)
+    """G x H acting on the disjoint union of the two point sets, its generators
+    G's then H's.  Element i |H| + j is (g_i, h_j), whose image tuple is g_i's
+    followed by h_j's shifted past G's points, so the index order is the sorted
+    order; every table is read off the factors' by index arithmetic, and the
+    closure runs on indices, giving generate_group's words in its discovery order."""
+    degree, nG, nH = G.degree + H.degree, G.order, H.order
+    if degree > DEFAULT_DEGREE_CAP:
+        raise GroupTooLargeError(f"degree {degree} exceeds cap {DEFAULT_DEGREE_CAP}")
+    if nG * nH > element_cap:
+        raise GroupTooLargeError(f"closure exceeds element cap {element_cap}")
+    shifted = [tuple(x + G.degree for x in h.images) for h in H.elements]
+    images = [g.images + h for g in G.elements for h in shifted]
+    # (g_i, 1) is at i |H| and (1, h_j) at j: the identity is each factor's first element
+    at = ([G._by_images[g.images] * nH for g in G.generators]
+          + [H._by_images[h.images] for h in H.generators])
+    gens = tuple(Perm._trusted(images[k]) for k in at)
+
+    # g_i's indices i |H| + j, and i |H| at each of them
+    blocks = [range(s, s + nH) for s in range(0, nG * nH, nH)]
+    starts = [block.start for block in blocks for _ in block]
+
+    def lift(g_rows, h_rows):
+        # a row r of G sends i |H| + j to r[i] |H| + j, a row of H to i |H| + r[j]
+        return tuple(tuple(itertools.chain.from_iterable(map(blocks.__getitem__, r)))
+                     for r in g_rows) + tuple(tuple(map(add, starts, r * nG)) for r in h_rows)
+
+    rows = lift(G._right_rows, H._right_rows)
+    GH = FiniteGroup(degree, gens, dict(zip(images, range(nG * nH))),
+                     orbit([0], rows, lambda x, row: row[x]), rows)
+    # the two cached properties, prefilled from the factors' tables
+    GH.__dict__["_conjugation_rows"] = lift(G._conjugation_rows, H._conjugation_rows)
+    # (g_i, h_j)^u = (g_i^u, h_j^u), from each factor element's own powers; the
+    # first element not yet met generates its subgroup, as in _cyclic_subgroups
+    own_G, own_H, subs = _own_powers(G), _own_powers(H), {}
+    for x in range(nG * nH):
+        if x not in subs:
+            a, b = own_G[x // nH], own_H[x % nH]
+            m = math.lcm(len(a), len(b))
+            pw = tuple(map(add, map(nH.__mul__, a * (m // len(a))), b * (m // len(b))))
+            subs.update((y, pw) for u, y in enumerate(pw) if math.gcd(u, m) == 1)
+    GH.__dict__["_cyclic_subgroups"] = subs
+    return GH
+
+
+def _own_powers(G: FiniteGroup) -> dict[int, list[int]]:
+    """Each element index mapped to the indices of its own powers e^0 .. e^(m-1):
+    e is pw[k] in its cyclic subgroup's powers pw, so e^u = pw[u k mod m]."""
+    own = {}
+    for x, pw in G._cyclic_subgroups.items():
+        m, k = len(pw), pw.index(x)
+        own[x] = [pw[u * k % m] for u in range(m)]
+    return own

@@ -74,6 +74,14 @@ the cells of that dimension or on the pairs (cell, character position),
 walked in place.  Its reference is the construction it replaces: the rows
 restricted to the dimension's cells by ``_restrict_rows``, then one row per
 element on the points i*k + j of the pairs, counted.
+
+``direct_product`` reads the product's tables off the factors' by index
+arithmetic, element i*|H| + j being (g_i, h_j): its right and conjugation rows,
+its cyclic subgroups from each factor element's own powers, and its words from a
+closure on element indices; ``product_with_point_model`` repeats X's checked
+rows |H| times.  Their references are ``generate_group`` on the product's
+generators, closing image tuples, with its lazily built tables, and
+``extend_action`` on the product group.
 """
 
 from __future__ import annotations
@@ -110,15 +118,18 @@ from stacky.decomp import (
     gerbe_rset,
     inertia,
     inertia_ranks_by_twist,
+    product_with_point_model,
     quotient_motive,
 )
 from stacky.errors import (
+    GroupTooLargeError,
     InconsistentActionError,
     InternalError,
     NonBijectionError,
     NotAnAutomorphismError,
     NotInNormalizerError,
     ShapeMismatchError,
+    ValidationError,
 )
 from stacky.motives import EquivariantModel, FixedLocus, _restrict_rows, extend_action
 from stacky.perms import (
@@ -145,7 +156,7 @@ from stacky.perms import (
     symmetric_group,
 )
 from stacky.cli import load_document
-from stacky.verify import random_coset_model
+from stacky.verify import random_coset_model, suite_inputs
 from test_chars import relabelled_groups
 from test_inertia_reference import CELL_DOCS, SMALL, _group
 from test_perm_properties import CASES
@@ -1317,3 +1328,97 @@ def test_charpoly_roots_are_the_eigenvalues(q):
                     assert outcomes[0] != "chars.diagonalizable"
                 elif kind == "jordan" and d > 1:
                     assert outcomes[0] == "chars.diagonalizable"
+
+
+# ---------------------------------------------------------------------------
+# Direct products from their factors' tables.
+
+def reference_product_generators(G, H):
+    """The product's generators as the concatenated images: G's, then H's."""
+    a, b = G.degree, H.degree
+    return ([Perm(g.images + tuple(range(a, a + b))) for g in G.generators]
+            + [Perm(tuple(range(a)) + tuple(x + a for x in h.images)) for h in H.generators])
+
+
+def product_tables(G):
+    return {"elements": G.elements, "words": list(G.words.items()),
+            "discovery": G._discovery, "right rows": G._right_rows,
+            "conjugation rows": G._conjugation_rows,
+            "cyclic subgroups": list(G._cyclic_subgroups.items())}
+
+
+def assert_product_matches_generation(G, H):
+    GH = direct_product(G, H)
+    gens = reference_product_generators(G, H)
+    assert GH.generators == tuple(gens) and GH.degree == G.degree + H.degree
+    assert product_tables(GH) == product_tables(generate_group(GH.degree, gens))
+
+
+PRODUCT_PAIRS = {
+    "S3xC4": lambda: (symmetric_group(3), cyclic_group(4)),
+    "Q8xC3": lambda: (quaternion_group(), cyclic_group(3)),
+    "C2xC6": lambda: (cyclic_group(2), cyclic_group(6)),
+    "A4xS3": lambda: (alternating_group(4), symmetric_group(3)),
+    "D6xQ8": lambda: (dihedral_group(6), quaternion_group()),
+    "C1xS3": lambda: (cyclic_group(1), symmetric_group(3)),
+    "S4xC1": lambda: (symmetric_group(4), cyclic_group(1)),
+    "C1xC1": lambda: (cyclic_group(1), cyclic_group(1)),
+    "D4x(C2xC2)": lambda: (dihedral_group(4), direct_product(cyclic_group(2), cyclic_group(2))),
+    "(D4xC2)xC2": lambda: (direct_product(dihedral_group(4), cyclic_group(2)), cyclic_group(2)),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_PAIRS)
+def test_product_tables_match_generation_on_named_pairs(name):
+    assert_product_matches_generation(*PRODUCT_PAIRS[name]())
+
+
+@settings(max_examples=30)
+@given(relabelled_groups(), relabelled_groups())
+def test_product_tables_match_generation_on_relabelled_factors(G, H):
+    if G.order * H.order > 10_000:
+        # the element cap refuses it before any table is built, as generation does
+        with pytest.raises(GroupTooLargeError) as got:
+            direct_product(G, H)
+        with pytest.raises(GroupTooLargeError) as want:
+            generate_group(G.degree + H.degree, reference_product_generators(G, H))
+        assert str(got.value) == str(want.value) == "closure exceeds element cap 10000"
+    else:
+        assert_product_matches_generation(G, H)
+
+
+@pytest.mark.parametrize("G,H,cap,message", [
+    (cyclic_group(33), cyclic_group(32), 10_000, "degree 65 exceeds cap 64"),
+    (symmetric_group(3), cyclic_group(4), 23, "closure exceeds element cap 23"),
+], ids=["degree", "elements"])
+def test_product_caps_refuse_as_generation_does(G, H, cap, message):
+    with pytest.raises(GroupTooLargeError) as got:
+        direct_product(G, H, element_cap=cap)
+    with pytest.raises(GroupTooLargeError) as want:
+        generate_group(G.degree + H.degree, reference_product_generators(G, H), element_cap=cap)
+    assert str(got.value) == str(want.value) == message
+
+
+def test_products_at_the_caps_are_built():
+    # degree 64 and 24 elements with the cap at 24: neither cap is exceeded
+    assert direct_product(cyclic_group(32), cyclic_group(32)).order == 1024
+    assert direct_product(symmetric_group(3), cyclic_group(4), element_cap=24).order == 24
+
+
+@pytest.mark.parametrize("seed", (0, 3, 7))
+def test_product_model_rows_match_the_extension_on_suite_inputs(seed):
+    for _label, X, H, _p in suite_inputs(seed, 25):
+        P = product_with_point_model(X, H)
+        GH = P.group
+        assert product_tables(GH) == product_tables(generate_group(GH.degree, GH.generators))
+        assert (P.kind, P.dims, P.fixed_loci) == ("hset", X.dims, ())
+        assert P.generator_images == X.generator_images + (Perm.identity(X.size),) * len(
+            H.generators)
+        assert P.element_actions == extend_action(GH, P.generator_images, P.size)
+
+
+def test_product_model_refuses_a_cell_model():
+    X = EquivariantModel(symmetric_group(3), (0, 1), [Perm([0, 1])] * 2, kind="cells")
+    with pytest.raises(ValidationError) as got:
+        product_with_point_model(X, cyclic_group(2))
+    assert str(got.value) == "model: product models are supported for point-set models"

@@ -9,12 +9,16 @@ group (tests/oracles.py), whose elements are built as the direct product.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
+import time
 
 import pytest
 
 import oracles
-from stacky.cli import cmd_group, parse_document
+from stacky.cli import cmd_group, main, parse_document
 
 
 def _swap(degree: int, a: int) -> list[int]:
@@ -47,3 +51,41 @@ def test_group_command_normalizer_orders_match_a_scan(name):
     for c in classes:
         (H,) = oracles.cyclic_subgroups({tuple(c["generator"])})
         assert c["normalizerOrder"] == orders[H]
+
+
+def _c2_power(k: int) -> dict:
+    return {"group": {"degree": 2 * k, "generators": [_swap(2 * k, 2 * i) for i in range(k)]}}
+
+
+TABLE_REFUSAL = "error: group: {r} conjugacy classes exceed the character-table cap 256\n"
+RING_REFUSAL = ("error: group: {r} conjugacy classes give {r3} product constants, "
+                "above the cap 2097152\n")
+# (arguments, the largest r the command runs on, its refusal)
+SIZE_CAPPED = [pytest.param(args, cap, refusal, id=" ".join(args)) for args, cap, refusal in (
+    (["group", "--chars"], 256, TABLE_REFUSAL),
+    (["motive", "bh"], 128, RING_REFUSAL),
+    (["verify", "--check", "rep-ring"], 128, RING_REFUSAL),
+    (["verify", "--check", "all"], 128, RING_REFUSAL))]
+
+
+@pytest.mark.parametrize("k", (8, 10))
+@pytest.mark.parametrize("args,cap,refusal", SIZE_CAPPED)
+def test_size_capped_commands_finish_in_budget_or_refuse_at_once(tmp_path, k, args, cap,
+                                                                  refusal):
+    path = tmp_path / f"c2_{k}.json"
+    path.write_text(json.dumps(_c2_power(k)), encoding="utf-8")
+    at = 2 if args[0] == "motive" else 1
+    argv = args[:at] + ["--input", str(path), "--format", "json"] + args[at:]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    elapsed = time.perf_counter() - start
+    r = 2 ** k  # abelian: one class per element
+    if r > cap:
+        assert (rc, out.getvalue(), err.getvalue()) == (2, "", refusal.format(r=r, r3=r ** 3))
+        assert elapsed < 5
+    else:
+        assert (rc, err.getvalue()) == (0, "")
+        assert elapsed < 60
+        assert len(json.loads(out.getvalue())["characterTable"]["rows"]) == r
