@@ -193,12 +193,20 @@ def motive_to_json(M: Motive) -> list[dict]:
     return out
 
 
+def _characteristic(p: Any, path: str) -> int:
+    """p if it is 0 or a prime below 2^64; refused under the path or flag it came from."""
+    _expect(isinstance(p, int) and not isinstance(p, bool) and p >= 0, path,
+            "expected a nonnegative integer")
+    try:
+        check_characteristic(p)
+    except StackyError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return p
+
+
 def parse_document(raw: Any) -> InputDocument:
     doc = _get_dict(raw, "document")
-    characteristic = doc.get("characteristic", 0)
-    _expect(isinstance(characteristic, int) and not isinstance(characteristic, bool)
-            and characteristic >= 0, "characteristic", "expected a nonnegative integer")
-    check_characteristic(characteristic)
+    characteristic = _characteristic(doc.get("characteristic", 0), "characteristic")
 
     gspec = _get_dict(doc.get("group"), "group")
     degree = _get_int(gspec.get("degree"), "group.degree", minimum=1)
@@ -508,10 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_characteristic(doc: InputDocument, override: int | None) -> InputDocument:
     if override is None:
         return doc
-    if override < 0:
-        raise ValidationError("characteristic: expected a nonnegative integer")
-    check_characteristic(override)
-    return InputDocument(override, doc.group, doc.model, doc.gerbe, doc.curve)
+    return InputDocument(_characteristic(override, "--characteristic"), doc.group, doc.model,
+                         doc.gerbe, doc.curve)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -401,6 +401,11 @@ def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int
 def _restrict_rows(rows: Sequence[tuple[int, ...]], cells: tuple[int, ...]
                   ) -> tuple[tuple[int, ...], ...]:
     """An action's rows restricted to cells that it preserves, as rows on
-    their positions: cells[i] goes to cells[row'[i]]."""
+    their positions: cells[i] goes to cells[row'[i]].  No cells give empty rows
+    and every cell in order gives the rows themselves."""
+    if not cells:
+        return ((),) * len(rows)
+    if cells == tuple(range(len(rows[0]))):
+        return tuple(rows)
     pos = {c: i for i, c in enumerate(cells)}
     return tuple(tuple(map(pos.__getitem__, map(row.__getitem__, cells))) for row in rows)

@@ -522,9 +522,11 @@ def _count_orbits(rows: Sequence[Sequence[int]], cells: Sequence[int] | None = N
                   chars: Sequence[Sequence[int]] | None = None) -> int:
     """The number of orbits of a group, given as one image row per element, on
     ``cells`` (cells the rows preserve; all by default) or, given one character row
-    per element, on the pairs (cell, character position), by a search over the rows
-    checked by the Burnside average.  The rows must be an action checked where it was
-    built (extend_action, the loci, the conjugation character)."""
+    per element, on the pairs (cell, character position), checked by the Burnside
+    average.  The rows must be an action checked where it was built (extend_action,
+    the loci, the conjugation character), with one row for every element of the
+    group: then a point's images under the rows are its whole orbit, and one image
+    set per orbit counts it."""
     every = cells is None or len(cells) == len(rows[0])
     cells = range(len(rows[0])) if every else cells
     if chars is not None and len(chars[0]) == 1:
@@ -536,15 +538,9 @@ def _count_orbits(rows: Sequence[Sequence[int]], cells: Sequence[int] | None = N
         images = lambda x: set(zip(map(itemgetter(x[0]), rows), map(itemgetter(x[1]), chars)))
     seen, orbits = set(), 0
     for start in points:
-        if start in seen:
-            continue
-        orbits += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            fresh = images(stack.pop()) - seen
-            seen |= fresh
-            stack.extend(fresh)
+        if start not in seen:
+            orbits += 1
+            seen |= images(start)
 
     if every and chars is None:
         fixed = sum(map(eq, itertools.chain.from_iterable(rows), itertools.cycle(cells)))

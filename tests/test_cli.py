@@ -266,11 +266,15 @@ def test_characteristic_must_be_zero_or_prime(capsys, tmp_path, command):
     assert main([*command, "--input", str(doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: characteristic 4 is neither 0 nor a prime\n"
-    # the same rule holds for the command-line override
+    assert captured.err == "error: characteristic: characteristic 4 is neither 0 nor a prime\n"
+    # the same rule holds for the command-line override, refused under the flag
     assert main([*command, "--input", str(SAMPLES / "s3_quotient.json"),
                  "--characteristic", "4"]) == 2
-    assert capsys.readouterr().err == "error: characteristic 4 is neither 0 nor a prime\n"
+    assert capsys.readouterr().err == (
+        "error: --characteristic: characteristic 4 is neither 0 nor a prime\n")
+    assert main([*command, "--input", str(SAMPLES / "s3_quotient.json"),
+                 "--characteristic=-3"]) == 2
+    assert capsys.readouterr().err == "error: --characteristic: expected a nonnegative integer\n"
 
 
 def test_64_bit_prime_characteristic_is_checked_at_once(capsys):
@@ -284,7 +288,8 @@ def test_64_bit_prime_characteristic_is_checked_at_once(capsys):
                  "--characteristic", str(2**64 + 13)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: characteristic 18446744073709551629 is not below 2^64\n"
+    assert captured.err == (
+        "error: --characteristic: characteristic 18446744073709551629 is not below 2^64\n")
 
 
 def _with_generator_entry(value):

@@ -73,7 +73,10 @@ rows before they are compared.
 the cells of that dimension or on the pairs (cell, character position),
 walked in place.  Its reference is the construction it replaces: the rows
 restricted to the dimension's cells by ``_restrict_rows``, then one row per
-element on the points i*k + j of the pairs, counted.
+element on the points i*k + j of the pairs, counted.  ``_count_orbits`` forms
+one image set per orbit, counted through the getters it makes, and
+``_restrict_rows`` builds no row for no cells or every cell in order; its
+reference restricts each row by ``tuple.index``.
 
 ``direct_product`` reads the product's tables off the factors' by index
 arithmetic, element i*|H| + j being (g_i, h_j): its right and conjugation rows,
@@ -97,6 +100,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import stacky.chars
+import stacky.perms
 from stacky.chars import (
     _charpoly,
     _class_sum_matrices,
@@ -589,6 +593,77 @@ def test_orbit_ranks_on_empty_loci_match_the_reference():
                 assert _orbit_ranks(comp.fixed_model, comp.chars) == {}
                 assert reference_orbit_ranks(comp.fixed_model, comp.chars) == {}
     assert empty == 4
+
+
+def _counting_getters(monkeypatch) -> list:
+    """Record every getter ``_count_orbits`` makes: one per image set on cells,
+    a pair per image set on (cell, character) pairs."""
+    made = []
+    real = stacky.perms.itemgetter
+    monkeypatch.setattr(stacky.perms, "itemgetter", lambda x: made.append(x) or real(x))
+    return made
+
+
+def test_orbit_count_forms_one_image_set_per_orbit(monkeypatch):
+    # S6 on its 15 unordered pairs, 720 rows: one orbit, one image set (the
+    # walk it replaced formed one per pair)
+    rows = pairs_model(6).element_actions
+    made = _counting_getters(monkeypatch)
+    assert _count_orbits(rows) == 1
+    assert made == [0]
+
+
+@pytest.mark.parametrize("make,cells,orbits", [
+    # the class of <(0 1 2)> on S6's pairs, on the three pairs it fixes
+    (lambda: pairs_model(6), 3, 1),
+    # C3 on the orbifold curve's cells: both fixed cells keep both characters
+    (lambda: load_document(str(CELL_DOCS[1])).model, 2, 4),
+], ids=["S6-pairs", "curve_0_33"])
+def test_refined_orbit_count_forms_one_pair_of_getters_per_orbit(monkeypatch, make,
+                                                                 cells, orbits):
+    # phi(3) = 2 characters, so the search runs on (cell, character) pairs
+    comp = next(comp for comp in cyclotomic_inertia(make()) if comp.cyclic.order == 3)
+    assert comp.fixed_model.size == cells and len(comp.chars[0]) == 2
+    assert reference_orbit_ranks(comp.fixed_model, comp.chars) == {0: orbits}
+    made = _counting_getters(monkeypatch)
+    assert _count_orbits(comp.fixed_model.element_actions, range(cells), comp.chars) == orbits
+    assert len(made) == 2 * orbits
+
+
+def reference_restrict_rows(rows, cells):
+    """Each row on the positions of the cells, one lookup per cell."""
+    return tuple(tuple(cells.index(row[c]) for c in cells) for row in rows)
+
+
+@pytest.mark.parametrize("cells", [(), (0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (4, 3, 2, 1, 0),
+                                   (0, 1, 2), (3, 4), (4, 3), (2, 0, 1)])
+def test_restricted_rows_match_the_reference(cells):
+    # S3 x C2 on 3 + 2 points preserves {0, 1, 2} and {3, 4}
+    rows = [g.images for g in direct_product(symmetric_group(3), cyclic_group(2)).elements]
+    got = _restrict_rows(rows, cells)
+    assert got == reference_restrict_rows(rows, cells)
+    if cells == tuple(range(5)):
+        # every cell in order: the rows themselves, no row built
+        assert all(a is b for a, b in zip(got, rows))
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+def test_product_loci_of_the_second_factor_are_the_model_rows(seed):
+    # a class of H fixes every point of X, so its locus rows are the product
+    # model's own rows at the normalizer's indices
+    checked = 0
+    for _label, X, H, _p in suite_inputs(seed, 10):
+        P = product_with_point_model(X, H)
+        identity = tuple(range(X.group.degree))
+        for c in cyclic_subgroup_classes(P.group):
+            if c.order > 1 and c.generator.images[:X.group.degree] == identity:
+                dims, rows = P.locus(c)
+                assert dims == P.dims
+                assert len(rows) == len(c.normalizer_indices)
+                assert all(row is P.element_actions[i]
+                           for row, i in zip(rows, c.normalizer_indices))
+                checked += 1
+    assert checked > 0
 
 
 def reference_inertia_components(G, p):
