@@ -1,7 +1,7 @@
 """stacky: exact Tate-motive decompositions, orbifold Chow dimensions and
 correspondence calculus for finite-group quotient stack models."""
 
-from .chars import CharacterTable, RepresentationRing, character_table, inner_product, rep_ring
+from .chars import CharacterTable, RepresentationRing, character_table, rep_ring
 from .corresp import (
     Correspondence,
     SplitFactor,
@@ -57,7 +57,6 @@ from .perms import (
     dihedral_group,
     direct_product,
     generate_group,
-    normalizer,
     quaternion_group,
     symmetric_group,
     trivial_group,

@@ -17,7 +17,7 @@ them at its own order m/gcd(j, m).  Abelian groups take a direct fast path.
 Every produced table is verified against the orthogonality identity
 X diag(|C|) conj(X)^T = |G| I before it is returned.
 
-Inner products and the orthogonality check run on the integer kernel of
+The orthogonality check and the exact pairings run on the integer kernel of
 stacky.cyclo: a table's rows are converted once, and kept with it, to integer
 exponent vectors over zeta_e; conjugation negates exponents, and each inner
 product is reduced modulo Phi_e and divided by |G| once.  Rows stay Cyclotomic
@@ -34,13 +34,12 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from ._record import field, record
 from .cyclo import Cyclotomic, _exponent_vector, _reduce_exponents
-from .errors import GroupTooLargeError, NonIntegralConstantError, NotRationalError, check
+from .errors import NonIntegralConstantError, NotRationalError, check
 from .perms import (
-    DEFAULT_ELEMENT_CAP,
     ConjugacyClass,
     FiniteGroup,
     _compose,
@@ -50,9 +49,6 @@ from .perms import (
     reduce_generators,
     _is_prime,
 )
-
-ClassFunction = Sequence[Union[Cyclotomic, int, Fraction]]
-
 
 @record
 class CharacterTable:
@@ -68,9 +64,6 @@ class CharacterTable:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def value(self, row: int, class_index: int) -> Cyclotomic:
-        return self.rows[row][class_index]
 
 
 @record
@@ -89,11 +82,9 @@ class RepresentationRing:
         return self.table.rank
 
 
-def character_table(G: FiniteGroup, *, cap: int = DEFAULT_ELEMENT_CAP) -> CharacterTable:
+def character_table(G: FiniteGroup) -> CharacterTable:
     """The full character table, rows canonically ordered (trivial row first,
     the rest by degree then by lexicographic value tuple), built once per group."""
-    if G.order > cap:
-        raise GroupTooLargeError(f"group order {G.order} exceeds cap {cap}")
     parts = G._table_parts or _table_parts(G)
     table = CharacterTable(G, *parts[:3])
     object.__setattr__(table, "kernel", parts[3])  # its rows, in table order
@@ -133,19 +124,6 @@ def _table_parts(G: FiniteGroup) -> tuple:
     degrees = tuple(decorated[i][0] for i in order)
     K.vecs, K.conductors = [K.vecs[i] for i in order], [K.conductors[i] for i in order]
     return classes, rows, degrees, K
-
-
-def inner_product(T: CharacterTable, phi: ClassFunction, psi: ClassFunction) -> Fraction:
-    """(1/|G|) sum over classes of |class| * phi * conj(psi); must come out rational."""
-    if len(phi) != len(T.classes) or len(psi) != len(T.classes):
-        raise ValueError("class functions must be indexed by the table's classes")
-    xs = [_as_cyclotomic(v) for v in phi]
-    ys = [_as_cyclotomic(v) for v in psi]
-    e = math.lcm(*(v.conductor for v in xs + ys))
-    xv, dx = _exponent_vector(xs, e)
-    yv, dy = _exponent_vector(ys, e)
-    acc = _pairing([c.size for c in T.classes], xv, yv, e)
-    return _rational_value(acc, e, T.group.order * dx * dy, e)
 
 
 def rep_ring(T: CharacterTable) -> RepresentationRing:
@@ -225,10 +203,6 @@ def _verify_table(T: CharacterTable) -> None:
 
 # ---------------------------------------------------------------------------
 # Exact class-function arithmetic on the integer kernel of stacky.cyclo.
-
-def _as_cyclotomic(v: Union[Cyclotomic, int, Fraction]) -> Cyclotomic:
-    return v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v)
-
 
 class _KernelRows:
     """Table rows converted once: per-class exponent vectors over zeta_e, e the

@@ -48,6 +48,11 @@ CHECK_NAMES = ("inertia-dim", "kunneth", "rep-ring", "splitting", "suite", "all"
 # constants take r^4 work.  Both sit far above every recorded run.
 TABLE_CLASS_CAP = 256
 RING_CONSTANT_CAP = 128 ** 3
+# A model has at most 2^16 cells, far above every recorded run: nothing in a
+# document pays for a point model's size.  Integers the commands sum (a base
+# multiplicity, a stacky point order) stay below 2^63, so no sum outgrows str.
+MODEL_CELL_CAP = 1 << 16
+SUMMED_INT_BOUND = 1 << 63
 
 
 @record
@@ -59,42 +64,6 @@ class InputDocument:
     model: EquivariantModel | None
     gerbe: GerbeDatum | None
     curve: tuple[int, tuple[int, ...]] | None
-
-    def to_dict(self) -> dict:
-        doc: dict[str, Any] = {
-            "characteristic": self.characteristic,
-            "group": {"degree": self.group.degree,
-                      "generators": [list(g.images) for g in self.group.generators]},
-        }
-        if self.model is not None:
-            if self.model.kind == "hset":
-                doc["model"] = {"hset": {
-                    "size": self.model.size,
-                    "generatorImages": [list(g.images) for g in self.model.generator_images]}}
-            else:
-                cells: dict[str, Any] = {
-                    "cells": [{"dim": d} for d in self.model.dims],
-                    "generatorImages": [list(g.images) for g in self.model.generator_images]}
-                if self.model.fixed_loci:
-                    cells["fixedLoci"] = [_locus_to_dict(l) for l in self.model.fixed_loci]
-                doc["model"] = {"cells": cells}
-        if self.gerbe is not None:
-            doc["gerbe"] = {
-                "monodromy": [[list(p.images) for p in auto] for auto in self.gerbe.monodromy],
-                "base": motive_to_json(self.gerbe.base),
-                "baseLabel": self.gerbe.base_label}
-        if self.curve is not None:
-            doc["curve"] = {"genus": self.curve[0], "orders": list(self.curve[1])}
-        return doc
-
-
-def _locus_to_dict(locus: FixedLocus) -> dict:
-    out: dict[str, Any] = {"generator": list(locus.generator.images),
-                           "cells": [{"dim": d} for d in locus.dims]}
-    if locus.action_generators:
-        out["normalizerGenerators"] = [list(g.images) for g in locus.action_generators]
-        out["normalizerImages"] = [list(g.images) for g in locus.action_images]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +79,12 @@ def _get_int(obj: Any, path: str, *, minimum: int | None = None) -> int:
     if minimum is not None:
         _expect(obj >= minimum, path, f"expected an integer >= {minimum}")
     return obj
+
+
+def _get_summed_int(obj: Any, path: str, *, minimum: int) -> int:
+    n = _get_int(obj, path, minimum=minimum)
+    _expect(n < SUMMED_INT_BOUND, path, "expected an integer below 2^63")
+    return n
 
 
 def _get_list(obj: Any, path: str) -> list:
@@ -173,7 +148,7 @@ def motive_from_json(obj: Any, path: str) -> Motive:
         spec = _get_dict(term, tpath)
         atom = atom_from_json(spec.get("atom"), f"{tpath}.atom")
         twist = _get_int(spec.get("twist", 0), f"{tpath}.twist")
-        mult = _get_int(spec.get("mult", 1), f"{tpath}.mult", minimum=1)
+        mult = _get_summed_int(spec.get("mult", 1), f"{tpath}.mult", minimum=1)
         terms.append((atom, twist, mult))
     return Motive.of(terms)
 
@@ -226,7 +201,7 @@ def parse_document(raw: Any) -> InputDocument:
     if "curve" in doc:
         cspec = _get_dict(doc["curve"], "curve")
         genus = _get_int(cspec.get("genus"), "curve.genus", minimum=0)
-        orders = tuple(_get_int(n, f"curve.orders[{i}]", minimum=2)
+        orders = tuple(_get_summed_int(n, f"curve.orders[{i}]", minimum=2)
                        for i, n in enumerate(_get_list(cspec.get("orders"), "curve.orders")))
         curve = (genus, orders)
     return InputDocument(characteristic, group, model, gerbe, curve)
@@ -241,10 +216,12 @@ def _parse_model(obj: Any, group: FiniteGroup) -> EquivariantModel:
         if "hset" in spec:
             h = _get_dict(spec["hset"], "model.hset")
             size = _get_int(h.get("size"), "model.hset.size", minimum=0)
+            _expect(size <= MODEL_CELL_CAP, "model.hset.size", "expected at most 2^16 cells")
             images = _parse_perms(h.get("generatorImages"), "model.hset.generatorImages", size)
             return EquivariantModel.hset(group, size, images)
         c = _get_dict(spec["cells"], "model.cells")
         dims = _parse_dims(c.get("cells"), "model.cells.cells")
+        _expect(len(dims) <= MODEL_CELL_CAP, "model.cells.cells", "expected at most 2^16 cells")
         images = _parse_perms(c.get("generatorImages"), "model.cells.generatorImages", len(dims))
         loci = []
         for i, lspec in enumerate(_get_list(c.get("fixedLoci", []), "model.cells.fixedLoci")):
@@ -555,7 +532,7 @@ def _curve_arguments(args) -> tuple[int, tuple[int, ...]]:
         # "" is the empty list; an empty entry in a longer one is refused like 0
         entries = args.orders.split(",") if args.orders else []
         try:
-            orders = tuple(_get_int(int(x) if x else 0, f"--orders[{i}]", minimum=2)
+            orders = tuple(_get_summed_int(int(x) if x else 0, f"--orders[{i}]", minimum=2)
                            for i, x in enumerate(entries))
         except ValueError as exc:
             raise ValidationError(f"--orders: {exc}") from exc

@@ -1,7 +1,7 @@
 """Finite permutation groups: generation, conjugacy, cyclic subgroups, orbits.
 
 Everything is brute force by design: groups are capped at a desk scale
-(10,000 elements, degree 64 by default) where exhaustive enumeration is
+(10,000 elements, degree 64) where exhaustive enumeration is
 both tractable and the most trustworthy oracle.  All values are immutable
 and all operations are pure functions.
 """
@@ -25,8 +25,8 @@ from .errors import (
     check,
 )
 
-DEFAULT_ELEMENT_CAP = 10_000
-DEFAULT_DEGREE_CAP = 64
+ELEMENT_CAP = 10_000
+DEGREE_CAP = 64
 
 
 class Perm:
@@ -381,17 +381,15 @@ def powers(g: Perm) -> tuple[Perm, ...]:
     return tuple(map(Perm._trusted, _power_images(g.images)))
 
 
-def generate_group(degree: int, generators: Sequence[Perm], *,
-                   element_cap: int = DEFAULT_ELEMENT_CAP,
-                   degree_cap: int = DEFAULT_DEGREE_CAP) -> FiniteGroup:
+def generate_group(degree: int, generators: Sequence[Perm]) -> FiniteGroup:
     """Close a generating set under composition and return the full group.
 
     Elements are sorted lexicographically on image tuples; each element also
     receives a word in the generators (used to transport actions on models),
     and the closure's products x s become the group's right-multiplication rows.
     """
-    if degree > degree_cap:
-        raise GroupTooLargeError(f"degree {degree} exceeds cap {degree_cap}")
+    if degree > DEGREE_CAP:
+        raise GroupTooLargeError(f"degree {degree} exceeds cap {DEGREE_CAP}")
     gens = tuple(generators)
     for i, g in enumerate(gens):
         if not isinstance(g, Perm):
@@ -405,7 +403,7 @@ def generate_group(degree: int, generators: Sequence[Perm], *,
         products.append(y := _compose(x, s))
         return y
 
-    closed = orbit([tuple(range(degree))], [g.images for g in gens], right, cap=element_cap)
+    closed = orbit([tuple(range(degree))], [g.images for g in gens], right, cap=ELEMENT_CAP)
     found = list(closed)
     first = sorted(range(len(found)), key=found.__getitem__)  # discovery position, sorted
     by_images = {found[k]: i for i, k in enumerate(first)}
@@ -465,35 +463,6 @@ def cyclic_subgroup_classes(G: FiniteGroup, p: int = 0) -> tuple[CyclicClass, ..
     """
     check_characteristic(p)
     return tuple(c for c in G._cyclic_classes[0] if p == 0 or c.order % p != 0)
-
-
-def _require_subgroup(G: FiniteGroup, elems: Sequence[Perm]) -> tuple[tuple[Perm, ...], ...]:
-    """The checked subgroup's sorted elements and its reduced generators."""
-    s = set(elems)
-    if not s or any(x not in G for x in s):
-        raise NotASubgroupError("element set is not contained in the group")
-    if Perm.identity(G.degree) not in s:
-        raise NotASubgroupError("subgroup must contain the identity")
-    for a in s:
-        if a.inverse() not in s:
-            raise NotASubgroupError(f"subset not closed under inverse at {a.cycle_string()}")
-    # closed iff the closure of its reduced generators, from the identity, is s
-    elems = tuple(sorted(s))
-    gens = reduce_generators(elems, G.degree)
-    if orbit([tuple(range(G.degree))], [x.images for x in gens],
-             _compose).keys() != {x.images for x in s}:
-        raise NotASubgroupError("subset not closed under composition")
-    return elems, gens
-
-
-def normalizer(G: FiniteGroup, c: Iterable[Perm]) -> Subgroup:
-    """All g with g^-1 c g = c: g conjugates the generators of the checked
-    subgroup c into it, each generator's conjugates walked down the word tree."""
-    elems, gens = _require_subgroup(G, tuple(c))
-    cset = set(map(G.index.__getitem__, elems))
-    rows = [G._conjugates(G.index[x]) for x in gens]
-    return Subgroup(G.degree, tuple(g for i, g in enumerate(G.elements)
-                                    if all(r[i] in cset for r in rows)))
 
 
 def centralizer(G: FiniteGroup, h: Perm) -> Subgroup:
@@ -602,18 +571,17 @@ def quaternion_group() -> FiniteGroup:
                               Perm.from_cycles(8, [(0, 4, 1, 5), (2, 7, 3, 6)])])
 
 
-def direct_product(G: FiniteGroup, H: FiniteGroup, *,
-                   element_cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """G x H acting on the disjoint union of the two point sets, its generators
     G's then H's.  Element i |H| + j is (g_i, h_j), whose image tuple is g_i's
     followed by h_j's shifted past G's points, so the index order is the sorted
     order; every table is read off the factors' by index arithmetic, and the
     closure runs on indices, giving generate_group's words in its discovery order."""
     degree, nG, nH = G.degree + H.degree, G.order, H.order
-    if degree > DEFAULT_DEGREE_CAP:
-        raise GroupTooLargeError(f"degree {degree} exceeds cap {DEFAULT_DEGREE_CAP}")
-    if nG * nH > element_cap:
-        raise GroupTooLargeError(f"closure exceeds element cap {element_cap}")
+    if degree > DEGREE_CAP:
+        raise GroupTooLargeError(f"degree {degree} exceeds cap {DEGREE_CAP}")
+    if nG * nH > ELEMENT_CAP:
+        raise GroupTooLargeError(f"closure exceeds element cap {ELEMENT_CAP}")
     shifted = [tuple(x + G.degree for x in h.images) for h in H.elements]
     images = [g.images + h for g in G.elements for h in shifted]
     # (g_i, 1) is at i |H| and (1, h_j) at j: the identity is each factor's first element

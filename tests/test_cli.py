@@ -20,6 +20,7 @@ from stacky.cli import (
 )
 from stacky.errors import ParseError, ValidationError
 from stacky.motives import Atom, Motive
+from stacky.perms import Perm
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 GOLDEN_DOCS = Path(__file__).resolve().parent / "golden" / "cli_docs"
@@ -35,21 +36,6 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
-
-
-def test_parse_document_round_trip():
-    doc = parse_document(S3_DOC)
-    rendered = doc.to_dict()
-    again = parse_document(rendered)
-    assert again.to_dict() == rendered
-    assert doc.group.order == 6
-
-
-def test_sample_documents_round_trip():
-    for name in ("s3_quotient.json", "z3_gerbe.json", "curve_0_33.json"):
-        doc = load_document(str(SAMPLES / name))
-        rendered = doc.to_dict()
-        assert parse_document(rendered).to_dict() == rendered
 
 
 def test_locus_with_action_round_trips():
@@ -68,9 +54,7 @@ def test_locus_with_action_round_trips():
         }},
     }
     doc = parse_document(doc_dict)
-    rendered = doc.to_dict()
-    assert rendered["model"]["cells"]["fixedLoci"][0]["normalizerImages"] == [[1, 0], [0, 1]]
-    assert parse_document(rendered).to_dict() == rendered
+    assert doc.model.fixed_loci[0].action_images == (Perm([1, 0]), Perm([0, 1]))
     out = cmd_motive_quotient(doc)
     assert out["poincare"] == "3 + L"
 
@@ -430,12 +414,60 @@ def test_conjugate_loci_are_refused(capsys, tmp_path):
     (("--genus", "0", "--orders", "2,,3"), "--orders[1]: expected an integer >= 2"),
     (("--genus", "0", "--orders", "3,"), "--orders[1]: expected an integer >= 2"),
     (("--genus", "0", "--orders", ",3"), "--orders[0]: expected an integer >= 2"),
+    # orders are summed: one at 2^63 or above is refused, as in a document
+    (("--genus", "0", "--orders", f"3,{2 ** 63}"), "--orders[1]: expected an integer below 2^63"),
+    (("--genus", "0", "--orders", "9" * 4300), "--orders[0]: expected an integer below 2^63"),
 ])
 def test_curve_flags_are_refused_with_their_names(capsys, flags, message):
     assert main(["motive", "curve", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+NINES = int("9" * 4300)  # at the digit limit of str; a sum of two is past it
+POINT_GROUP = {"degree": 1, "generators": []}
+C3_GROUP = {"degree": 3, "generators": [[1, 2, 0]]}
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    # no generator image pays for a point model's size
+    pytest.param("quotient", {"group": POINT_GROUP, "model": {"hset": {
+        "size": 10 ** 11, "generatorImages": []}}},
+        "model.hset.size: expected at most 2^16 cells", id="point-model-size"),
+    pytest.param("quotient", {"group": POINT_GROUP, "model": {"cells": {
+        "cells": [{"dim": 0}] * (2 ** 16 + 1), "generatorImages": []}}},
+        "model.cells.cells: expected at most 2^16 cells", id="cell-count"),
+    pytest.param("curve", {"group": POINT_GROUP, "curve": {"genus": 0, "orders": [NINES, NINES]}},
+                 "curve.orders[0]: expected an integer below 2^63", id="curve-orders"),
+    pytest.param("curve", {"group": POINT_GROUP, "curve": {"genus": 0, "orders": [3, 2 ** 63]}},
+                 "curve.orders[1]: expected an integer below 2^63", id="curve-order-at-bound"),
+    pytest.param("gerbe", {"group": C3_GROUP, "gerbe": {"base": [
+        {"atom": {"kind": "unit"}, "mult": NINES}]}},
+        "gerbe.base[0].mult: expected an integer below 2^63", id="gerbe-mult"),
+])
+def test_unbounded_sizes_and_summed_integers_are_refused(capsys, tmp_path, command, doc,
+                                                          message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["motive", command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_sizes_and_summed_integers_at_the_bounds_are_accepted(capsys, tmp_path):
+    top = 2 ** 63 - 1
+    for command, doc, poincare in (
+            ("quotient", {"group": POINT_GROUP, "model": {"hset": {
+                "size": 2 ** 16, "generatorImages": []}}}, "65536"),
+            ("curve", {"group": POINT_GROUP, "curve": {"genus": 0, "orders": [top]}}, f"{top} + L"),
+            ("gerbe", {"group": C3_GROUP, "gerbe": {"base": [
+                {"atom": {"kind": "unit"}, "mult": top}]}}, f"{3 * top}")):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["motive", command, "--input", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["poincare"] == poincare
 
 
 def test_empty_orders_flag_is_the_empty_list(capsys):

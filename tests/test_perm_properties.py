@@ -13,17 +13,15 @@ import random
 import pytest
 
 import oracles
-from stacky.errors import GroupTooLargeError, NonBijectionError, NotASubgroupError
+from stacky.errors import GroupTooLargeError, NonBijectionError
 from stacky.perms import (
     Perm,
     conjugacy_classes,
     cyclic_subgroup_classes,
     generate_group,
-    normalizer,
     orbit,
     powers,
 )
-from stacky.verify import _random_subgroup
 
 
 def _random_generator_sets(seed: int = 20260, count: int = 30):
@@ -136,29 +134,15 @@ def test_canonical_conjugate_is_the_least_of_the_class(group):
 
 def test_normalizer_orders_match_an_all_pairs_scan(group):
     G, elems = group
-    # the cyclic classes' normalizers, then those of random (often non-cyclic)
-    # subgroups as the suite draws them
-    rng = random.Random(G.order)
-    subgroups = [(c.subgroup_elements, c.normalizer) for c in cyclic_subgroup_classes(G, 0)]
-    for _ in range(4):
-        sub = _random_subgroup(rng, G, G.order)
-        subgroups.append((sub, normalizer(G, sub)))
-    for sub_elems, N in subgroups:
-        sub = {x.images for x in sub_elems}
+    # the normalizer of each cyclic class's subgroup
+    for c in cyclic_subgroup_classes(G, 0):
+        N, sub = c.normalizer, {x.images for x in c.subgroup_elements}
         direct = {x for x in elems
                   if {oracles.compose(oracles.compose(x, t), oracles.invert(x))
                       for t in sub} == sub}
         assert N.order == len(direct)
         assert {n.images for n in N.elements} == direct
         assert all(n in N for n in N.elements)
-    # a subset that is not a subgroup is refused before any conjugation
-    for g in G.elements:
-        if g.order() > 2:
-            with pytest.raises(NotASubgroupError, match="not closed under inverse"):
-                normalizer(G, [G.identity, g])
-        if not g.is_identity():
-            with pytest.raises(NotASubgroupError, match="must contain the identity"):
-                normalizer(G, [g])
 
 
 def test_orbit_cap_raises_past_the_limit():

@@ -33,10 +33,8 @@ from stacky.perms import (
     dihedral_group,
     direct_product,
     generate_group,
-    normalizer,
     powers,
     quaternion_group,
-    reduce_generators,
     symmetric_group,
     trivial_group,
 )
@@ -93,11 +91,15 @@ def test_generate_group_words_reconstruct_elements():
         assert acc == g
 
 
-def test_generate_group_caps():
-    with pytest.raises(GroupTooLargeError):
-        generate_group(5, [Perm([1, 2, 3, 4, 0])], element_cap=3)
-    with pytest.raises(GroupTooLargeError):
-        generate_group(65, [], degree_cap=64)
+def test_generate_group_caps(monkeypatch):
+    # S8 has 40,320 elements: the closure stops at the 10,001st, having formed
+    # at most two products per element it kept
+    composes = _count_calls(monkeypatch, stacky.perms, "_compose")
+    with pytest.raises(GroupTooLargeError, match="^closure exceeds element cap 10000$"):
+        generate_group(8, [Perm([1, 0, 2, 3, 4, 5, 6, 7]), Perm([1, 2, 3, 4, 5, 6, 7, 0])])
+    assert 10_000 <= composes[0] <= 2 * 10_000
+    with pytest.raises(GroupTooLargeError, match="^degree 65 exceeds cap 64$"):
+        generate_group(65, [])
 
 
 @pytest.mark.parametrize("make,expected_sizes", [
@@ -184,27 +186,18 @@ def test_characteristic_is_bounded_below_2_to_the_64():
 
 def test_normalizer_and_centralizer_s3():
     G = symmetric_group(3)
-    c3 = [Perm([0, 1, 2]), Perm([1, 2, 0]), Perm([2, 0, 1])]
-    assert normalizer(G, c3).order == 6
-    c2 = [Perm([0, 1, 2]), Perm([1, 0, 2])]
-    assert normalizer(G, c2).order == 2
+    _, c2, c3 = cyclic_subgroup_classes(G, 0)
+    assert c3.normalizer.order == 6
+    assert c2.normalizer.order == 2
     assert centralizer(G, G.identity).order == 6
+    with pytest.raises(NotASubgroupError):
+        centralizer(G, Perm([1, 0, 3, 2]))
     # oracle: direct membership test
-    cset = {t.images for t in c2}
+    cset = {t.images for t in c2.subgroup_elements}
     direct = [g for g in G.elements
               if {oracles.compose(oracles.compose(g.images, t), oracles.invert(g.images))
                   for t in cset} == cset]
     assert len(direct) == 2
-
-
-def test_normalizer_rejects_non_subgroup():
-    G = symmetric_group(3)
-    with pytest.raises(NotASubgroupError):
-        normalizer(G, [Perm([1, 0, 2])])  # missing identity
-    with pytest.raises(NotASubgroupError):
-        normalizer(G, [Perm([0, 1, 2]), Perm([1, 2, 0])])  # not closed
-    with pytest.raises(NotASubgroupError):
-        centralizer(G, Perm([1, 0, 3, 2]))
 
 
 def test_conjugation_exponent_s3():
@@ -355,52 +348,6 @@ def test_a_group_forms_products_only_in_its_closure_and_powers(monkeypatch):
     subgroups = oracles.cyclic_subgroups({g.images for g in G.elements})
     assert sum(map(len, subgroups)) == 231
     assert composes[0] == G.order * len(G.generators) + 231 == 471
-
-
-def test_normalizer_walks_once_per_generator(monkeypatch):
-    # the normalizer walks the word tree once per reduced generator of the
-    # subgroup, through the conjugation rows, and forms no Perm product there
-    G = symmetric_group(5)
-    G._conjugation_rows
-    sub = [G.identity, Perm([1, 0, 2, 3, 4]), Perm([0, 1, 3, 2, 4]), Perm([1, 0, 3, 2, 4])]
-    walks = _count_calls(monkeypatch, FiniteGroup, "_conjugates")
-    N = normalizer(G, sub)
-    monkeypatch.undo()
-    assert N.order == 8
-    assert walks[0] == len(reduce_generators(sorted(sub), 5)) == 2
-
-
-def test_normalizer_checks_the_subgroup_without_perm_products(monkeypatch):
-    # closure is one orbit of the reduced generators on image tuples, not an
-    # all-pairs product check
-    G = symmetric_group(5)
-    A5 = alternating_group(5).elements
-    products = _count_calls(monkeypatch, Perm, "__mul__")
-    N = normalizer(G, A5)
-    monkeypatch.undo()
-    assert N.order == 120
-    assert products[0] == 0
-
-
-def test_normalizer_reduces_the_subgroup_generators_once(monkeypatch):
-    # the subgroup check hands its reduced generators on to the walk
-    G = symmetric_group(5)
-    subs = [alternating_group(5).elements, G.elements, [G.identity, Perm([1, 0, 2, 3, 4])]]
-    reductions = _count_calls(monkeypatch, stacky.perms, "reduce_generators")
-    orders = [normalizer(G, sub).order for sub in subs]
-    monkeypatch.undo()
-    assert orders == [120, 120, 12]
-    assert reductions[0] == len(subs)
-
-
-def test_normalizer_names_the_first_subgroup_axiom_that_fails():
-    G = symmetric_group(3)
-    # every inverse is checked before closure: (0 1 2) lacks its inverse, and
-    # (1 2) (0 1 2) is not in the set either
-    with pytest.raises(NotASubgroupError, match=r"^subset not closed under inverse at \(0 1 2\)$"):
-        normalizer(G, [G.identity, Perm([0, 2, 1]), Perm([1, 2, 0])])
-    with pytest.raises(NotASubgroupError, match="^subset not closed under composition$"):
-        normalizer(G, [G.identity, Perm([1, 0, 2]), Perm([0, 2, 1])])
 
 
 def test_orbit_count_examples():
