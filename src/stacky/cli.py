@@ -26,6 +26,7 @@ from .errors import (GroupTooLargeError, NotAnAutomorphismError, ParseError, Sta
                      ValidationError, internal_error_text)
 from .motives import Atom, EquivariantModel, FixedLocus, Motive, chow_dim, poincare_polynomial
 from .perms import (
+    ELEMENT_CAP,
     FiniteGroup,
     Perm,
     check_characteristic,
@@ -48,10 +49,11 @@ CHECK_NAMES = ("inertia-dim", "kunneth", "rep-ring", "splitting", "suite", "all"
 # constants take r^4 work.  Both sit far above every recorded run.
 TABLE_CLASS_CAP = 256
 RING_CONSTANT_CAP = 128 ** 3
-# A model has at most 2^16 cells, far above every recorded run: nothing in a
-# document pays for a point model's size.  Integers the commands sum (a base
+# A model has at most 2^16 cells and 2^22 action entries (|G| x cells), far above every
+# recorded run: nothing in a document pays for them.  Integers the commands sum (a base
 # multiplicity, a stacky point order) stay below 2^63, so no sum outgrows str.
 MODEL_CELL_CAP = 1 << 16
+ACTION_ENTRY_CAP = 1 << 22
 SUMMED_INT_BOUND = 1 << 63
 
 
@@ -85,6 +87,12 @@ def _get_summed_int(obj: Any, path: str, *, minimum: int) -> int:
     n = _get_int(obj, path, minimum=minimum)
     _expect(n < SUMMED_INT_BOUND, path, "expected an integer below 2^63")
     return n
+
+
+def _require_model_size(group: FiniteGroup, cells: int, path: str) -> None:
+    _expect(cells <= MODEL_CELL_CAP, path, "expected at most 2^16 cells")
+    _expect(group.order * cells <= ACTION_ENTRY_CAP, path, f"{group.order} group elements on "
+            f"{cells} cells give {group.order * cells} action entries, above the cap 2^22")
 
 
 def _get_list(obj: Any, path: str) -> list:
@@ -216,12 +224,12 @@ def _parse_model(obj: Any, group: FiniteGroup) -> EquivariantModel:
         if "hset" in spec:
             h = _get_dict(spec["hset"], "model.hset")
             size = _get_int(h.get("size"), "model.hset.size", minimum=0)
-            _expect(size <= MODEL_CELL_CAP, "model.hset.size", "expected at most 2^16 cells")
+            _require_model_size(group, size, "model.hset.size")
             images = _parse_perms(h.get("generatorImages"), "model.hset.generatorImages", size)
             return EquivariantModel.hset(group, size, images)
         c = _get_dict(spec["cells"], "model.cells")
         dims = _parse_dims(c.get("cells"), "model.cells.cells")
-        _expect(len(dims) <= MODEL_CELL_CAP, "model.cells.cells", "expected at most 2^16 cells")
+        _require_model_size(group, len(dims), "model.cells.cells")
         images = _parse_perms(c.get("generatorImages"), "model.cells.generatorImages", len(dims))
         loci = []
         for i, lspec in enumerate(_get_list(c.get("fixedLoci", []), "model.cells.fixedLoci")):
@@ -388,6 +396,9 @@ def cmd_verify(doc: InputDocument, check: str, seed: int) -> dict:
     if check in ("rep-ring", "all"):
         _require_ring_size(doc.group)
     model = doc.model if doc.model is not None else EquivariantModel.point(doc.group)
+    if model.kind == "hset" and check in ("kunneth", "all") and 2 * doc.group.order > ELEMENT_CAP:
+        raise GroupTooLargeError(f"group: the Kunneth check's product with C2 has "
+                                 f"{2 * doc.group.order} elements, above the cap {ELEMENT_CAP}")
     p = doc.characteristic
     reports = []
     if check in ("inertia-dim", "all"):

@@ -135,10 +135,10 @@ def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
             object.__setattr__(c, "_centralizers", tuple(
                 (h, Z, tuple(at[G.index[z]] for z in Z.elements))
                 for h, Z in ((h, centralizer(G, h)) for h in reps)))
-        dims, action = X.locus(c)
+        dims, action, cells = X.locus(c)
         for h, Z, positions in c._centralizers:
             rows = tuple(map(action.__getitem__, positions))
-            out.append(InertiaComponent(h, Z, EquivariantModel._from_rows(Z, dims, rows)))
+            out.append(InertiaComponent(h, Z, EquivariantModel._from_rows(Z, dims, rows, cells)))
     return tuple(out)
 
 

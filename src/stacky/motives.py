@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from ._record import record
 from .errors import InconsistentActionError, NonBijectionError, OpaqueTensorError
-from .perms import CyclicClass, FiniteGroup, Perm, Subgroup, generate_group
+from .perms import CyclicClass, FiniteGroup, Perm, Rows, Subgroup, generate_group
 
 
 @record
@@ -221,9 +221,9 @@ class EquivariantModel:
     """A finite point set or graded cell list with a group action.
 
     The generator images are verified to extend to an action of the whole
-    group; the action of every element is precomputed (see extend_action).  The
-    model keeps its fixed loci (see locus): "hset" models compute them from the
-    points, "cells" models declare them (see FixedLocus).
+    group; the action of every element is precomputed (see extend_action).  Fixed
+    loci (see locus): "hset" models read them off their own rows, as sets of their
+    cells, and "cells" models declare them (see FixedLocus).
     """
 
     def __init__(self, group: FiniteGroup, dims: Sequence[int],
@@ -255,25 +255,25 @@ class EquivariantModel:
                     raise InconsistentActionError(
                         f"generator image {i} moves cell {cell} across dimensions")
         self.element_actions = extend_action(group, self.generator_images, n)
-        # per fixed locus, keyed by its class's subgroup: (dims, rows aligned with its normalizer)
-        self.locus_actions: dict[frozenset[Perm],
-                                 tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+        self.cells = range(n)  # a component's model acts on a set of its parent's cells
+        # declared fixed loci by their class's subgroup: (dims, rows aligned with its normalizer)
+        self.locus_actions: dict[frozenset[Perm], tuple[tuple[int, ...], Rows]] = {}
         for locus in self.fixed_loci:
             self._validate_locus(locus)
 
     @classmethod
-    def _from_rows(cls, group: FiniteGroup | Subgroup, dims: Sequence[int],
-                 rows: tuple[tuple[int, ...], ...], *, kind: str = "cells",
-                 generator_images: tuple[Perm, ...] = ()) -> "EquivariantModel":
-        """A model of ``group`` acting through ``rows`` (aligned with its elements),
-        unchecked: only for an action already verified on a parent model, restricted
-        to a subgroup preserving the cells or pulled back along a projection of
-        groups.  ``rows`` is not copied."""
+    def _from_rows(cls, group: FiniteGroup | Subgroup, dims: Sequence[int], rows: Rows,
+                   cells: Sequence[int] | None = None, *, kind: str = "cells",
+                   generator_images: tuple[Perm, ...] = ()) -> "EquivariantModel":
+        """A model of ``group`` acting through ``rows`` (aligned with its elements) on
+        ``cells``, which they preserve (all by default), the k-th of dimension dims[k]:
+        unchecked, for an action verified on a parent model, at a subgroup or pulled back."""
         X = object.__new__(cls)
         X.group = group
         X.kind = kind
         X.dims = tuple(dims)
         X.element_actions = rows
+        X.cells = range(len(X.dims)) if cells is None else cells
         X.generator_images, X.fixed_loci, X.locus_actions = generator_images, (), {}
         return X
 
@@ -328,32 +328,31 @@ class EquivariantModel:
                 "the fixing subgroup must act trivially on its own fixed cells")
         self.locus_actions[key] = (locus.dims, rows)
 
-    def locus(self, c: CyclicClass) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The cells fixed by the cyclic class c with its normalizer's action: (dims,
-        rows aligned with c.normalizer_indices).  All cells for the trivial class; a
-        point model's fixed points, found on first use and kept; else the declared locus
-        or none."""
+    def locus(self, c: CyclicClass) -> tuple[tuple[int, ...], Rows, Sequence[int]]:
+        """(dims, rows aligned with c.normalizer_indices, cells): the cells that the cyclic
+        class c fixes, under its normalizer.  The model itself for the trivial class; a point
+        model's own rows on the points c fixes; else the declared locus, or no cells."""
         if c.order == 1:
-            return self.dims, self.element_actions
-        key = frozenset(c.subgroup_elements)
-        if self.kind == "hset" and key not in self.locus_actions:
-            rows, index = self.element_actions, self.group.index
-            fixed = tuple(p for p, q in enumerate(rows[index[c.generator]]) if p == q)
-            self.locus_actions[key] = ((0,) * len(fixed), _restrict_rows(
-                list(map(rows.__getitem__, c.normalizer_indices)), fixed))
-        return self.locus_actions.get(key) or ((), ((),) * len(c.normalizer_indices))
+            return self.dims, self.element_actions, self.cells
+        rows = self.element_actions
+        if self.kind == "hset":
+            fixed = tuple(p for p, q in enumerate(rows[self.group.index[c.generator]]) if p == q)
+            return (0,) * len(fixed), tuple(map(rows.__getitem__, c.normalizer_indices)), fixed
+        dims, rows = self.locus_actions.get(frozenset(c.subgroup_elements),
+                                            ((), ((),) * len(c.normalizer_indices)))
+        return dims, rows, range(len(dims))
 
     @property
     def size(self) -> int:
-        return len(self.dims)
+        return len(self.cells)
 
     def action_of(self, g: Perm) -> Perm:
         return Perm._trusted(self.element_actions[self.group.index[g]])
 
     def cells_of_dim(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
-        for i, d in enumerate(self.dims):
-            out.setdefault(d, []).append(i)
+        for d, cell in zip(self.dims, self.cells):
+            out.setdefault(d, []).append(cell)
         return {d: tuple(v) for d, v in out.items()}
 
     @classmethod
@@ -367,8 +366,7 @@ class EquivariantModel:
         return cls.hset(group, 1, [Perm([0])] * len(group.generators))
 
 
-def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int
-                  ) -> tuple[tuple[int, ...], ...]:
+def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int) -> Rows:
     """Extend generator images to every element of the group, verifying the
     extension is a group homomorphism (raises InconsistentActionError otherwise).
     The result is stacky's one format of a group action on cells: a tuple of
@@ -396,16 +394,3 @@ def extend_action(group: FiniteGroup, images: Sequence[Perm], degree: int
         raise InconsistentActionError(
             f"images do not extend to a group action at {group.elements[min(bad)].cycle_string()}")
     return tuple(acts)
-
-
-def _restrict_rows(rows: Sequence[tuple[int, ...]], cells: tuple[int, ...]
-                  ) -> tuple[tuple[int, ...], ...]:
-    """An action's rows restricted to cells that it preserves, as rows on
-    their positions: cells[i] goes to cells[row'[i]].  No cells give empty rows
-    and every cell in order gives the rows themselves."""
-    if not cells:
-        return ((),) * len(rows)
-    if cells == tuple(range(len(rows[0]))):
-        return tuple(rows)
-    pos = {c: i for i, c in enumerate(cells)}
-    return tuple(tuple(map(pos.__getitem__, map(row.__getitem__, cells))) for row in rows)

@@ -12,7 +12,7 @@ import bisect
 import itertools
 import math
 from functools import cached_property
-from operator import add, eq, itemgetter, mul
+from operator import add, eq, getitem, itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ._record import field, record
@@ -27,6 +27,7 @@ from .errors import (
 
 ELEMENT_CAP = 10_000
 DEGREE_CAP = 64
+Rows = tuple[tuple[int, ...], ...]  # a group action: one image tuple per element (extend_action)
 
 
 class Perm:
@@ -514,11 +515,13 @@ def _count_orbits(rows: Sequence[Sequence[int]], cells: Sequence[int] | None = N
     if every and chars is None:
         fixed = sum(map(eq, itertools.chain.from_iterable(rows), itertools.cycle(cells)))
     else:
-        # an element fixes a pair when it fixes both its cell and its character
-        fix_cells = [sum(map(eq, map(row.__getitem__, cells), cells)) for row in rows]
-        fix_chars = itertools.repeat(1) if chars is None else [
+        # by cell: the elements fixing it, each weighted by the characters it fixes
+        weights = itertools.repeat(1) if chars is None else [
             sum(map(eq, row, range(len(row)))) for row in chars]
-        fixed = sum(map(mul, fix_cells, fix_chars))
+        fixed = 0
+        for x in cells:
+            column = map(getitem, rows, itertools.repeat(x))
+            fixed += sum(itertools.compress(weights, map(eq, column, itertools.repeat(x))))
     check("perms.burnside", fixed == orbits * len(rows),
           "Burnside average {}/{} disagrees with orbit count {}", fixed, len(rows), orbits)
     return orbits

@@ -140,11 +140,11 @@ def burnside(elems, action, points: int) -> Fraction:
 def quotient_ranks(X) -> dict[int, int]:
     """The coarse quotient motive h(X)^G by its definition: per cell dimension,
     the number of orbits of every group element, acting through X.action_of,
-    on that dimension's cells."""
+    on that dimension's cells (X.cells, the k-th of dimension X.dims[k])."""
     acts = {g: X.action_of(g) for g in X.group.elements}
     out = {}
     for d in sorted(set(X.dims)):
-        cells = [c for c, e in enumerate(X.dims) if e == d]
+        cells = [c for c, e in zip(X.cells, X.dims) if e == d]
         pos = {c: i for i, c in enumerate(cells)}
         out[d] = len(orbits(X.group.elements, lambda g, i: pos[acts[g](cells[i])], len(cells)))
     return out

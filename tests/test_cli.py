@@ -10,6 +10,8 @@ import pytest
 
 import stacky.decomp
 from stacky.cli import (
+    ACTION_ENTRY_CAP,
+    _require_model_size,
     cmd_motive_curve,
     cmd_motive_quotient,
     load_document,
@@ -428,6 +430,8 @@ def test_curve_flags_are_refused_with_their_names(capsys, flags, message):
 NINES = int("9" * 4300)  # at the digit limit of str; a sum of two is past it
 POINT_GROUP = {"degree": 1, "generators": []}
 C3_GROUP = {"degree": 3, "generators": [[1, 2, 0]]}
+S5_GROUP = {"degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
+S6_GROUP = {"degree": 6, "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}
 
 
 @pytest.mark.parametrize("command,doc,message", [
@@ -438,6 +442,15 @@ C3_GROUP = {"degree": 3, "generators": [[1, 2, 0]]}
     pytest.param("quotient", {"group": POINT_GROUP, "model": {"cells": {
         "cells": [{"dim": 0}] * (2 ** 16 + 1), "generatorImages": []}}},
         "model.cells.cells: expected at most 2^16 cells", id="cell-count"),
+    # one row of cells per group element: refused before any generator image is read
+    pytest.param("quotient", {"group": S5_GROUP, "model": {"hset": {
+        "size": 2 ** 16, "generatorImages": []}}},
+        "model.hset.size: 120 group elements on 65536 cells give 7864320 action entries, "
+        "above the cap 2^22", id="point-model-action"),
+    pytest.param("quotient", {"group": S6_GROUP, "model": {"cells": {
+        "cells": [{"dim": 0}] * 6000, "generatorImages": []}}},
+        "model.cells.cells: 720 group elements on 6000 cells give 4320000 action entries, "
+        "above the cap 2^22", id="cell-model-action"),
     pytest.param("curve", {"group": POINT_GROUP, "curve": {"genus": 0, "orders": [NINES, NINES]}},
                  "curve.orders[0]: expected an integer below 2^63", id="curve-orders"),
     pytest.param("curve", {"group": POINT_GROUP, "curve": {"genus": 0, "orders": [3, 2 ** 63]}},
@@ -468,6 +481,32 @@ def test_sizes_and_summed_integers_at_the_bounds_are_accepted(capsys, tmp_path):
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["motive", command, "--input", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["poincare"] == poincare
+
+
+def test_action_entry_cap_holds_at_the_cap():
+    # C2^7 has 128 elements: 2^15 cells give exactly 2^22 action entries
+    C2_7 = parse_document({"group": {"degree": 14, "generators": [
+        [j ^ 1 if j // 2 == i else j for j in range(14)] for i in range(7)]}}).group
+    assert C2_7.order * 2 ** 15 == ACTION_ENTRY_CAP
+    _require_model_size(C2_7, 2 ** 15, "model.hset.size")
+    with pytest.raises(ValidationError, match="^model.hset.size: 128 group elements on 32769"):
+        _require_model_size(C2_7, 2 ** 15 + 1, "model.hset.size")
+
+
+@pytest.mark.parametrize("check", ["kunneth", "all"])
+def test_kunneth_past_the_element_cap_is_refused_under_group(capsys, tmp_path, check):
+    # S7 x C2 has 10,080 elements: refused before any check runs, not by the
+    # product's own cap
+    path = tmp_path / "s7.json"
+    S7 = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
+    path.write_text(json.dumps({"group": {"degree": 7, "generators": S7},
+                                "model": {"hset": {"size": 7, "generatorImages": S7}}}),
+                    encoding="utf-8")
+    assert main(["verify", "--check", check, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: group: the Kunneth check's product with C2 has 10080 "
+                            "elements, above the cap 10000\n")
 
 
 def test_empty_orders_flag_is_the_empty_list(capsys):

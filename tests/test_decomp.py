@@ -316,10 +316,12 @@ def test_model_locus_for_each_kind_of_class_and_model():
     S3 = symmetric_group(3)
     trivial, c2, c3 = cyclic_subgroup_classes(S3, 0)
     X = s3_on_points()
-    assert X.locus(trivial) == (X.dims, X.element_actions)
-    assert X.locus(c2) == ((0,), ((0,), (0,)))
+    assert X.locus(trivial) == (X.dims, X.element_actions, X.cells)
+    # the model's own rows at the normalizer's indices, on the fixed point 0
+    identity, swap = (X.element_actions[i] for i in c2.normalizer_indices)
+    assert X.locus(c2) == ((0,), (identity, swap), (0,)) and swap == (0, 2, 1)
     Y = EquivariantModel(S3, (0, 1), [Perm([0, 1])] * 2, kind="cells")
-    assert Y.locus(c3) == ((), ((),) * 6) and Y.locus_actions == {}
+    assert Y.locus(c3) == ((), ((),) * 6, range(0)) and Y.locus_actions == {}
 
 
 @pytest.mark.parametrize("order,coarse", [(2, Motive.point()), (3, Motive.zero())])
@@ -483,8 +485,8 @@ def _count_perms_made(monkeypatch) -> list[int]:
 
 
 def test_point_model_loci_are_built_once(monkeypatch):
-    # a point model keeps the fixed loci of its classes, so the second route
-    # and a second call read them without constructing a Perm
+    # a point model's fixed loci are its own rows on the points each class
+    # fixes, so the second route and a second call construct no Perm
     X = EquivariantModel.hset(symmetric_group(5), 5, symmetric_group(5).generators)
     def parts(components):
         return [(c.representative, c.fixed_model.dims, c.fixed_model.element_actions)
@@ -529,25 +531,17 @@ def test_warm_quotient_motive_wraps_no_perm(monkeypatch):
     assert made == [0]
 
 
-def test_warm_inertia_routes_restrict_no_rows(monkeypatch):
-    # orbits are counted on the model's own rows, on cells and on (cell,
-    # character) pairs in place; a point model's loci are restricted once,
-    # on first use, so once warm no route builds a restricted row
+def test_inertia_routes_keep_no_locus_on_a_point_model():
+    # a point model's fixed locus is a set of its own cells under its own rows:
+    # reading it stores nothing, and only declared loci fill locus_actions
     X = pairs_model(6)
-
-    def run():
-        return [quotient_motive(X)] + [(inertial_quotient_motive(X, p).motive,
-                                        inertia_ranks_by_twist(X, p)) for p in (0, 2, 3)]
-
-    first = run()
-    calls = []
-    real = stacky.motives._restrict_rows
-    for module in (stacky.motives, stacky.decomp):  # wherever the name might be read
-        monkeypatch.setattr(module, "_restrict_rows",
-                            lambda rows, cells: calls.append(cells) or real(rows, cells),
-                            raising=False)
-    assert run() == first
-    assert calls == []
+    for p in (0, 2, 3):
+        inertial_quotient_motive(X, p)
+        inertia(X, p)
+    assert X.locus_actions == {}
+    comp = next(comp for comp in cyclotomic_inertia(X) if comp.cyclic.order == 3)
+    assert comp.fixed_model.element_actions[0] is X.element_actions[0]
+    assert comp.fixed_model.size == len(comp.fixed_model.cells) == 3
 
 
 def test_inertia_job_list_takes_each_centralizer_once(monkeypatch):

@@ -1,12 +1,13 @@
 """Inertia components against the old standalone route.
 
-Each component's fixed model restricts the parent's verified action to a
-normalizer or centralizer without checking it again.  The reference here
-rebuilds that subgroup as a standalone group (greedy generator reduction,
-then a fresh closure) and replays the component's generator images through
-the checked ``EquivariantModel`` constructor, whose ``extend_action``
-re-verifies the homomorphism.  Every element must then act as the
-component's model says, and both models must have the same quotient motive.
+Each component's fixed model takes the parent's verified action at a
+normalizer or centralizer without checking it again, on the cells its class
+fixes.  The reference here rebuilds that subgroup as a standalone group
+(greedy generator reduction, then a fresh closure) and replays the
+component's generator images, restricted to those cells, through the checked
+``EquivariantModel`` constructor, whose ``extend_action`` re-verifies the
+homomorphism.  Every element must then act as the component's model says,
+and both models must have the same quotient motive.
 
 A property test then pins the two routes to the refined ranks against each
 other on random coset models of the seeded groups: the cyclotomic route
@@ -41,13 +42,21 @@ CELL_DOCS = (ROOT / "tests" / "golden" / "cli_docs" / "s4_cells_noncanonical.jso
              ROOT / "sample_inputs" / "curve_0_33.json")
 
 
+def restrict(row: tuple[int, ...], cells) -> tuple[int, ...]:
+    """A row on the positions of cells it preserves: cells[i] goes to cells[row'[i]]."""
+    pos = {c: i for i, c in enumerate(cells)}
+    return tuple(pos[row[c]] for c in cells)
+
+
 def reference_model(sub: Subgroup, model: EquivariantModel) -> EquivariantModel:
     """The component model as the old route built it: a regenerated group
-    and the action replayed and checked from its generator images."""
+    and the action, restricted to the model's cells, replayed and checked
+    from its generator images."""
     degree = sub.degree
     H = generate_group(degree, reduce_generators(sub.elements, degree))
-    return EquivariantModel(H, model.dims, [model.action_of(g) for g in H.generators],
-                            kind="cells")
+    return EquivariantModel(H, model.dims, [
+        Perm(restrict(model.action_of(g).images, model.cells)) for g in H.generators],
+        kind="cells")
 
 
 def assert_matches_reference(sub: Subgroup, model: EquivariantModel) -> None:
@@ -56,9 +65,11 @@ def assert_matches_reference(sub: Subgroup, model: EquivariantModel) -> None:
     ref = reference_model(sub, model)
     assert ref.group.elements == sub.elements
     assert ref.dims == model.dims and ref.size == model.size
-    assert ref.cells_of_dim() == model.cells_of_dim()
+    assert {d: tuple(map(model.cells.__getitem__, cells))
+            for d, cells in ref.cells_of_dim().items()} == model.cells_of_dim()
     # both hold rows aligned with the same element list
-    assert model.element_actions == ref.element_actions
+    assert tuple(restrict(row, model.cells) for row in model.element_actions) == \
+        ref.element_actions
     # the restricted model acts through the Subgroup as the standalone one does
     assert quotient_motive(model) == quotient_motive(ref)
 

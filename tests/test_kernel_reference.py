@@ -70,11 +70,11 @@ rows before they are compared.
 ``_orbit_ranks`` counts each dimension's orbits on the model's own rows, on
 the cells of that dimension or on the pairs (cell, character position),
 walked in place.  Its reference is the construction it replaces: the rows
-restricted to the dimension's cells by ``_restrict_rows``, then one row per
+restricted to the dimension's cells, each by ``tuple.index``, then one row per
 element on the points i*k + j of the pairs, counted.  ``_count_orbits`` forms
-one image set per orbit, counted through the getters it makes, and
-``_restrict_rows`` builds no row for no cells or every cell in order; its
-reference restricts each row by ``tuple.index``.
+one image set per orbit, counted through the getters it makes.  A point
+model's fixed locus is the model's own rows on the points its class fixes; the
+reference restricts them to those points, one ``tuple.index`` per point.
 
 ``direct_product`` reads the product's tables off the factors' by index
 arithmetic, element i*|H| + j being (g_i, h_j): its right and conjugation rows,
@@ -133,7 +133,7 @@ from stacky.errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from stacky.motives import EquivariantModel, FixedLocus, _restrict_rows, extend_action
+from stacky.motives import EquivariantModel, FixedLocus, extend_action
 from stacky.perms import (
     ConjugacyClass,
     CyclicClass,
@@ -534,7 +534,7 @@ def reference_orbit_ranks(model, chars=None) -> dict[int, int]:
     position i, character position j), counted."""
     out = {}
     for d, cells in model.cells_of_dim().items():
-        rows = _restrict_rows(model.element_actions, cells)
+        rows = reference_restrict_rows(model.element_actions, cells)
         if chars is not None:
             k = len(chars[0])
             rows = [[i * k + j for i in row for j in crow] for row, crow in zip(rows, chars)]
@@ -624,7 +624,8 @@ def test_refined_orbit_count_forms_one_pair_of_getters_per_orbit(monkeypatch, ma
     assert comp.fixed_model.size == cells and len(comp.chars[0]) == 2
     assert reference_orbit_ranks(comp.fixed_model, comp.chars) == {0: orbits}
     made = _counting_getters(monkeypatch)
-    assert _count_orbits(comp.fixed_model.element_actions, range(cells), comp.chars) == orbits
+    assert _count_orbits(comp.fixed_model.element_actions, comp.fixed_model.cells,
+                         comp.chars) == orbits
     assert len(made) == 2 * orbits
 
 
@@ -636,13 +637,13 @@ def reference_restrict_rows(rows, cells):
 @pytest.mark.parametrize("cells", [(), (0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (4, 3, 2, 1, 0),
                                    (0, 1, 2), (3, 4), (4, 3), (2, 0, 1)])
 def test_restricted_rows_match_the_reference(cells):
-    # S3 x C2 on 3 + 2 points preserves {0, 1, 2} and {3, 4}
+    # S3 x C2 on 3 + 2 points preserves {0, 1, 2} and {3, 4}: counted on the
+    # cells in place, the orbits are those of the rows restricted to them
     rows = [g.images for g in direct_product(symmetric_group(3), cyclic_group(2)).elements]
-    got = _restrict_rows(rows, cells)
-    assert got == reference_restrict_rows(rows, cells)
-    if cells == tuple(range(5)):
-        # every cell in order: the rows themselves, no row built
-        assert all(a is b for a, b in zip(got, rows))
+    restricted = reference_restrict_rows(rows, cells)
+    assert len(restricted) == len(rows) and all(len(row) == len(cells) for row in restricted)
+    assert _count_orbits(rows, cells) == _count_orbits(restricted) == len({
+        frozenset(row[c] for row in rows) for c in cells})
 
 
 @pytest.mark.parametrize("seed", (0, 7))
@@ -655,8 +656,8 @@ def test_product_loci_of_the_second_factor_are_the_model_rows(seed):
         identity = tuple(range(X.group.degree))
         for c in cyclic_subgroup_classes(P.group):
             if c.order > 1 and c.generator.images[:X.group.degree] == identity:
-                dims, rows = P.locus(c)
-                assert dims == P.dims
+                dims, rows, cells = P.locus(c)
+                assert dims == P.dims and cells == tuple(P.cells)
                 assert len(rows) == len(c.normalizer_indices)
                 assert all(row is P.element_actions[i]
                            for row, i in zip(rows, c.normalizer_indices))
@@ -976,12 +977,15 @@ def test_extension_and_loci_match_the_reference(name, make):
         assert list(ref) == list(G.elements)
         assert X.element_actions == tuple(a.images for a in ref.values())
         for c in cyclic_subgroup_classes(G, 0)[1:]:
-            dims, act = X.locus(c)
+            dims, rows, cells = X.locus(c)
             ref_dims, ref_act = reference_hset_locus(X, c)
             assert list(ref_act) == list(c.normalizer.elements)
-            assert dims == ref_dims and act == tuple(a.images for a in ref_act.values())
-            # kept on the model: the second call returns the same rows
-            assert X.locus(c)[1] is act
+            # the model's own rows at the normalizer's indices, restricted here
+            assert all(row is X.element_actions[i] for row, i in zip(rows, c.normalizer_indices))
+            assert dims == ref_dims and (reference_restrict_rows(rows, cells)
+                                         == tuple(a.images for a in ref_act.values()))
+        # nothing is kept on the model
+        assert X.locus_actions == {}
 
 
 @st.composite

@@ -56,27 +56,34 @@ def test_trusted_perms_are_wrapped_only_in_perms_and_action_of():
 
 
 def test_locus_actions_are_written_only_in_motives():
-    # a model owns its fixed loci: EquivariantModel declares them and keeps a
-    # point model's on first use (EquivariantModel.locus); no other module
-    # assigns the dict, an item of it, or calls one of its mutating methods
-    found, in_motives = [], 0
+    # a model owns its declared fixed loci: EquivariantModel._validate_locus
+    # stores each one, the two constructors set the attribute, and reading a
+    # locus (EquivariantModel.locus) stores nothing; no other code assigns
+    # the dict, an item of it, or calls one of its mutating methods
+    def names_it(node):
+        return isinstance(node, ast.Attribute) and node.attr == "locus_actions"
+
+    writes = []  # (file, enclosing function, "attribute" or "item")
     for path in sorted(SOURCE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}  # nested functions come later in the walk
+        for node in ast.walk(tree):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
                 targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [
                     node.target]
-                hit = any(isinstance(sub, ast.Attribute) and sub.attr == "locus_actions"
-                          for t in targets for sub in ast.walk(t))
-            else:
-                hit = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                       and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear")
-                       and getattr(node.func.value, "attr", None) == "locus_actions")
-            if hit and path.name == "motives.py":
-                in_motives += 1
-            elif hit:
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == [], f"locus_actions written outside motives.py: {', '.join(found)}"
-    assert in_motives >= 3  # the constructor, a declared locus and a point model's
+                for t in targets:
+                    for part in t.elts if isinstance(t, ast.Tuple) else [t]:
+                        if any(map(names_it, ast.walk(part))):
+                            kind = "attribute" if names_it(part) else "item"
+                            writes.append((path.name, owner.get(id(node)), kind))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear")
+                  and names_it(node.func.value)):
+                writes.append((path.name, owner.get(id(node)), "item"))
+    assert sorted(set(writes)) == [("motives.py", "__init__", "attribute"),
+                                   ("motives.py", "_from_rows", "attribute"),
+                                   ("motives.py", "_validate_locus", "item")], writes
 
 
 def test_class_listings_are_not_called_for_a_side_effect():
@@ -87,17 +94,6 @@ def test_class_listings_are_not_called_for_a_side_effect():
              and getattr(node.value.func, "id", getattr(node.value.func, "attr", None))
              in ("cyclic_subgroup_classes", "conjugacy_classes")]
     assert found == [], f"class listings called for a side effect: {', '.join(found)}"
-
-
-def test_decomp_restricts_no_rows():
-    # decomp counts orbits on the model's own rows (perms._count_orbits with a
-    # dimension's cells and the character rows), so it never names _restrict_rows
-    tree = ast.parse((SOURCE / "decomp.py").read_text(encoding="utf-8"))
-    found = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, (ast.ImportFrom, ast.Import))
-             and any(alias.name == "_restrict_rows" for alias in node.names)
-             or getattr(node, "id", getattr(node, "attr", None)) == "_restrict_rows"]
-    assert found == [], f"decomp.py names _restrict_rows at lines {found}"
 
 
 def test_every_imported_name_is_used():

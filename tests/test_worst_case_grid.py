@@ -1,10 +1,11 @@
-"""Worst-case legal groups inside the caps, through the ``group`` command in process.
+"""Worst-case legal groups inside the caps, through the commands in process.
 
 An elementary abelian group has one class of cyclic subgroups per element, so
 any work per class that grows with |G| shows here as |G|^2.  C2^10 is ten
 disjoint transpositions on 20 points; S3 x C2^3 adds a non-abelian factor.  The
 class count and every normalizer order are checked against a scan of the whole
-group (tests/oracles.py), whose elements are built as the direct product.
+group (tests/oracles.py), whose elements are built as the direct product.  On
+its point model, C2^8's refined motive has a closed form, k 2^(k-1) in twist 0.
 """
 
 from __future__ import annotations
@@ -89,3 +90,27 @@ def test_size_capped_commands_finish_in_budget_or_refuse_at_once(tmp_path, k, ar
         assert (rc, err.getvalue()) == (0, "")
         assert elapsed < 60
         assert len(json.loads(out.getvalue())["characterTable"]["rows"]) == r
+
+
+def test_refined_inertia_on_the_c2_8_point_model_has_its_closed_form(tmp_path):
+    # C2^k on its 2k points: the element swapping the pairs in S fixes the
+    # k - |S| other pairs, each one orbit of its normalizer G, with phi(2) = 1
+    # character, so the twist-0 rank is sum_S (k - |S|) = k 2^(k-1); one
+    # component per element, since each is its own cyclic class
+    k = 8
+    doc = _c2_power(k)
+    doc["model"] = {"hset": {"size": 2 * k, "generatorImages": doc["group"]["generators"]}}
+    path = tmp_path / "c2_8_points.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    outputs = []
+    for args in (["motive", "quotient"], ["verify", "--check", "inertia-dim"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(args + ["--input", str(path), "--format", "json"]) == 0
+        outputs.append(json.loads(out.getvalue()))
+    quotient, verify = outputs
+    assert len(quotient["components"]) == 2 ** k
+    assert quotient["poincare"] == str(k * 2 ** (k - 1)) == "1024"
+    assert sum(c["ranks"].get("0", 0) for c in quotient["components"]) == 1024
+    (report,) = verify["reports"]
+    assert report["pass"] and report["lhs"] == report["rhs"] == '{"0":1024}'
