@@ -237,13 +237,22 @@ def splitting_certificate(f: Sequence[int], n: int, k: int, m: int) -> SplitFact
     if any(size != m for size in fibers):
         raise NotEquidegreeError(f"fiber sizes {fibers} are not all {m}")
     pull, push = graph_correspondences(f, n, k)
-    retraction = Correspondence(push.source, push.target,
-                                {t: tuple(tuple(x / m for x in row) for row in b)
-                                 for t, b in push.blocks.items()})
-    check("corresp.left_inverse",
-          compose(retraction, pull) == Correspondence.identity(pull.source),
+    # pull = a/d and push = b/d (one block each, at twist 0); both identities scaled by s = m*d*d
+    d = math.lcm(*(x.denominator for y in (pull, push) for row in y.block(0) for x in row))
+    a, b = ([[x.numerator * (d // x.denominator) for x in row] for row in y.block(0)]
+            for y in (pull, push))
+    s = m * d * d
+    check("corresp.left_inverse", push.source == pull.target and push.target == pull.source
+          and _int_mul(b, a) == [[s * (i == j) for j in range(k)] for i in range(k)],
           "scaled pushforward is not a left inverse")
-    check("corresp.cover_idempotent", is_idempotent(compose(pull, retraction)),
+    c = _int_mul(a, b)
+    check("corresp.cover_idempotent", _int_mul(c, c) == [[s * x for x in row] for row in c],
           "cover projector is not idempotent")
-    factor = SplitFactor(pull.source, pull, retraction)
-    return factor
+    retraction = Correspondence(push.source, push.target,
+                                {0: tuple(tuple(Fraction(x, m * d) for x in row) for row in b)})
+    return SplitFactor(pull.source, pull, retraction)
+
+
+def _int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, r, col)) for col in cols] for r in a]

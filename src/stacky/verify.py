@@ -90,12 +90,12 @@ def _inertia_dim_report(X: EquivariantModel, p: int, lhs: dict[int, int]) -> Ver
 def check_kunneth(X: EquivariantModel, H: FiniteGroup, p: int = 0) -> VerificationReport:
     """Per-twist ranks of the product model against the convolution of the
     factors' rank vectors."""
-    return _kunneth_report(X, H, p, inertial_quotient_motive(X, p).ranks_by_twist())
+    prod = product_with_point_model(X, H)  # refuses a cell model before any motive is computed
+    return _kunneth_report(X, H, prod, p, inertial_quotient_motive(X, p).ranks_by_twist())
 
 
-def _kunneth_report(X: EquivariantModel, H: FiniteGroup, p: int,
+def _kunneth_report(X: EquivariantModel, H: FiniteGroup, prod: EquivariantModel, p: int,
                     xr: dict[int, int]) -> VerificationReport:
-    prod = product_with_point_model(X, H)
     lhs = inertial_quotient_motive(prod, p).ranks_by_twist()
     rank = _bh_rank(H, p)  # BH is `rank` points at twist 0: the convolution scales X's ranks
     conv = {t: r * rank for t, r in xr.items() if r * rank}
@@ -222,7 +222,8 @@ def run_suite(seed: int = 0, count: int = 100) -> tuple[VerificationReport, ...]
     for label, X, H, p in suite_inputs(seed, count):
         # both checks read the factor's refined ranks; compute them once
         ranks = inertial_quotient_motive(X, p).ranks_by_twist()
-        for rep in (_inertia_dim_report(X, p, ranks), _kunneth_report(X, H, p, ranks)):
+        prod = product_with_point_model(X, H)
+        for rep in (_inertia_dim_report(X, p, ranks), _kunneth_report(X, H, prod, p, ranks)):
             reports.append(VerificationReport(
                 rep.check_name, f"{rep.input_digest} [{label}]", rep.lhs, rep.rhs, rep.passed))
     return tuple(reports)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import stacky.decomp
+import stacky.verify
 from stacky.cli import (
     ACTION_ENTRY_CAP,
     _require_model_size,
@@ -22,7 +23,7 @@ from stacky.cli import (
 )
 from stacky.errors import ParseError, ValidationError
 from stacky.motives import Atom, Motive
-from stacky.perms import Perm
+from stacky.perms import Perm, cyclic_group
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 GOLDEN_DOCS = Path(__file__).resolve().parent / "golden" / "cli_docs"
@@ -524,3 +525,19 @@ def test_kunneth_on_a_cell_model_is_refused_with_its_path(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: model: product models are supported for point-set models\n"
+
+
+def test_kunneth_refuses_a_cell_model_before_any_motive_is_computed(capsys, monkeypatch):
+    calls = []
+    real = stacky.verify.inertial_quotient_motive
+    monkeypatch.setattr(stacky.verify, "inertial_quotient_motive",
+                        lambda *args: calls.append(args) or real(*args))
+    doc = GOLDEN_DOCS / "s4_cells_noncanonical.json"
+    assert main(["verify", "--check", "kunneth", "--input", str(doc)]) == 2
+    assert capsys.readouterr().err == \
+        "error: model: product models are supported for point-set models\n"
+    model = parse_document(json.loads(doc.read_text(encoding="utf-8"))).model
+    with pytest.raises(ValidationError,
+                       match="^model: product models are supported for point-set models$"):
+        stacky.verify.check_kunneth(model, cyclic_group(2), 0)
+    assert calls == []

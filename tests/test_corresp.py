@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stacky.corresp as corresp
 from stacky.corresp import (
     Correspondence,
     compose,
@@ -22,6 +23,7 @@ from stacky.corresp import (
     transpose,
 )
 from stacky.errors import (
+    InternalError,
     NotEquidegreeError,
     NotIdempotentError,
     NotTotalError,
@@ -248,6 +250,89 @@ def test_splitting_certificate_covers():
 def test_splitting_certificate_rejects_unequal_fibers():
     with pytest.raises(NotEquidegreeError):
         splitting_certificate([0, 0, 1], 3, 2, 2)
+
+
+def cover_shapes(max_points: int = 12) -> list[tuple[list[int], int, int, int]]:
+    """(f, n, k, m) for every cover that standard_splitting_reports(max_points) visits."""
+    return [([j for j in range(k) for _ in range(m)], k * m, k, m)
+            for k in range(1, max_points + 1) for m in range(1, max_points // k + 1)]
+
+
+def averaged(push: Correspondence, m: int) -> Correspondence:
+    """(1/m) * push in the Fraction calculus."""
+    return Correspondence(push.source, push.target, {
+        t: tuple(tuple(x / m for x in row) for row in b) for t, b in push.blocks.items()})
+
+
+def fraction_verdict(pull: Correspondence, push: Correspondence, m: int) -> str | None:
+    """The certificate's identities in the Fraction calculus: the name of the
+    first check that fails, or None when both hold."""
+    retraction = averaged(push, m)
+    if compose(retraction, pull) != Correspondence.identity(pull.source):
+        return "corresp.left_inverse"
+    if not is_idempotent(compose(pull, retraction)):
+        return "corresp.cover_idempotent"
+    return None
+
+
+@pytest.mark.parametrize(("f", "n", "k", "m"), cover_shapes())
+def test_splitting_certificate_agrees_with_the_fraction_calculus(f, n, k, m):
+    factor = splitting_certificate(f, n, k, m)
+    pull, push = graph_correspondences(f, n, k)
+    assert fraction_verdict(pull, push, m) is None
+    assert factor.image == pull.source and factor.inclusion == pull
+    assert factor.retraction == averaged(push, m)
+    assert compose(factor.retraction, pull) == Correspondence.identity(pull.source)
+    assert is_idempotent(compose(pull, factor.retraction))
+
+
+def moved_entry(b: list[list[Fraction]]) -> list[list[Fraction]]:
+    # the first point's 1 moves to the next target's row
+    j = next(i for i, row in enumerate(b) if row[0])
+    b[j][0], b[(j + 1) % len(b)][0] = Fraction(0), Fraction(1)
+    return b
+
+
+def half_entry(b: list[list[Fraction]]) -> list[list[Fraction]]:
+    # a 0 made 1/2, which truncation would read as 0 again; on one target,
+    # where there is no 0, the first point's 1
+    j = next((i for i, row in enumerate(b) if not row[0]), 0)
+    b[j][0] = Fraction(1, 2)
+    return b
+
+
+# each maps the blocks of (pull, push) to those handed to the certificate;
+# the first two still split the cover, the others are wrong pushforwards
+TAMPERS = {
+    "unchanged": lambda a, b: (a, b),
+    "pull_halved_push_doubled": lambda a, b: ([[x / 2 for x in row] for row in a],
+                                              [[2 * x for x in row] for row in b]),
+    "push_doubled": lambda a, b: (a, [[2 * x for x in row] for row in b]),
+    "push_entry_moved": lambda a, b: (a, moved_entry(b)),
+    "push_entry_half": lambda a, b: (a, half_entry(b)),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+def test_splitting_certificate_fails_exactly_when_the_fraction_identities_do(monkeypatch, tamper):
+    for f, n, k, m in cover_shapes():
+        if tamper == "push_entry_moved" and k == 1:
+            continue  # one target: no other row to move an entry to
+        pull, push = graph_correspondences(f, n, k)
+        a, b = TAMPERS[tamper]([list(row) for row in pull.block(0)],
+                               [list(row) for row in push.block(0)])
+        pull = Correspondence(pull.source, pull.target, {0: matrix(a)})
+        push = Correspondence(push.source, push.target, {0: matrix(b)})
+        monkeypatch.setattr(corresp, "graph_correspondences", lambda *args: (pull, push))
+        expected = fraction_verdict(pull, push, m)
+        assert (expected is None) == (tamper in ("unchanged", "pull_halved_push_doubled"))
+        if expected is None:
+            factor = splitting_certificate(f, n, k, m)
+            assert (factor.inclusion, factor.retraction) == (pull, averaged(push, m)), (tamper, f)
+            continue
+        with pytest.raises(InternalError) as failure:
+            splitting_certificate(f, n, k, m)
+        assert failure.value.name == expected, (tamper, f)
 
 
 def test_multi_twist_composition_with_zero_blocks():

@@ -137,14 +137,15 @@ def doubled_push(monkeypatch) -> None:
 
 
 def doubled_projector(monkeypatch) -> None:
-    # pull o retraction is the one product whose middle, the target points, is
-    # smaller than its ends; once R o P = id is checked, (P o R)^2 = P o R
-    # holds exactly, so only a wrong product can fail this check
+    # the certificate's integer products are push.pull, pull.push and the
+    # square of pull.push; pull.push is the one whose middle, the target
+    # points, is smaller than its ends.  Once push.pull = m*id is checked,
+    # (pull.push)^2 = m*(pull.push) holds exactly, so only a wrong product can
+    # fail this check
     def corrupt(z, x, y):
-        smaller = x.source.total_unit_multiplicity() < x.target.total_unit_multiplicity()
-        return scaled(z, 2) if smaller else z
+        return [[2 * v for v in row] for row in z] if len(y) < len(x) else z
 
-    wrap(monkeypatch, corresp, "compose", corrupt)
+    wrap(monkeypatch, corresp, "_int_mul", corrupt)
 
 
 def rotated_perm(monkeypatch) -> None:
