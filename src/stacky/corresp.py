@@ -24,6 +24,7 @@ from .errors import (
 from .motives import UNIT, Motive
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+_ZERO, _ONE = Fraction(0), Fraction(1)  # the incidence entries, shared by every graph block
 
 
 def matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -171,8 +172,7 @@ def graph_correspondences(f: Sequence[int], n: int, k: int
     """
     f = list(f)
     _fiber_sizes(f, n, k)  # raises NotTotalError unless f is total into 0..k-1
-    pull_block = tuple(tuple(Fraction(1 if f[i] == j else 0) for j in range(k))
-                       for i in range(n))
+    pull_block = tuple((_ZERO,) * j + (_ONE,) + (_ZERO,) * (k - 1 - j) for j in f)
     pull = Correspondence(Motive.point(k), Motive.point(n), {0: pull_block})
     return pull, transpose(pull)
 

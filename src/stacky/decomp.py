@@ -53,25 +53,30 @@ def character_rows(c: CyclicClass, G: FiniteGroup) -> tuple[tuple[int, ...], ...
     j to j*a mod m.  Each a is read off the exponent row, checked to be a unit as
     conjugation_exponent checks it, and against one walk of g's conjugates
     (n^-1 g n = g^a), so n -> a is a homomorphism N -> (Z/m)^x and the rows are an
-    action.  They are checked once, and kept on the class."""
+    action.  A central class is checked at G's generators, each with a = 1 and commuting
+    with g; its rows are G's trivial action.  They are checked once, and kept on the class."""
     if c._character_rows is not None:
         return c._character_rows
     N, m = c.normalizer_indices, c.order
-    exps = list(map(c.exponent_row.__getitem__, N))
+    at = [G.index[s] for s in G.generators] if c.central else N
+    exps = list(map(c.exponent_row.__getitem__, at))
     if any(math.gcd(a, m) != 1 for a in set(exps)):
-        for i in N:  # raises at the first n that fails
+        for i in at:  # raises at the first n that fails
             conjugation_exponent(G.elements[i], c)
-    if m > 1:
-        index, conj = G.index, G._conjugates(G.index[c.generator])
-        pw = [index[y] for y in c.subgroup_elements]
-        check("decomp.conjugation_character",
-              all(conj[i] == pw[a % m] for i, a in zip(N, exps)),
-              "recorded exponents of the class of order {} are not its conjugation character", m)
+    g = G.index[c.generator]
+    if c.central:
+        ok = exps.count(1) == len(exps) and all(row[g] == g for row in G._conjugation_rows)
+    else:
+        conj, pw = G._conjugates(g), [G.index[y] for y in c.subgroup_elements]
+        ok = all(conj[i] == pw[a % m] for i, a in zip(N, exps))
+    check("decomp.conjugation_character", ok,
+          "recorded exponents of the class of order {} are not its conjugation character", m)
     indices = character_indices(m)
     pos = {j: i for i, j in enumerate(indices)}
     row_of = {a: tuple(pos[j * a % m] for j in indices) for a in set(exps)}
-    object.__setattr__(c, "_character_rows", tuple(map(row_of.__getitem__, exps)))
-    return c._character_rows
+    rows = G.trivial_action(len(indices)) if c.central else tuple(map(row_of.__getitem__, exps))
+    object.__setattr__(c, "_character_rows", rows)
+    return rows
 
 
 @record
@@ -127,17 +132,21 @@ def inertia(X: EquivariantModel, p: int = 0) -> tuple[InertiaComponent, ...]:
     for c in cyclic_subgroup_classes(G, p):
         if c._centralizers is None:
             gens = {c.subgroup_elements[k] for k in character_indices(c.order)}
-            # the least generator in each element class that meets them, in order
-            reps = sorted(min(gens.intersection(cls.members)) for cls in conjugacy_classes(G)
-                          if cls.order == c.order and not gens.isdisjoint(cls.members))
-            # C(h) lies in N(<h>): its elements' positions in N restrict N's action to it
-            at = {i: k for k, i in enumerate(c.normalizer_indices)}
-            object.__setattr__(c, "_centralizers", tuple(
-                (h, Z, tuple(at[G.index[z]] for z in Z.elements))
-                for h, Z in ((h, centralizer(G, h)) for h in reps)))
+            if c.central:  # each generator is a class of its own, centralized by G = N
+                found = [(h, c.normalizer, c.normalizer_indices) for h in sorted(gens)]
+            else:
+                # the least generator in each element class that meets them, in order
+                reps = sorted(min(gens.intersection(cls.members)) for cls in conjugacy_classes(G)
+                              if cls.order == c.order and not gens.isdisjoint(cls.members))
+                # C(h) lies in N(<h>): its elements' positions in N restrict N's action to it
+                at = {i: k for k, i in enumerate(c.normalizer_indices)}
+                found = [(h, Z, tuple(at[G.index[z]] for z in Z.elements))
+                         for h, Z in ((h, centralizer(G, h)) for h in reps)]
+            object.__setattr__(c, "_centralizers", tuple(found))
         dims, action, cells = X.locus(c)
         for h, Z, positions in c._centralizers:
-            rows = tuple(map(action.__getitem__, positions))
+            rows = action if len(positions) == len(action) else tuple(
+                map(action.__getitem__, positions))  # all of N: N's own rows
             out.append(InertiaComponent(h, Z, EquivariantModel._from_rows(Z, dims, rows, cells)))
     return tuple(out)
 
@@ -149,10 +158,17 @@ def quotient_motive(X: EquivariantModel) -> Motive:
     return Motive.of((UNIT, d, r) for d, r in _orbit_ranks(X).items())
 
 
-def _orbit_ranks(model: EquivariantModel, chars: Sequence | None = None) -> dict[int, int]:
+def _orbit_ranks(model: EquivariantModel, chars: Sequence | None = None,
+                 parent: EquivariantModel | None = None) -> dict[int, int]:
     """Per cell dimension, the orbits on the cells or, given character rows, on the
-    pairs (cell, character position), counted on the model's own rows."""
-    return {d: _count_orbits(model.element_actions, cells, chars)
+    pairs (cell, character position), counted on the model's own rows; on a parent's
+    rows, with characters every element fixes (a central class's), closed under the
+    parent group's generators and checked against its stab, once per character."""
+    rows, gens, stab, k = model.element_actions, None, None, 1
+    if parent is not None and rows is parent.element_actions:
+        G, k = parent.group, len(chars[0]) if chars else 1
+        gens, stab, chars = [rows[G.index[s]] for s in G.generators], parent.stab, None
+    return {d: k * _count_orbits(rows, cells, chars, gens, stab)
             for d, cells in model.cells_of_dim().items()}
 
 
@@ -184,7 +200,7 @@ def inertial_quotient_motive(X: EquivariantModel, p: int = 0) -> InertialMotive:
     of the normalizer-invariants of (fixed cells) x (injective characters)."""
     contribs = []
     for comp in cyclotomic_inertia(X, p):
-        ranks = _orbit_ranks(comp.fixed_model, comp.chars)
+        ranks = _orbit_ranks(comp.fixed_model, comp.chars, X if comp.cyclic.central else None)
         mot = Motive.of([(UNIT, d, r) for d, r in ranks.items()])
         contribs.append(ComponentContribution(comp, tuple(sorted(ranks.items())), mot))
     total = Motive.of(t for cc in contribs for t in cc.motive.terms)
@@ -196,7 +212,7 @@ def inertia_ranks_by_twist(X: EquivariantModel, p: int = 0) -> dict[int, int]:
     independent second route to the refined ranks."""
     out: dict[int, int] = {}
     for comp in inertia(X, p):
-        for d, r in _orbit_ranks(comp.fixed_model).items():
+        for d, r in _orbit_ranks(comp.fixed_model, None, X).items():
             out[d] = out.get(d, 0) + r
     return {d: r for d, r in out.items() if r}
 

@@ -8,6 +8,7 @@ non-Tate constituents stay opaque and are tracked symbolically.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._record import record
@@ -334,17 +335,24 @@ class EquivariantModel:
         model's own rows on the points c fixes; else the declared locus, or no cells."""
         if c.order == 1:
             return self.dims, self.element_actions, self.cells
-        rows = self.element_actions
+        rows, N = self.element_actions, c.normalizer_indices
         if self.kind == "hset":
             fixed = tuple(p for p, q in enumerate(rows[self.group.index[c.generator]]) if p == q)
-            return (0,) * len(fixed), tuple(map(rows.__getitem__, c.normalizer_indices)), fixed
-        dims, rows = self.locus_actions.get(frozenset(c.subgroup_elements),
-                                            ((), ((),) * len(c.normalizer_indices)))
+            return (0,) * len(fixed), rows if len(N) == len(rows) else tuple(
+                map(rows.__getitem__, N)), fixed
+        none = self.group.trivial_action(0) if len(N) == len(rows) else ((),) * len(N)
+        dims, rows = self.locus_actions.get(frozenset(c.subgroup_elements), ((), none))
         return dims, rows, range(len(dims))
 
     @property
     def size(self) -> int:
         return len(self.cells)
+
+    @cached_property
+    def stab(self) -> list[int]:
+        """Per cell, the number of rows fixing it: Burnside's total by cell, once per model."""
+        rows = self.element_actions
+        return [sum(row[x] == x for row in rows) for x in range(len(rows[0]))]
 
     def action_of(self, g: Perm) -> Perm:
         return Perm._trusted(self.element_actions[self.group.index[g]])

@@ -175,6 +175,7 @@ class FiniteGroup(_ElementList):
         self._discovery = tuple(words)  # identity first
         self._right_rows = right_rows
         self._table_parts: tuple | None = None  # set by chars.character_table; no group in it
+        self._trivial_rows: dict[int, Rows] = {}  # by width
 
     def __iter__(self):
         return iter(self.elements)
@@ -192,6 +193,12 @@ class FiniteGroup(_ElementList):
     def is_abelian(self) -> bool:
         gens = [g.images for g in self.generators]
         return all(_compose(a, b) == _compose(b, a) for a in gens for b in gens)
+
+    def trivial_action(self, width: int) -> Rows:
+        """The identity row on ``width`` points for every element, one tuple per width."""
+        if width not in self._trivial_rows:
+            self._trivial_rows[width] = (tuple(range(width)),) * self.order
+        return self._trivial_rows[width]
 
     @cached_property
     def _conjugation_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -267,7 +274,7 @@ class FiniteGroup(_ElementList):
             if pw in class_of:
                 continue
             m, g = len(pw), pw[1 % len(pw)]
-            if all(row[g] == g for row in self._conjugation_rows):
+            if central := all(row[g] == g for row in self._conjugation_rows):
                 # central: the normalizer is G and every exponent 1, with no walk
                 N, exps, conjugates = everything, ones, (pw,)
             else:
@@ -278,7 +285,7 @@ class FiniteGroup(_ElementList):
                 N = tuple(itertools.compress(everything, exps))
                 conjugates = map(subs.__getitem__, c)
             classes.append(CyclicClass(elems[g], m, tuple(map(elems.__getitem__, pw)), N, exps,
-                                       elems))
+                                       elems, central))
             class_of.update(dict.fromkeys(conjugates, classes[-1]))
         classes.sort(key=lambda c: (c.order, c.generator.images))
         return tuple(classes), class_of
@@ -316,8 +323,9 @@ class CyclicClass:
     """A conjugacy class of cyclic subgroups, with canonical generator g, on its
     group's element indices: the normalizer N's, in order, and a row over all
     holding the unit a (mod the order) with n^-1 g n = g^a at n in N, 0 elsewhere.
-    N as a Subgroup is built on first read.  decomp.character_rows keeps N's action
-    on the injective characters with it, on first use (None until then)."""
+    ``central`` records that g commutes with every generator, so N is G and every a
+    is 1.  N as a Subgroup is built on first read.  decomp.character_rows keeps N's
+    action on the injective characters with it, on first use (None until then)."""
 
     generator: Perm
     order: int
@@ -325,6 +333,7 @@ class CyclicClass:
     normalizer_indices: tuple[int, ...]
     exponent_row: tuple[int, ...] = field(repr=False, compare=False)
     group_elements: tuple[Perm, ...] = field(repr=False, compare=False)
+    central: bool = field(default=False, compare=False)
     _character_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _centralizers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -489,19 +498,24 @@ def conjugation_exponent(n: Perm, c: CyclicClass) -> int:
 
 
 def _count_orbits(rows: Sequence[Sequence[int]], cells: Sequence[int] | None = None,
-                  chars: Sequence[Sequence[int]] | None = None) -> int:
+                  chars: Sequence[Sequence[int]] | None = None, gens: Rows | None = None,
+                  stab: Sequence[int] | None = None) -> int:
     """The number of orbits of a group, given as one image row per element, on
     ``cells`` (cells the rows preserve; all by default) or, given one character row
     per element, on the pairs (cell, character position), checked by the Burnside
     average.  The rows must be an action checked where it was built (extend_action,
     the loci, the conjugation character), with one row for every element of the
     group: then a point's images under the rows are its whole orbit, and one image
-    set per orbit counts it."""
+    set per orbit counts it.  Given the generators' rows ``gens`` and ``stab``, each
+    cell's number of fixing rows, the orbits on the cells are closed under the
+    generators and Burnside's total is stab summed over them: neither reads ``rows``."""
     every = cells is None or len(cells) == len(rows[0])
     cells = range(len(rows[0])) if every else cells
     if chars is not None and len(chars[0]) == 1:
         chars = None  # a single character: the pairs are the cells
-    if chars is None:
+    if gens is not None:
+        points, images = cells, lambda x: orbit([x], gens, lambda y, row: row[y])
+    elif chars is None:
         points, images = cells, lambda x: set(map(itemgetter(x), rows))
     else:
         points = itertools.product(cells, range(len(chars[0])))
@@ -510,9 +524,11 @@ def _count_orbits(rows: Sequence[Sequence[int]], cells: Sequence[int] | None = N
     for start in points:
         if start not in seen:
             orbits += 1
-            seen |= images(start)
+            seen.update(images(start))
 
-    if every and chars is None:
+    if gens is not None:
+        fixed = sum(map(stab.__getitem__, cells))
+    elif every and chars is None:
         fixed = sum(map(eq, itertools.chain.from_iterable(rows), itertools.cycle(cells)))
     else:
         # by cell: the elements fixing it, each weighted by the characters it fixes

@@ -150,6 +150,41 @@ def quotient_ranks(X) -> dict[int, int]:
     return out
 
 
+def refined_ranks(X, p: int) -> dict[int, int]:
+    """The character-refined motive of a point-set model by its definition: per
+    class of cyclic subgroups c = <g> of order prime to p, the orbits of its
+    normalizer N on Fix(g) x (the injective characters of c), where n sends the
+    pair (x, j) to (n(x), j a) with n^-1 g n = g^a, each orbit closed by repeated
+    passes; summed per twist, zero ranks dropped.  Subgroups, classes,
+    normalizers and exponents come from all-pairs scans of X.group's images."""
+    acts = {g.images: X.action_of(g).images for g in X.group.elements}
+    elems = set(acts)
+    out: dict[int, int] = {}
+    for cls in subgroup_conj_classes(elems, cyclic_subgroups(elems)):
+        sub = min(cls, key=sorted)
+        m = len(sub)
+        if p and m % p == 0:
+            continue
+        g = next(x for x in sub if elem_order(x) == m)
+        powers = [tuple(range(len(g)))]
+        while len(powers) < m:
+            powers.append(compose(powers[-1], g))
+        exponent = {n: powers.index(compose(compose(invert(n), g), n)) for n in elems
+                    if compose(compose(invert(n), g), n) in sub}
+        units = units_mod(m)
+        for d in set(X.dims):
+            fixed = [x for x, e in enumerate(X.dims) if e == d and acts[g][x] == x]
+            pairs = [(x, j) for x in fixed for j in units]
+            pos = {pair: i for i, pair in enumerate(pairs)}
+
+            def act(n, i, pairs=pairs, pos=pos, m=m):
+                x, j = pairs[i]
+                return pos[(acts[n][x], j * exponent[n] % m)]
+
+            out[d] = out.get(d, 0) + len(orbits(list(exponent), act, len(pairs)))
+    return {d: r for d, r in out.items() if r}
+
+
 def units_mod(m: int) -> list[int]:
     if m == 1:
         return [0]

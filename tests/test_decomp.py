@@ -547,7 +547,8 @@ def test_inertia_routes_keep_no_locus_on_a_point_model():
 def test_inertia_job_list_takes_each_centralizer_once(monkeypatch):
     # the benchmark's inertia job list runs the element-inertia route on the
     # same S5 and S6 models at several characteristics; each cyclic class
-    # keeps its representatives and their centralizers from the first call
+    # keeps its representatives and their centralizers from the first call,
+    # and a central representative takes none: its centralizer is G
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
@@ -558,7 +559,31 @@ def test_inertia_job_list_takes_each_centralizer_once(monkeypatch):
     workload = workloads.build_inertia(0)
     for job in workload.jobs:
         job.run({})
-    assert len(calls) == 17 and set(calls.values()) == {1}
+    assert len(calls) == 12 and set(calls.values()) == {1}
+
+
+def test_central_classes_walk_no_conjugates_on_either_route(monkeypatch):
+    # C2^8 on its 16 points: every class is central, so the character rows are
+    # checked on the generators and every centralizer is G, with no word-tree walk
+    gens = [stacky.perms.Perm.from_cycles(16, [(2 * i, 2 * i + 1)]) for i in range(8)]
+    G = stacky.perms.generate_group(16, gens)
+    X = EquivariantModel.hset(G, 16, gens)
+    walked = []
+    real = stacky.perms.FiniteGroup._walk
+    monkeypatch.setattr(stacky.perms.FiniteGroup, "_walk",
+                        lambda G, x, rows: walked.append(x) or real(G, x, rows))
+    assert inertial_quotient_motive(X).ranks_by_twist() == inertia_ranks_by_twist(X) == {0: 1024}
+    assert all(c.central for c in cyclic_subgroup_classes(G))
+    assert walked == []
+    # nothing |G|-long per class: every component holds X's own rows, and the
+    # character rows are one tuple for the group
+    comps = cyclotomic_inertia(X)
+    assert all(comp.fixed_model.element_actions is X.element_actions
+               for comp in comps + inertia(X))
+    assert len({id(comp.chars) for comp in comps}) == 1
+    # a cell model that declares no locus shares one empty row tuple likewise
+    Y = EquivariantModel(G, (0,) * 16, gens, kind="cells")
+    assert len({id(Y.locus(c)[1]) for c in cyclic_subgroup_classes(G)[1:]}) == 1
 
 
 def test_character_check_walks_each_class_once(monkeypatch):

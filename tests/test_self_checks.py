@@ -24,7 +24,8 @@ import stacky.decomp as decomp
 from stacky.chars import CharacterTable, character_table
 from stacky.cli import main
 from stacky.corresp import Correspondence, split_idempotent, splitting_certificate
-from stacky.decomp import bh_motive, gerbe_rset, inertial_quotient_motive, quotient_motive
+from stacky.decomp import (bh_motive, gerbe_rset, inertia_ranks_by_twist, inertial_quotient_motive,
+                           quotient_motive)
 from stacky.errors import InternalError, check
 from stacky.motives import EquivariantModel
 from stacky.perms import (
@@ -419,3 +420,60 @@ def test_burnside_fires_through_a_proper_subset_of_cells(monkeypatch):
     monkeypatch.setattr(X, "element_actions", tuple(rows))
     assert_burnside_fires(lambda: quotient_motive(X),
                           "Burnside average 9/6 disagrees with orbit count 1")
+
+
+# A central class's counts close the orbits under the group's generators and
+# take Burnside's total from the model's stab; its character rows are checked on
+# the generators.  Both checks fire on that branch too, under the same names.
+
+def _c2_squared_points() -> EquivariantModel:
+    G = dihedral_group(2)  # C2 x C2 on 4 points, generated by (0 1) and (2 3)
+    return EquivariantModel.hset(G, 4, G.generators)
+
+
+@pytest.mark.parametrize("route", (inertial_quotient_motive, inertia_ranks_by_twist))
+def test_burnside_fires_through_a_changed_stab_entry(monkeypatch, route):
+    # each point is fixed by 2 of the 4 elements; one count raised to 3
+    X = _c2_squared_points()
+    monkeypatch.setattr(X, "stab", [3] + X.stab[1:])
+    assert_burnside_fires(lambda: route(X, 0), "Burnside average 9/4 disagrees with orbit count 2")
+
+
+def test_burnside_fires_through_a_dropped_generator_row(monkeypatch):
+    # without (2 3) the trivial class's walk finds 3 orbits where there are 2
+    real = decomp._count_orbits
+
+    def dropped(rows, cells=None, chars=None, gens=None, stab=None):
+        return real(rows, cells, chars, gens and gens[:-1], stab)
+
+    monkeypatch.setattr(decomp, "_count_orbits", dropped)
+    assert_burnside_fires(lambda: inertial_quotient_motive(_c2_squared_points()),
+                          "Burnside average 8/4 disagrees with orbit count 3")
+
+
+def test_conjugation_character_fires_on_a_class_marked_central(monkeypatch):
+    # S3's 3-cycles marked central, with every exponent 1 and N = G as a central
+    # class records them: only the generators' check that g commutes with each
+    # of them can refuse it, and the transposition does not
+    def marked(classes, *args):
+        c, n = classes[-1], len(classes[-1].group_elements)
+        return classes[:-1] + (CyclicClass(c.generator, c.order, c.subgroup_elements,
+                                           tuple(range(n)), (1,) * n, c.group_elements, True),)
+
+    wrap(monkeypatch, decomp, "cyclic_subgroup_classes", marked)
+    with pytest.raises(InternalError) as exc:
+        bh_motive(symmetric_group(3))
+    assert exc.value.name == "decomp.conjugation_character"
+    assert str(exc.value) == ("internal error: recorded exponents of the class of order 3 "
+                              "are not its conjugation character")
+
+
+def test_conjugation_character_fires_on_a_central_exponent_other_than_1():
+    # C3's generator commutes with itself, but its recorded exponent is 2, a
+    # unit: the generators' check refuses it where the unit check cannot
+    G = cyclic_group(3)
+    c = decomp.cyclic_subgroup_classes(G)[-1]
+    object.__setattr__(c, "exponent_row", (2,) * 3)
+    with pytest.raises(InternalError) as exc:
+        decomp.character_rows(c, G)
+    assert exc.value.name == "decomp.conjugation_character"

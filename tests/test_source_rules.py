@@ -110,3 +110,26 @@ def test_every_imported_name_is_used():
                   for alias in node.names
                   if (name := (alias.asname or alias.name).split(".")[0]) not in used]
     assert found == [], f"imported names never used: {', '.join(found)}"
+
+
+def test_the_element_route_reads_no_exponent_or_character_row():
+    # inertia and inertia_ranks_by_twist are the second route to the refined
+    # ranks: neither they nor a decomp function they call reads the recorded
+    # conjugation exponents or the character rows built from them
+    tree = ast.parse((SOURCE / "decomp.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    forbidden = {"exponent_row", "character_rows", "_character_rows"}
+    reached, todo, found = set(), ["inertia", "inertia_ranks_by_twist"], []
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            read = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if read in forbidden:
+                found.append(f"{name}:{node.lineno} {read}")
+            elif read in functions:
+                todo.append(read)
+    assert {"inertia", "inertia_ranks_by_twist", "_orbit_ranks"} <= reached
+    assert found == [], f"the element route reads: {', '.join(found)}"

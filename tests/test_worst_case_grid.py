@@ -5,7 +5,11 @@ any work per class that grows with |G| shows here as |G|^2.  C2^10 is ten
 disjoint transpositions on 20 points; S3 x C2^3 adds a non-abelian factor.  The
 class count and every normalizer order are checked against a scan of the whole
 group (tests/oracles.py), whose elements are built as the direct product.  On
-its point model, C2^8's refined motive has a closed form, k 2^(k-1) in twist 0.
+its point model, C2^k's refined motive has a closed form, k 2^(k-1) in twist 0,
+checked at k = 8 and, through all three inertia commands, at k = 10.  D4, Q8 and
+S3 x C2^3 have proper nontrivial centers, so their central and non-central
+classes take different routes; their refined ranks are compared with the
+brute-force oracles.refined_ranks.
 """
 
 from __future__ import annotations
@@ -92,25 +96,80 @@ def test_size_capped_commands_finish_in_budget_or_refuse_at_once(tmp_path, k, ar
         assert len(json.loads(out.getvalue())["characterTable"]["rows"]) == r
 
 
+def _run_json(doc: dict, path, commands) -> list[dict]:
+    """Each command's JSON output on the document, run through main in process."""
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    outputs = []
+    for args in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(args + ["--input", str(path), "--format", "json"]) == 0
+        outputs.append(json.loads(out.getvalue()))
+    return outputs
+
+
+def _c2_point_model(k: int) -> dict:
+    doc = _c2_power(k)
+    doc["model"] = {"hset": {"size": 2 * k, "generatorImages": doc["group"]["generators"]}}
+    return doc
+
+
 def test_refined_inertia_on_the_c2_8_point_model_has_its_closed_form(tmp_path):
     # C2^k on its 2k points: the element swapping the pairs in S fixes the
     # k - |S| other pairs, each one orbit of its normalizer G, with phi(2) = 1
     # character, so the twist-0 rank is sum_S (k - |S|) = k 2^(k-1); one
     # component per element, since each is its own cyclic class
     k = 8
-    doc = _c2_power(k)
-    doc["model"] = {"hset": {"size": 2 * k, "generatorImages": doc["group"]["generators"]}}
-    path = tmp_path / "c2_8_points.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    outputs = []
-    for args in (["motive", "quotient"], ["verify", "--check", "inertia-dim"]):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(args + ["--input", str(path), "--format", "json"]) == 0
-        outputs.append(json.loads(out.getvalue()))
-    quotient, verify = outputs
+    quotient, verify = _run_json(_c2_point_model(k), tmp_path / "c2_8_points.json",
+                                 (["motive", "quotient"], ["verify", "--check", "inertia-dim"]))
     assert len(quotient["components"]) == 2 ** k
     assert quotient["poincare"] == str(k * 2 ** (k - 1)) == "1024"
     assert sum(c["ranks"].get("0", 0) for c in quotient["components"]) == 1024
     (report,) = verify["reports"]
     assert report["pass"] and report["lhs"] == report["rhs"] == '{"0":1024}'
+
+
+def test_c2_10_point_model_through_the_three_inertia_commands(tmp_path):
+    # every class is central, so each count is the generators' orbits on the
+    # fixed points, checked against the model's stabilizer counts; the Kunneth
+    # product with C2 doubles the classes, each with the same fixed points, so
+    # its rank is twice the closed form k 2^(k-1)
+    k = 10
+    quotient, dims, kunneth = _run_json(
+        _c2_point_model(k), tmp_path / "c2_10_points.json",
+        (["motive", "quotient"], ["verify", "--check", "inertia-dim"],
+         ["verify", "--check", "kunneth"]))
+    assert quotient["poincare"] == str(k * 2 ** (k - 1)) == "5120"
+    assert len(quotient["components"]) == 2 ** k
+    (report,) = dims["reports"]
+    assert report["pass"] and report["lhs"] == report["rhs"] == '{"0":5120}'
+    (report,) = kunneth["reports"]
+    assert report["pass"] and report["lhs"] == report["rhs"] == '{"0":10240}'
+
+
+CENTERED = {
+    "D4": (4, [[1, 2, 3, 0], [0, 3, 2, 1]]),
+    "Q8": (8, [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]]),
+    "S3xC2^3": GRID["S3xC2^3"][:2],
+}
+
+
+@pytest.mark.parametrize("p", (0, 2, 3))
+@pytest.mark.parametrize("name", CENTERED)
+def test_refined_ranks_with_a_nontrivial_center_match_the_oracle(tmp_path, name, p):
+    # non-abelian groups on their own points whose centers are proper and
+    # nontrivial: central classes take the generators' route, the others the
+    # normalizer's, and both inertia routes must give the oracle's ranks
+    degree, gens = CENTERED[name]
+    doc = {"characteristic": p, "group": {"degree": degree, "generators": gens},
+           "model": {"hset": {"size": degree, "generatorImages": gens}}}
+    quotient, dims = _run_json(doc, tmp_path / "doc.json",
+                               (["motive", "quotient"], ["verify", "--check", "inertia-dim"]))
+    ranks = {str(t): r for t, r in oracles.refined_ranks(parse_document(doc).model, p).items()}
+    summed = {}
+    for c in quotient["components"]:
+        for t, r in c["ranks"].items():
+            summed[t] = summed.get(t, 0) + r
+    assert summed == ranks
+    (report,) = dims["reports"]
+    assert report["pass"] and json.loads(report["lhs"]) == json.loads(report["rhs"]) == ranks
