@@ -36,8 +36,7 @@ from .perms import (
     generate_group,
 )
 from .verify import (
-    check_inertia_dimension,
-    check_kunneth,
+    _model_reports,
     check_rep_ring_vs_classes,
     run_suite,
     standard_splitting_reports,
@@ -401,10 +400,10 @@ def cmd_verify(doc: InputDocument, check: str, seed: int) -> dict:
                                  f"{2 * doc.group.order} elements, above the cap {ELEMENT_CAP}")
     p = doc.characteristic
     reports = []
-    if check in ("inertia-dim", "all"):
-        reports.append(check_inertia_dimension(model, p))
-    if check == "kunneth" or (check == "all" and model.kind == "hset"):
-        reports.append(check_kunneth(model, cyclic_group(2), p))
+    kunneth = check == "kunneth" or (check == "all" and model.kind == "hset")
+    if kunneth or check in ("inertia-dim", "all"):  # one refined motive for both checks
+        reports.extend(_model_reports(model, p, cyclic_group(2) if kunneth else None,
+                                      inertia_dim=check != "kunneth"))
     if check in ("rep-ring", "all"):
         reports.append(check_rep_ring_vs_classes(doc.group))
     if check in ("splitting", "all"):

@@ -41,15 +41,14 @@ def eye(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product: integer numerators over one common denominator per
-    factor, multiplied as integers; each entry becomes a Fraction once."""
+    factor, multiplied by _int_mul; each entry becomes a Fraction once."""
     if a and b and len(a[0]) != len(b):
         raise ShapeMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     da = math.lcm(*(x.denominator for row in a for x in row))
     db = math.lcm(*(x.denominator for row in b for x in row))
     an = [[x.numerator * (da // x.denominator) for x in row] for row in a]
-    bcols = list(zip(*([x.numerator * (db // x.denominator) for x in row] for row in b)))
-    return tuple(tuple(Fraction(sum(map(operator.mul, r, col)), da * db) for col in bcols)
-                 for r in an)
+    bn = [[x.numerator * (db // x.denominator) for x in row] for row in b]
+    return tuple(tuple(Fraction(x, da * db) for x in row) for row in _int_mul(an, bn))
 
 
 def mat_transpose(a: Matrix) -> Matrix:

@@ -350,9 +350,9 @@ class EquivariantModel:
 
     @cached_property
     def stab(self) -> list[int]:
-        """Per cell, the number of rows fixing it: Burnside's total by cell, once per model."""
+        """Per cell, the rows fixing it, counted on its column: Burnside's total by cell."""
         rows = self.element_actions
-        return [sum(row[x] == x for row in rows) for x in range(len(rows[0]))]
+        return [[row[x] for row in rows].count(x) for x in range(len(rows[0]))]
 
     def action_of(self, g: Perm) -> Perm:
         return Perm._trusted(self.element_actions[self.group.index[g]])

@@ -12,7 +12,7 @@ import bisect
 import itertools
 import math
 from functools import cached_property
-from operator import add, eq, getitem, itemgetter
+from operator import add, eq, itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ._record import field, record
@@ -503,40 +503,39 @@ def _count_orbits(rows: Sequence[Sequence[int]], cells: Sequence[int] | None = N
     """The number of orbits of a group, given as one image row per element, on
     ``cells`` (cells the rows preserve; all by default) or, given one character row
     per element, on the pairs (cell, character position), checked by the Burnside
-    average.  The rows must be an action checked where it was built (extend_action,
-    the loci, the conjugation character), with one row for every element of the
-    group: then a point's images under the rows are its whole orbit, and one image
-    set per orbit counts it.  Given the generators' rows ``gens`` and ``stab``, each
-    cell's number of fixing rows, the orbits on the cells are closed under the
-    generators and Burnside's total is stab summed over them: neither reads ``rows``."""
-    every = cells is None or len(cells) == len(rows[0])
-    cells = range(len(rows[0])) if every else cells
+    average.  The rows must be an action checked where it was built, one row for every
+    element: then a cell's column, its image under every row, is its whole orbit.  An
+    unseen cell, or pair (the column zipped with the character's), starts an orbit and
+    marks it seen; the column's entries equal to the cell, weighted by the characters
+    their rows fix, add to Burnside's total.  Given the generators' rows ``gens`` and
+    ``stab``, each cell's number of fixing rows, the orbits are closed under ``gens``
+    and Burnside's total is stab summed over them: neither reads ``rows``."""
+    cells = range(len(rows[0])) if cells is None else cells
     if chars is not None and len(chars[0]) == 1:
         chars = None  # a single character: the pairs are the cells
+    seen, orbits, fixed = set(), 0, 0
     if gens is not None:
-        points, images = cells, lambda x: orbit([x], gens, lambda y, row: row[y])
-    elif chars is None:
-        points, images = cells, lambda x: set(map(itemgetter(x), rows))
-    else:
-        points = itertools.product(cells, range(len(chars[0])))
-        images = lambda x: set(zip(map(itemgetter(x[0]), rows), map(itemgetter(x[1]), chars)))
-    seen, orbits = set(), 0
-    for start in points:
-        if start not in seen:
-            orbits += 1
-            seen.update(images(start))
-
-    if gens is not None:
-        fixed = sum(map(stab.__getitem__, cells))
-    elif every and chars is None:
-        fixed = sum(map(eq, itertools.chain.from_iterable(rows), itertools.cycle(cells)))
-    else:
-        # by cell: the elements fixing it, each weighted by the characters it fixes
-        weights = itertools.repeat(1) if chars is None else [
-            sum(map(eq, row, range(len(row)))) for row in chars]
-        fixed = 0
         for x in cells:
-            column = map(getitem, rows, itertools.repeat(x))
+            if x not in seen:
+                orbits += 1
+                seen.update(orbit([x], gens, lambda y, row: row[y]))
+        fixed = sum(map(stab.__getitem__, cells))
+    elif chars is None:
+        for x in cells:
+            column = tuple(map(itemgetter(x), rows))
+            if x not in seen:
+                orbits += 1
+                seen.update(column)
+            fixed += column.count(x)
+    else:
+        characters = list(zip(*chars))
+        weights = [sum(map(eq, row, range(len(row)))) for row in chars]
+        for x in cells:
+            column = tuple(map(itemgetter(x), rows))
+            for j, character in enumerate(characters):
+                if (x, j) not in seen:
+                    orbits += 1
+                    seen.update(zip(column, character))
             fixed += sum(itertools.compress(weights, map(eq, column, itertools.repeat(x))))
     check("perms.burnside", fixed == orbits * len(rows),
           "Burnside average {}/{} disagrees with orbit count {}", fixed, len(rows), orbits)

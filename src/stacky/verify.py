@@ -77,32 +77,37 @@ def _render_ranks(ranks: dict[int, int]) -> str:
 def check_inertia_dimension(X: EquivariantModel, p: int = 0) -> VerificationReport:
     """Per-twist ranks of the refined quotient motive against the orbit counts
     summed over the element-indexed inertia components."""
-    return _inertia_dim_report(X, p, inertial_quotient_motive(X, p).ranks_by_twist())
-
-
-def _inertia_dim_report(X: EquivariantModel, p: int, lhs: dict[int, int]) -> VerificationReport:
-    rhs = inertia_ranks_by_twist(X, p)
-    return VerificationReport(
-        "inertia-dim", _digest({"model": _model_payload(X), "p": p}),
-        _render_ranks(lhs), _render_ranks(rhs), lhs == rhs)
+    return _model_reports(X, p)[0]
 
 
 def check_kunneth(X: EquivariantModel, H: FiniteGroup, p: int = 0) -> VerificationReport:
     """Per-twist ranks of the product model against the convolution of the
     factors' rank vectors."""
-    prod = product_with_point_model(X, H)  # refuses a cell model before any motive is computed
-    return _kunneth_report(X, H, prod, p, inertial_quotient_motive(X, p).ranks_by_twist())
+    return _model_reports(X, p, H, inertia_dim=False)[0]
 
 
-def _kunneth_report(X: EquivariantModel, H: FiniteGroup, prod: EquivariantModel, p: int,
-                    xr: dict[int, int]) -> VerificationReport:
-    lhs = inertial_quotient_motive(prod, p).ranks_by_twist()
-    rank = _bh_rank(H, p)  # BH is `rank` points at twist 0: the convolution scales X's ranks
-    conv = {t: r * rank for t, r in xr.items() if r * rank}
-    payload = {"model": _model_payload(X), "p": p,
-               "h": [list(g.images) for g in H.generators], "hdeg": H.degree}
-    return VerificationReport("kunneth", _digest(payload),
-                              _render_ranks(lhs), _render_ranks(conv), lhs == conv)
+def _model_reports(X: EquivariantModel, p: int, H: FiniteGroup | None = None,
+                   inertia_dim: bool = True, label: str = "") -> list[VerificationReport]:
+    """The inertia-dimension report unless not ``inertia_dim``, then, given a second
+    factor H, the Kunneth report: both read X's refined ranks, computed once.  The
+    product comes first, so a cell model is refused before any motive is computed;
+    ``label`` ends each digest."""
+    prod = None if H is None else product_with_point_model(X, H)
+    xr = inertial_quotient_motive(X, p).ranks_by_twist()
+    payload = {"model": _model_payload(X), "p": p}
+    reports = []
+    if inertia_dim:
+        rhs = inertia_ranks_by_twist(X, p)
+        reports.append(VerificationReport("inertia-dim", _digest(payload) + label,
+                                          _render_ranks(xr), _render_ranks(rhs), xr == rhs))
+    if H is not None:
+        lhs = inertial_quotient_motive(prod, p).ranks_by_twist()
+        rank = _bh_rank(H, p)  # BH is `rank` points at twist 0: the convolution scales X's ranks
+        conv = {t: r * rank for t, r in xr.items() if r * rank}
+        payload = {**payload, "h": [list(g.images) for g in H.generators], "hdeg": H.degree}
+        reports.append(VerificationReport("kunneth", _digest(payload) + label,
+                                          _render_ranks(lhs), _render_ranks(conv), lhs == conv))
+    return reports
 
 
 def check_rep_ring_vs_classes(H: FiniteGroup) -> VerificationReport:
@@ -218,15 +223,8 @@ def suite_inputs(seed: int, count: int = 100
 
 def run_suite(seed: int = 0, count: int = 100) -> tuple[VerificationReport, ...]:
     """Run the inertia-dimension and product-rank checks on the seeded suite."""
-    reports = []
-    for label, X, H, p in suite_inputs(seed, count):
-        # both checks read the factor's refined ranks; compute them once
-        ranks = inertial_quotient_motive(X, p).ranks_by_twist()
-        prod = product_with_point_model(X, H)
-        for rep in (_inertia_dim_report(X, p, ranks), _kunneth_report(X, H, prod, p, ranks)):
-            reports.append(VerificationReport(
-                rep.check_name, f"{rep.input_digest} [{label}]", rep.lhs, rep.rhs, rep.passed))
-    return tuple(reports)
+    return tuple(rep for label, X, H, p in suite_inputs(seed, count)
+                 for rep in _model_reports(X, p, H, label=f" [{label}]"))
 
 
 def standard_splitting_reports(max_points: int = 12) -> tuple[VerificationReport, ...]:

@@ -15,6 +15,7 @@ from stacky.cli import (
     _require_model_size,
     cmd_motive_curve,
     cmd_motive_quotient,
+    cmd_verify,
     load_document,
     main,
     motive_from_json,
@@ -541,3 +542,16 @@ def test_kunneth_refuses_a_cell_model_before_any_motive_is_computed(capsys, monk
                        match="^model: product models are supported for point-set models$"):
         stacky.verify.check_kunneth(model, cyclic_group(2), 0)
     assert calls == []
+
+
+def test_verify_all_computes_the_refined_motive_of_a_point_model_once(monkeypatch):
+    # the inertia-dimension and Kunneth checks share the model's refined ranks
+    calls = []
+    real = stacky.verify.inertial_quotient_motive
+    monkeypatch.setattr(stacky.verify, "inertial_quotient_motive",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    doc = load_document(str(GOLDEN_DOCS / "s4_points.json"))
+    out = cmd_verify(doc, "all", 0)
+    assert out["allPassed"]
+    assert [r["check"] for r in out["reports"][:2]] == ["inertia-dim", "kunneth"]
+    assert sum(X is doc.model for X in calls) == 1

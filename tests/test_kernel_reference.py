@@ -71,8 +71,10 @@ rows before they are compared.
 the cells of that dimension or on the pairs (cell, character position),
 walked in place.  Its reference is the construction it replaces: the rows
 restricted to the dimension's cells, each by ``tuple.index``, then one row per
-element on the points i*k + j of the pairs, counted.  ``_count_orbits`` forms
-one image set per orbit, counted through the getters it makes.  A point
+element on the points i*k + j of the pairs, their orbits found by the flood fill
+``oracles.orbits``.  ``_count_orbits`` builds one column per counted cell,
+counted through the getters it makes, and marks one image set seen per orbit;
+on the generators' route it reads no row.  A point
 model's fixed locus is the model's own rows on the points its class fixes; the
 reference restricts them to those points, one ``tuple.index`` per point.
 
@@ -538,7 +540,7 @@ def reference_orbit_ranks(model, chars=None) -> dict[int, int]:
         if chars is not None:
             k = len(chars[0])
             rows = [[i * k + j for i in row for j in crow] for row, crow in zip(rows, chars)]
-        out[d] = _count_orbits(rows)
+        out[d] = len(oracles.orbits(rows, lambda row, x: row[x], len(rows[0])))
     return out
 
 
@@ -552,14 +554,19 @@ def pairs_model(n: int) -> EquivariantModel:
 
 
 def assert_orbit_ranks_match_the_reference(X) -> None:
+    # on the model's own rows, and as the inertia routes count (a central class
+    # on the parent's generators and stab)
     assert _orbit_ranks(X) == reference_orbit_ranks(X)
     for p in (0, 2, 3):
         for comp in cyclotomic_inertia(X, p):
             for chars in (None, comp.chars):
-                assert (_orbit_ranks(comp.fixed_model, chars)
-                        == reference_orbit_ranks(comp.fixed_model, chars))
+                want = reference_orbit_ranks(comp.fixed_model, chars)
+                assert _orbit_ranks(comp.fixed_model, chars) == want
+                if comp.cyclic.central:
+                    assert _orbit_ranks(comp.fixed_model, chars, X) == want
         for comp in inertia(X, p):
-            assert _orbit_ranks(comp.fixed_model) == reference_orbit_ranks(comp.fixed_model)
+            want = reference_orbit_ranks(comp.fixed_model)
+            assert _orbit_ranks(comp.fixed_model) == _orbit_ranks(comp.fixed_model, None, X) == want
 
 
 @pytest.mark.parametrize("n", (5, 6))
@@ -593,40 +600,76 @@ def test_orbit_ranks_on_empty_loci_match_the_reference():
     assert empty == 4
 
 
-def _counting_getters(monkeypatch) -> list:
-    """Record every getter ``_count_orbits`` makes: one per image set on cells,
-    a pair per image set on (cell, character) pairs."""
-    made = []
+def test_orbit_ranks_on_suite_models_match_the_reference():
+    # coset models: point-model loci smaller than their rows, with characters
+    for _label, X, _H, _p in suite_inputs(0, 20):
+        assert_orbit_ranks_match_the_reference(X)
+
+
+def _counting_columns(monkeypatch) -> tuple[list, list]:
+    """Record the cell of every column ``_count_orbits`` builds, one getter each,
+    and every image set it marks seen."""
+    made, marked = [], []
     real = stacky.perms.itemgetter
+
+    class Seen(set):
+        def update(self, images):
+            marked.append(set(images))
+            super().update(marked[-1])
+
     monkeypatch.setattr(stacky.perms, "itemgetter", lambda x: made.append(x) or real(x))
-    return made
+    monkeypatch.setattr(stacky.perms, "set", Seen, raising=False)
+    return made, marked
 
 
 def test_orbit_count_forms_one_image_set_per_orbit(monkeypatch):
-    # S6 on its 15 unordered pairs, 720 rows: one orbit, one image set (the
-    # walk it replaced formed one per pair)
+    # S6 on its 15 unordered pairs, 720 rows: one column per pair, and one
+    # orbit, one image set
     rows = pairs_model(6).element_actions
-    made = _counting_getters(monkeypatch)
+    made, marked = _counting_columns(monkeypatch)
     assert _count_orbits(rows) == 1
-    assert made == [0]
+    assert made == list(range(15))
+    assert marked == [set(range(15))]
 
 
 @pytest.mark.parametrize("make,cells,orbits", [
-    # the class of <(0 1 2)> on S6's pairs, on the three pairs it fixes
+    # the class of <(0 1 2)> on S6's pairs, on the three of 15 pairs it fixes
     (lambda: pairs_model(6), 3, 1),
     # C3 on the orbifold curve's cells: both fixed cells keep both characters
     (lambda: load_document(str(CELL_DOCS[1])).model, 2, 4),
 ], ids=["S6-pairs", "curve_0_33"])
-def test_refined_orbit_count_forms_one_pair_of_getters_per_orbit(monkeypatch, make,
-                                                                 cells, orbits):
-    # phi(3) = 2 characters, so the search runs on (cell, character) pairs
+def test_refined_orbit_count_builds_one_column_per_cell_and_one_image_set_per_orbit(
+        monkeypatch, make, cells, orbits):
+    # phi(3) = 2 characters, so the search runs on (cell, character) pairs; no
+    # column is built for a cell the class does not fix
     comp = next(comp for comp in cyclotomic_inertia(make()) if comp.cyclic.order == 3)
-    assert comp.fixed_model.size == cells and len(comp.chars[0]) == 2
-    assert reference_orbit_ranks(comp.fixed_model, comp.chars) == {0: orbits}
-    made = _counting_getters(monkeypatch)
-    assert _count_orbits(comp.fixed_model.element_actions, comp.fixed_model.cells,
-                         comp.chars) == orbits
-    assert len(made) == 2 * orbits
+    X = comp.fixed_model
+    assert X.size == cells and len(comp.chars[0]) == 2
+    assert reference_orbit_ranks(X, comp.chars) == {0: orbits}
+    made, marked = _counting_columns(monkeypatch)
+    assert _count_orbits(X.element_actions, X.cells, comp.chars) == orbits
+    assert made == list(X.cells)
+    assert len(marked) == orbits and sum(map(len, marked)) == 2 * cells
+
+
+class _LengthOnly:
+    """Rows that answer len() and nothing else."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+
+@pytest.mark.parametrize("k", (3, 8))
+def test_generators_route_reads_no_row(k):
+    # C2^k on 2k points, as k transpositions: k orbits, closed under the k
+    # generators' rows and checked against stab, with the 2^k rows unread
+    G = generate_group(2 * k, [Perm.from_cycles(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)])
+    X = EquivariantModel.hset(G, 2 * k, G.generators)
+    gens = [X.element_actions[G.index[s]] for s in G.generators]
+    assert _count_orbits(_LengthOnly(G.order), X.cells, None, gens, X.stab) == k
 
 
 def reference_restrict_rows(rows, cells):
