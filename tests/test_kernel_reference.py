@@ -638,7 +638,7 @@ def test_orbit_count_forms_one_image_set_per_orbit(monkeypatch):
     # C3 on the orbifold curve's cells: both fixed cells keep both characters
     (lambda: load_document(str(CELL_DOCS[1])).model, 2, 4),
 ], ids=["S6-pairs", "curve_0_33"])
-def test_refined_orbit_count_builds_one_column_per_cell_and_one_image_set_per_orbit(
+def test_refined_orbit_count_builds_one_column_per_fixed_cell(
         monkeypatch, make, cells, orbits):
     # phi(3) = 2 characters, so the search runs on (cell, character) pairs; no
     # column is built for a cell the class does not fix
