@@ -9,7 +9,9 @@ and one-dimensional orbifolds.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from functools import cached_property
 from typing import Sequence
 
@@ -46,17 +48,17 @@ def character_indices(order: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, order) if math.gcd(j, order) == 1)
 
 
-def character_rows(c: CyclicClass, G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """The normalizer of the cyclic class c of G acting on its injective
-    characters: one row per normalizer element n, in the order of
-    ``c.normalizer_indices``, on the positions of character_indices(m), n sending
-    j to j*a mod m.  Each a is read off the exponent row, checked to be a unit as
-    conjugation_exponent checks it, and against one walk of g's conjugates
-    (n^-1 g n = g^a), so n -> a is a homomorphism N -> (Z/m)^x and the rows are an
-    action.  A central class is checked at G's generators, each with a = 1 and commuting
-    with g; its rows are G's trivial action.  They are checked once, and kept on the class."""
-    if c._character_rows is not None:
-        return c._character_rows
+def conjugation_kernel(c: CyclicClass, G: FiniteGroup) -> tuple[Sequence[int], int]:
+    """(C, r) for the cyclic class c = <g> of G of order m: C, the positions in
+    ``c.normalizer_indices`` of the centralizer of g, the kernel of the conjugation
+    character n -> a (n^-1 g n = g^a) on the normalizer N, and r = phi(m) / [N : C], the
+    orbits of N on the injective characters, on which N/C acts freely.  Each a is read off
+    the exponent row, checked to be a unit as conjugation_exponent checks it, and against
+    one walk of g's conjugates, so n -> a is a homomorphism; its distinct values number
+    [N : C], which divides phi(m).  A central class is checked at G's generators, each with
+    a = 1 and commuting with g: C = N = G.  Checked once, and kept on the class."""
+    if c._kernel is not None:
+        return c._kernel
     N, m = c.normalizer_indices, c.order
     at = [G.index[s] for s in G.generators] if c.central else N
     exps = list(map(c.exponent_row.__getitem__, at))
@@ -71,23 +73,26 @@ def character_rows(c: CyclicClass, G: FiniteGroup) -> tuple[tuple[int, ...], ...
         ok = all(conj[i] == pw[a % m] for i, a in zip(N, exps))
     check("decomp.conjugation_character", ok,
           "recorded exponents of the class of order {} are not its conjugation character", m)
-    indices = character_indices(m)
-    pos = {j: i for i, j in enumerate(indices)}
-    row_of = {a: tuple(pos[j * a % m] for j in indices) for a in set(exps)}
-    rows = G.trivial_action(len(indices)) if c.central else tuple(map(row_of.__getitem__, exps))
-    object.__setattr__(c, "_character_rows", rows)
-    return rows
+    everywhere, fixing = range(len(N)), map((1).__eq__, exps)
+    # as 4-byte machine integers: an int object each would cost ten times as much
+    C = everywhere if c.central else array("I", itertools.compress(everywhere, fixing))
+    index, phi = len(set(exps) | {1}), len(character_indices(m))
+    check("decomp.kernel_index", index * len(C) == len(N) and phi % index == 0,
+          "the class of order {} has {} distinct exponents, not [N : C] = {}/{} dividing "
+          "phi(m) = {}", m, index, len(N), len(C), phi)
+    object.__setattr__(c, "_kernel", (C, phi // index))
+    return c._kernel
 
 
 @record
 class CyclotomicInertiaComponent:
     """One component of the cyclotomic inertia of a model: a cyclic class,
-    its fixed-point model carrying the normalizer action, and the action of
-    the normalizer on the character set s(c), as character_rows gives it."""
+    its fixed-point model carrying the normalizer action, and the number of
+    orbits of the normalizer on the character set s(c), as conjugation_kernel gives it."""
 
     cyclic: CyclicClass
     fixed_model: EquivariantModel
-    chars: tuple[tuple[int, ...], ...]
+    chars: int
 
 
 @record
@@ -109,12 +114,12 @@ def _require_group_model(X: EquivariantModel) -> None:
 def cyclotomic_inertia(X: EquivariantModel, p: int = 0
                        ) -> tuple[CyclotomicInertiaComponent, ...]:
     """One component per conjugacy class of cyclic subgroups of order prime
-    to p: the fixed model with its normalizer action and the character set."""
+    to p: the fixed model with its normalizer action and the character orbits."""
     _require_group_model(X)
     out = []
     for c in cyclic_subgroup_classes(X.group, p):
         fixed = EquivariantModel._from_rows(c.normalizer, *X.locus(c))
-        out.append(CyclotomicInertiaComponent(c, fixed, character_rows(c, X.group)))
+        out.append(CyclotomicInertiaComponent(c, fixed, conjugation_kernel(c, X.group)[1]))
     return tuple(out)
 
 
@@ -158,18 +163,19 @@ def quotient_motive(X: EquivariantModel) -> Motive:
     return Motive.of((UNIT, d, r) for d, r in _orbit_ranks(X).items())
 
 
-def _orbit_ranks(model: EquivariantModel, chars: Sequence | None = None,
-                 parent: EquivariantModel | None = None) -> dict[int, int]:
-    """Per cell dimension, the orbits on the cells or, given character rows, on the
-    pairs (cell, character position), counted on the model's own rows; on a parent's
-    rows, with characters every element fixes (a central class's), closed under the
-    parent group's generators and checked against its stab, once per character."""
-    rows, gens, stab, k = model.element_actions, None, None, 1
-    if parent is not None and rows is parent.element_actions:
-        G, k = parent.group, len(chars[0]) if chars else 1
-        gens, stab, chars = [rows[G.index[s]] for s in G.generators], parent.stab, None
-    return {d: k * _count_orbits(rows, cells, chars, gens, stab)
-            for d, cells in model.cells_of_dim().items()}
+def _orbit_ranks(model: EquivariantModel, parent: EquivariantModel | None = None,
+                 at: Sequence[int] | None = None) -> dict[int, int]:
+    """Per cell dimension, the orbits on the cells of the model's group or, given the
+    positions ``at`` of a subgroup's elements, of that subgroup, counted on the model's
+    own rows; on all of a parent's rows, closed under the parent group's generators
+    and checked against its stab."""
+    rows, gens, stab = model.element_actions, None, None
+    if at is not None and len(at) < len(rows):
+        rows = tuple(map(rows.__getitem__, at))
+    elif parent is not None and rows is parent.element_actions:
+        G = parent.group
+        gens, stab = [rows[G.index[s]] for s in G.generators], parent.stab
+    return {d: _count_orbits(rows, cells, gens, stab) for d, cells in model.cells_of_dim().items()}
 
 
 @record
@@ -197,10 +203,13 @@ class InertialMotive:
 
 def inertial_quotient_motive(X: EquivariantModel, p: int = 0) -> InertialMotive:
     """The character-refined motive: sum over cyclotomic inertia components
-    of the normalizer-invariants of (fixed cells) x (injective characters)."""
+    of the normalizer-invariants of (fixed cells) x (injective characters).
+    N/C acts freely on the characters, C the centralizer, so each summand is
+    r = phi(m) / [N : C] copies of the C-orbits on the fixed cells."""
     contribs = []
     for comp in cyclotomic_inertia(X, p):
-        ranks = _orbit_ranks(comp.fixed_model, comp.chars, X if comp.cyclic.central else None)
+        C = comp.cyclic._kernel[0]  # the centralizer's positions, kept by cyclotomic_inertia
+        ranks = {d: comp.chars * n for d, n in _orbit_ranks(comp.fixed_model, X, C).items()}
         mot = Motive.of([(UNIT, d, r) for d, r in ranks.items()])
         contribs.append(ComponentContribution(comp, tuple(sorted(ranks.items())), mot))
     total = Motive.of(t for cc in contribs for t in cc.motive.terms)
@@ -212,7 +221,7 @@ def inertia_ranks_by_twist(X: EquivariantModel, p: int = 0) -> dict[int, int]:
     independent second route to the refined ranks."""
     out: dict[int, int] = {}
     for comp in inertia(X, p):
-        for d, r in _orbit_ranks(comp.fixed_model, None, X).items():
+        for d, r in _orbit_ranks(comp.fixed_model, X).items():
             out[d] = out.get(d, 0) + r
     return {d: r for d, r in out.items() if r}
 
@@ -237,7 +246,7 @@ def _bh_rank(H: FiniteGroup, p: int) -> int:
     rank = sum(1 for cls in conjugacy_classes(H)
                if p == 0 or cls.order % p != 0)
     # independent route: orbits of each normalizer on the injective characters
-    via_chars = sum(_count_orbits(character_rows(c, H)) for c in cyclic_subgroup_classes(H, p))
+    via_chars = sum(conjugation_kernel(c, H)[1] for c in cyclic_subgroup_classes(H, p))
     check("decomp.bh_rank_vs_chars", via_chars == rank,
           "class count {} and character-orbit count {} disagree", rank, via_chars)
     return rank

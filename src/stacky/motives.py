@@ -340,7 +340,7 @@ class EquivariantModel:
             fixed = tuple(p for p, q in enumerate(rows[self.group.index[c.generator]]) if p == q)
             return (0,) * len(fixed), rows if len(N) == len(rows) else tuple(
                 map(rows.__getitem__, N)), fixed
-        none = self.group.trivial_action(0) if len(N) == len(rows) else ((),) * len(N)
+        none = self.group._empty_action if len(N) == len(rows) else ((),) * len(N)
         dims, rows = self.locus_actions.get(frozenset(c.subgroup_elements), ((), none))
         return dims, rows, range(len(dims))
 

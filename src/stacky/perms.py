@@ -12,7 +12,7 @@ import bisect
 import itertools
 import math
 from functools import cached_property
-from operator import add, eq, itemgetter
+from operator import add, itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ._record import field, record
@@ -175,7 +175,6 @@ class FiniteGroup(_ElementList):
         self._discovery = tuple(words)  # identity first
         self._right_rows = right_rows
         self._table_parts: tuple | None = None  # set by chars.character_table; no group in it
-        self._trivial_rows: dict[int, Rows] = {}  # by width
 
     def __iter__(self):
         return iter(self.elements)
@@ -194,11 +193,10 @@ class FiniteGroup(_ElementList):
         gens = [g.images for g in self.generators]
         return all(_compose(a, b) == _compose(b, a) for a in gens for b in gens)
 
-    def trivial_action(self, width: int) -> Rows:
-        """The identity row on ``width`` points for every element, one tuple per width."""
-        if width not in self._trivial_rows:
-            self._trivial_rows[width] = (tuple(range(width)),) * self.order
-        return self._trivial_rows[width]
+    @cached_property
+    def _empty_action(self) -> Rows:
+        """The action on no cells, an empty row for every element, kept once per group."""
+        return ((),) * self.order
 
     @cached_property
     def _conjugation_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -324,8 +322,9 @@ class CyclicClass:
     group's element indices: the normalizer N's, in order, and a row over all
     holding the unit a (mod the order) with n^-1 g n = g^a at n in N, 0 elsewhere.
     ``central`` records that g commutes with every generator, so N is G and every a
-    is 1.  N as a Subgroup is built on first read.  decomp.character_rows keeps N's
-    action on the injective characters with it, on first use (None until then)."""
+    is 1.  N as a Subgroup is built on first read.  decomp.conjugation_kernel keeps
+    the centralizer's positions in N and the number of N's orbits on the injective
+    characters with it, on first use (None until then)."""
 
     generator: Perm
     order: int
@@ -334,7 +333,7 @@ class CyclicClass:
     exponent_row: tuple[int, ...] = field(repr=False, compare=False)
     group_elements: tuple[Perm, ...] = field(repr=False, compare=False)
     central: bool = field(default=False, compare=False)
-    _character_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _centralizers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
@@ -498,21 +497,16 @@ def conjugation_exponent(n: Perm, c: CyclicClass) -> int:
 
 
 def _count_orbits(rows: Sequence[Sequence[int]], cells: Sequence[int] | None = None,
-                  chars: Sequence[Sequence[int]] | None = None, gens: Rows | None = None,
-                  stab: Sequence[int] | None = None) -> int:
+                  gens: Rows | None = None, stab: Sequence[int] | None = None) -> int:
     """The number of orbits of a group, given as one image row per element, on
-    ``cells`` (cells the rows preserve; all by default) or, given one character row
-    per element, on the pairs (cell, character position), checked by the Burnside
+    ``cells`` (cells the rows preserve; all by default), checked by the Burnside
     average.  The rows must be an action checked where it was built, one row for every
     element: then a cell's column, its image under every row, is its whole orbit.  An
-    unseen cell, or pair (the column zipped with the character's), starts an orbit and
-    marks it seen; the column's entries equal to the cell, weighted by the characters
-    their rows fix, add to Burnside's total.  Given the generators' rows ``gens`` and
+    unseen cell starts an orbit and marks its column seen; the column's entries equal
+    to the cell add to Burnside's total.  Given the generators' rows ``gens`` and
     ``stab``, each cell's number of fixing rows, the orbits are closed under ``gens``
     and Burnside's total is stab summed over them: neither reads ``rows``."""
     cells = range(len(rows[0])) if cells is None else cells
-    if chars is not None and len(chars[0]) == 1:
-        chars = None  # a single character: the pairs are the cells
     seen, orbits, fixed = set(), 0, 0
     if gens is not None:
         for x in cells:
@@ -520,23 +514,13 @@ def _count_orbits(rows: Sequence[Sequence[int]], cells: Sequence[int] | None = N
                 orbits += 1
                 seen.update(orbit([x], gens, lambda y, row: row[y]))
         fixed = sum(map(stab.__getitem__, cells))
-    elif chars is None:
+    else:
         for x in cells:
             column = tuple(map(itemgetter(x), rows))
             if x not in seen:
                 orbits += 1
                 seen.update(column)
             fixed += column.count(x)
-    else:
-        characters = list(zip(*chars))
-        weights = [sum(map(eq, row, range(len(row)))) for row in chars]
-        for x in cells:
-            column = tuple(map(itemgetter(x), rows))
-            for j, character in enumerate(characters):
-                if (x, j) not in seen:
-                    orbits += 1
-                    seen.update(zip(column, character))
-            fixed += sum(itertools.compress(weights, map(eq, column, itertools.repeat(x))))
     check("perms.burnside", fixed == orbits * len(rows),
           "Burnside average {}/{} disagrees with orbit count {}", fixed, len(rows), orbits)
     return orbits

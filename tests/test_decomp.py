@@ -17,7 +17,7 @@ from stacky.decomp import (
     GerbeDatum,
     bh_motive,
     character_indices,
-    character_rows,
+    conjugation_kernel,
     cyclotomic_inertia,
     gerbe_motive,
     gerbe_rset,
@@ -42,7 +42,7 @@ from stacky.perms import (
     trivial_group,
 )
 from stacky.verify import check_inertia_dimension
-from test_kernel_reference import pairs_model
+from test_kernel_reference import pairs_model, reference_exponents
 
 ROOT = Path(__file__).resolve().parent.parent
 NONCANONICAL_DOC = ROOT / "tests" / "golden" / "cli_docs" / "s4_cells_noncanonical.json"
@@ -61,7 +61,8 @@ def test_cyclotomic_inertia_s3_natural():
     comps = cyclotomic_inertia(s3_on_points(), 0)
     assert [c.cyclic.order for c in comps] == [1, 2, 3]
     assert [c.fixed_model.size for c in comps] == [3, 1, 0]
-    assert [len(c.chars[0]) for c in comps] == [1, 1, 2]
+    # the transpositions swap the two injective characters of the 3-cycles
+    assert [c.chars for c in comps] == [1, 1, 1]
 
 
 def test_cyclotomic_inertia_trivial_group():
@@ -339,15 +340,17 @@ def test_refined_inertia_refuses_a_components_fixed_model(order, coarse):
     assert {t: m for _, t, m in coarse.terms} == oracles.quotient_ranks(Y)
 
 
-def test_character_rows_action():
-    # a transposition has a = 2, so it swaps the positions of the indices 1, 2
+def test_conjugation_kernel_of_the_3_cycles():
+    # a transposition has a = 2, so the centralizer is the 3-cycles' own subgroup,
+    # of index 2 in N = S3, and the phi(3) = 2 characters j = 1, 2 form one orbit
     S3 = symmetric_group(3)
     c3 = next(c for c in cyclic_subgroup_classes(S3, 0) if c.order == 3)
     assert character_indices(c3.order) == (1, 2)
-    rows = dict(zip(c3.normalizer.elements, character_rows(c3, S3)))
-    swap = next(n for n in c3.normalizer.elements if n.order() == 2)
-    assert rows[swap][0] == 1 and rows[swap][1] == 0
-    assert rows[S3.identity][0] == 0
+    C, r = conjugation_kernel(c3, S3)
+    exponents = reference_exponents(S3, c3)
+    assert [c3.normalizer.elements[k] for k in C] == [n for n, a in exponents.items() if a == 1]
+    assert [n.order() for n in exponents] == [1, 2, 2, 3, 3, 2]
+    assert (len(C), r) == (3, 1)
 
 
 def test_declared_locus_with_nontrivial_normalizer_action():
@@ -575,19 +578,19 @@ def test_central_classes_walk_no_conjugates_on_either_route(monkeypatch):
     assert inertial_quotient_motive(X).ranks_by_twist() == inertia_ranks_by_twist(X) == {0: 1024}
     assert all(c.central for c in cyclic_subgroup_classes(G))
     assert walked == []
-    # nothing |G|-long per class: every component holds X's own rows, and the
-    # character rows are one tuple for the group
+    # nothing |G|-long per class: every component holds X's own rows, and each
+    # class's centralizer is all of G as a range
     comps = cyclotomic_inertia(X)
     assert all(comp.fixed_model.element_actions is X.element_actions
                for comp in comps + inertia(X))
-    assert len({id(comp.chars) for comp in comps}) == 1
+    assert all(conjugation_kernel(comp.cyclic, G) == (range(G.order), 1) for comp in comps)
     # a cell model that declares no locus shares one empty row tuple likewise
     Y = EquivariantModel(G, (0,) * 16, gens, kind="cells")
     assert len({id(Y.locus(c)[1]) for c in cyclic_subgroup_classes(G)[1:]}) == 1
 
 
 def test_character_check_walks_each_class_once(monkeypatch):
-    # the checked character rows are kept on the class, so no later model,
+    # the checked kernel and character orbits are kept on the class, so no later model,
     # characteristic or bh_motive call walks its generator's conjugates again
     S5 = symmetric_group(5)
     X = EquivariantModel.hset(S5, 5, S5.generators)
@@ -603,19 +606,14 @@ def test_character_check_walks_each_class_once(monkeypatch):
     assert sorted(walked) == sorted(S5.index[c.generator] for c in classes if c.order > 1)
 
 
-def test_inertia_dimension_second_route_ignores_the_exponents(monkeypatch):
+def test_inertia_dimension_second_route_ignores_the_exponents():
     # a wrong exponent table that got past the characters' own check changes
     # the character route only, so the element-class route must catch it
     S3 = symmetric_group(3)
-    real = stacky.decomp.character_rows
-
-    def all_ones(c, G):
-        # every exponent a = 1: each row is the identity on the positions
-        if c.order != 3:
-            return real(c, G)
-        return ((0, 1),) * c.normalizer.order
-
-    monkeypatch.setattr(stacky.decomp, "character_rows", all_ones)
+    c3 = next(c for c in cyclic_subgroup_classes(S3, 0) if c.order == 3)
+    # every exponent a = 1, as kept on the class: the centralizer is all of N,
+    # and it fixes both characters
+    object.__setattr__(c3, "_kernel", (range(c3.normalizer.order), 2))
     report = check_inertia_dimension(EquivariantModel.point(S3))
     assert not report.passed
     assert (report.lhs, report.rhs) == ('{"0":4}', '{"0":3}')

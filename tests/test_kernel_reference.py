@@ -1,9 +1,9 @@
 """Tabulated orbit counting, integer matrix products and index-based classes
 against the old kernels.
 
-Orbits are counted on tabulated image rows, one per element; the callers
+Orbits are counted on tabulated image rows, one per element; the caller
 (``decomp._orbit_ranks`` for the coarse, the refined and the element-indexed
-ranks, and ``decomp._bh_rank``) hand over rows checked where they were built.
+ranks) hands over rows checked where they were built.
 ``mat_mul`` multiplies integer numerators over a common denominator.
 Conjugacy classes and cyclic subgroup classes close element indices under one
 conjugation row per generator, call ``powers`` once per cyclic subgroup and
@@ -68,11 +68,16 @@ with the group's elements; the references' ``Perm``-keyed dicts are read as
 rows before they are compared.
 
 ``_orbit_ranks`` counts each dimension's orbits on the model's own rows, on
-the cells of that dimension or on the pairs (cell, character position),
-walked in place.  Its reference is the construction it replaces: the rows
-restricted to the dimension's cells, each by ``tuple.index``, then one row per
-element on the points i*k + j of the pairs, their orbits found by the flood fill
-``oracles.orbits``.  ``_count_orbits`` builds one column per counted cell,
+the cells of that dimension, walked in place, of the model's group or of a
+centralizer C at its positions among the rows.  The refined route counts
+r = phi(m) / [N : C] times the C-orbits on each class's fixed cells, with C and
+r from ``decomp.conjugation_kernel``; the BH rank sums the r.  Their reference
+is the definitional count they replace, on pairs (cell, character position):
+the rows restricted to the dimension's cells, each by ``tuple.index``, then one
+row per normalizer element on the points i*k + j of the pairs, from reference
+exponents, their orbits found by the flood fill ``oracles.orbits``; C and r are
+read off ``reference_exponents`` and that pair count on the characters alone.
+``_count_orbits`` builds one column per counted cell,
 counted through the getters it makes, and marks one image set seen per orbit;
 on the generators' route it reads no row.  A point
 model's fixed locus is the model's own rows on the points its class fixes; the
@@ -117,11 +122,12 @@ from stacky.decomp import (
     _bh_rank,
     _orbit_ranks,
     character_indices,
-    character_rows,
+    conjugation_kernel,
     cyclotomic_inertia,
     gerbe_rset,
     inertia,
     inertia_ranks_by_twist,
+    inertial_quotient_motive,
     product_with_point_model,
     quotient_motive,
 )
@@ -205,9 +211,17 @@ def reference_char_act(c):
     return lambda n, pos: rows[n][pos]
 
 
+def reference_kernel(G, c):
+    """The positions in N of the elements with reference exponent 1, and the
+    orbits of N on the injective characters, by reference_orbit_count."""
+    C = tuple(k for k, a in enumerate(reference_exponents(G, c).values()) if a == 1)
+    k = len(character_indices(c.order))
+    return C, reference_orbit_count(c.normalizer.elements, reference_char_act(c), k)
+
+
 def reference_component_ranks(comp) -> dict[int, int]:
     model = comp.fixed_model
-    k = len(comp.chars[0])
+    k = len(character_indices(comp.cyclic.order))
     act_char = reference_char_act(comp.cyclic)
     out = {}
     for d, cells in sorted(model.cells_of_dim().items()):
@@ -350,9 +364,8 @@ def test_orbit_counts_match_the_reference(index):
         coarse = quotient_motive(X)
         assert {t: m for _, t, m in coarse.terms} == oracles.quotient_ranks(X)
         for p in (0, 2, 3):
-            for comp in cyclotomic_inertia(X, p):
-                ranks = _orbit_ranks(comp.fixed_model, comp.chars)
-                assert ranks == reference_component_ranks(comp)
+            for cc in inertial_quotient_motive(X, p).components:
+                assert dict(cc.ranks) == reference_component_ranks(cc.component)
             assert inertia_ranks_by_twist(X, p) == reference_inertia_ranks(X, p)
 
 
@@ -361,16 +374,10 @@ def test_character_actions_match_the_reference(index):
     degree, gens = CASES[index]
     G = generate_group(degree, [Perm(g) for g in gens])
     for p in (0, 2, 3):
-        via_chars = 0
-        for c in cyclic_subgroup_classes(G, p):
-            rows = character_rows(c, G)
-            ref = reference_char_act(c)
-            elems, k = c.normalizer.elements, len(rows[0])
-            assert all(row[i] == ref(n, i) for n, row in zip(elems, rows) for i in range(k))
-            count = reference_orbit_count(elems, ref, k)
-            assert _count_orbits(rows) == count
-            via_chars += count
-        assert _bh_rank(G, p) == via_chars == sum(
+        classes = cyclic_subgroup_classes(G, p)
+        kernels = [conjugation_kernel(c, G) for c in classes]
+        assert [(tuple(C), r) for C, r in kernels] == [reference_kernel(G, c) for c in classes]
+        assert _bh_rank(G, p) == sum(r for _, r in kernels) == sum(
             1 for cls in conjugacy_classes(G) if p == 0 or cls.order % p != 0)
 
 
@@ -412,7 +419,8 @@ def assert_classes_match_the_reference(G):
         assert [(c.generator, c.order, c.subgroup_elements, c.normalizer.elements)
                 for c in classes] == ref
         for c in classes:
-            assert character_rows(c, G) == reference_character_rows(c)
+            C, r = conjugation_kernel(c, G)
+            assert (tuple(C), r) == reference_kernel(G, c)
     classes = conjugacy_classes(G)
     assert classes == reference_conjugacy_classes(G)
     for cls in classes:
@@ -486,7 +494,7 @@ def test_non_normalizing_element_in_a_tampered_normalizer():
     c = CyclicClass(c.generator, c.order, c.subgroup_elements, tuple(range(G.order)),
                     c.exponent_row, G.elements)
     with pytest.raises(NotInNormalizerError, match="does not normalize the subgroup"):
-        character_rows(c, G)
+        conjugation_kernel(c, G)
     with pytest.raises(ValueError, match="element is not in the cyclic subgroup"):
         {n: reference_conjugation_exponent(n, c) for n in c.normalizer.elements}
 
@@ -498,7 +506,7 @@ def test_non_unit_discrete_log_fails_the_gcd_check():
     c = _cyclic_class(G, 4)
     object.__setattr__(c, "exponent_row", tuple(2 if a else 0 for a in c.exponent_row))
     with pytest.raises(NotInNormalizerError, match="did not map the generator to a generator"):
-        character_rows(c, G)
+        conjugation_kernel(c, G)
 
 
 # ---------------------------------------------------------------------------
@@ -553,20 +561,26 @@ def pairs_model(n: int) -> EquivariantModel:
         Perm([pos[tuple(sorted(map(g, p)))] for p in pairs]) for g in G.generators])
 
 
+def refined_ranks(X, comp) -> dict[int, int]:
+    """A cyclotomic component's ranks as the refined route counts them: r times
+    the orbits of the centralizer, at its positions, on the fixed cells."""
+    C, r = conjugation_kernel(comp.cyclic, X.group)
+    return {d: r * n for d, n in _orbit_ranks(comp.fixed_model, X, C).items()}
+
+
 def assert_orbit_ranks_match_the_reference(X) -> None:
     # on the model's own rows, and as the inertia routes count (a central class
-    # on the parent's generators and stab)
+    # on the parent's generators and stab); the refined ranks against the pair count
     assert _orbit_ranks(X) == reference_orbit_ranks(X)
     for p in (0, 2, 3):
         for comp in cyclotomic_inertia(X, p):
-            for chars in (None, comp.chars):
-                want = reference_orbit_ranks(comp.fixed_model, chars)
-                assert _orbit_ranks(comp.fixed_model, chars) == want
-                if comp.cyclic.central:
-                    assert _orbit_ranks(comp.fixed_model, chars, X) == want
+            want = reference_orbit_ranks(comp.fixed_model)
+            assert _orbit_ranks(comp.fixed_model) == want
+            chars = reference_character_rows(comp.cyclic)
+            assert refined_ranks(X, comp) == reference_orbit_ranks(comp.fixed_model, chars)
         for comp in inertia(X, p):
             want = reference_orbit_ranks(comp.fixed_model)
-            assert _orbit_ranks(comp.fixed_model) == _orbit_ranks(comp.fixed_model, None, X) == want
+            assert _orbit_ranks(comp.fixed_model) == _orbit_ranks(comp.fixed_model, X) == want
 
 
 @pytest.mark.parametrize("n", (5, 6))
@@ -595,8 +609,9 @@ def test_orbit_ranks_on_empty_loci_match_the_reference():
         for comp in cyclotomic_inertia(X):
             if comp.fixed_model.size == 0:
                 empty += 1
-                assert _orbit_ranks(comp.fixed_model, comp.chars) == {}
-                assert reference_orbit_ranks(comp.fixed_model, comp.chars) == {}
+                assert refined_ranks(X, comp) == {}
+                chars = reference_character_rows(comp.cyclic)
+                assert reference_orbit_ranks(comp.fixed_model, chars) == {}
     assert empty == 4
 
 
@@ -632,24 +647,29 @@ def test_orbit_count_forms_one_image_set_per_orbit(monkeypatch):
     assert marked == [set(range(15))]
 
 
-@pytest.mark.parametrize("make,cells,orbits", [
-    # the class of <(0 1 2)> on S6's pairs, on the three of 15 pairs it fixes
-    (lambda: pairs_model(6), 3, 1),
+@pytest.mark.parametrize("make,cells,orbits,pairs", [
+    # the class of <(0 1 2)> on S6's pairs, on the three of 15 pairs it fixes:
+    # its centralizer C3 x S3 has index 2 in N, which swaps the two characters
+    (lambda: pairs_model(6), 3, 1, 1),
     # C3 on the orbifold curve's cells: both fixed cells keep both characters
-    (lambda: load_document(str(CELL_DOCS[1])).model, 2, 4),
+    (lambda: load_document(str(CELL_DOCS[1])).model, 2, 2, 4),
 ], ids=["S6-pairs", "curve_0_33"])
 def test_refined_orbit_count_builds_one_column_per_fixed_cell(
-        monkeypatch, make, cells, orbits):
-    # phi(3) = 2 characters, so the search runs on (cell, character) pairs; no
-    # column is built for a cell the class does not fix
-    comp = next(comp for comp in cyclotomic_inertia(make()) if comp.cyclic.order == 3)
+        monkeypatch, make, cells, orbits, pairs):
+    # phi(3) = 2 characters in r orbits of N, so the pair count is r times the
+    # orbits of the centralizer C, counted on its rows; no column is built for a
+    # cell the class does not fix
+    parent = make()
+    comp = next(comp for comp in cyclotomic_inertia(parent) if comp.cyclic.order == 3)
     X = comp.fixed_model
-    assert X.size == cells and len(comp.chars[0]) == 2
-    assert reference_orbit_ranks(X, comp.chars) == {0: orbits}
+    C, r = conjugation_kernel(comp.cyclic, parent.group)
+    assert X.size == cells and comp.chars == r == pairs // orbits
+    assert reference_orbit_ranks(X, reference_character_rows(comp.cyclic)) == {0: pairs}
+    rows = tuple(map(X.element_actions.__getitem__, C))
     made, marked = _counting_columns(monkeypatch)
-    assert _count_orbits(X.element_actions, X.cells, comp.chars) == orbits
+    assert _count_orbits(rows, X.cells) == orbits
     assert made == list(X.cells)
-    assert len(marked) == orbits and sum(map(len, marked)) == 2 * cells
+    assert len(marked) == orbits and sum(map(len, marked)) == cells
 
 
 class _LengthOnly:
@@ -669,7 +689,7 @@ def test_generators_route_reads_no_row(k):
     G = generate_group(2 * k, [Perm.from_cycles(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)])
     X = EquivariantModel.hset(G, 2 * k, G.generators)
     gens = [X.element_actions[G.index[s]] for s in G.generators]
-    assert _count_orbits(_LengthOnly(G.order), X.cells, None, gens, X.stab) == k
+    assert _count_orbits(_LengthOnly(G.order), X.cells, gens, X.stab) == k
 
 
 def reference_restrict_rows(rows, cells):

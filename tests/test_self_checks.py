@@ -313,6 +313,13 @@ CASES: dict[str, Case] = {
         lambda: bh_motive(symmetric_group(3)),
         "recorded exponents of the class of order 3 are not its conjugation character",
         ("motive", "bh"), SAMPLES / "s3_quotient.json"),
+    "decomp.kernel_index": Case(
+        # one injective character of C3 where there are two: the transpositions'
+        # exponent 2 gives [N : C] = 2, which does not divide it
+        lambda mp: wrap(mp, decomp, "character_indices", lambda js, m: js[:1]),
+        lambda: bh_motive(symmetric_group(3)),
+        "the class of order 3 has 2 distinct exponents, not [N : C] = 6/3 dividing phi(m) = 1",
+        ("motive", "bh"), SAMPLES / "s3_quotient.json"),
     "decomp.table_rank": Case(
         lambda mp: wrap(mp, decomp, "character_table", without_last_row),
         lambda: bh_motive(symmetric_group(3)),
@@ -382,8 +389,8 @@ def test_a_passing_check_builds_no_message():
 
 
 # The orbit counts walk the model's rows in place: on a proper subset of the
-# cells, and on (cell, character) pairs, whose fixed count per element is the
-# product of its fixed cells and fixed characters.  Burnside fires on both.
+# cells, and on the rows of a class's centralizer, at its positions among the
+# normalizer's.  Burnside fires on both.
 
 def assert_burnside_fires(call, message: str) -> None:
     with pytest.raises(InternalError) as exc:
@@ -392,21 +399,22 @@ def assert_burnside_fires(call, message: str) -> None:
     assert str(exc.value) == f"internal error: {message}"
 
 
-def test_burnside_fires_through_the_pair_path(monkeypatch):
-    # S3 on a point: one transposition's character row is made the identity,
-    # so it fixes both injective characters of the 3-cycles (8 fixed pairs, not 6)
-    real = decomp.character_rows
+def test_burnside_fires_through_a_dropped_centralizer_row(monkeypatch):
+    # S4 on its 4 points: the first class that is not central, of (2 3), fixes 0
+    # and 1, which its centralizer <(0 1), (2 3)> swaps; without the identity's
+    # row the 3 rows left fix 2 points, not 3
+    real = decomp.conjugation_kernel
 
-    def tampered(c, G):
-        rows = real(c, G)
-        if c.order != 3:
-            return rows
-        i = next(i for i, row in enumerate(rows) if row != (0, 1))
-        return rows[:i] + ((0, 1),) + rows[i + 1:]
+    def dropped(c, G):
+        C, r = real(c, G)
+        if not c.central:  # kept on the class, where the refined count reads it
+            object.__setattr__(c, "_kernel", (C[1:], r))
+        return c._kernel
 
-    monkeypatch.setattr(decomp, "character_rows", tampered)
-    assert_burnside_fires(lambda: inertial_quotient_motive(EquivariantModel.point(
-        symmetric_group(3))), "Burnside average 8/6 disagrees with orbit count 1")
+    monkeypatch.setattr(decomp, "conjugation_kernel", dropped)
+    S4 = symmetric_group(4)
+    assert_burnside_fires(lambda: inertial_quotient_motive(EquivariantModel.hset(
+        S4, 4, S4.generators)), "Burnside average 2/3 disagrees with orbit count 1")
 
 
 def test_burnside_fires_through_a_proper_subset_of_cells(monkeypatch):
@@ -423,8 +431,8 @@ def test_burnside_fires_through_a_proper_subset_of_cells(monkeypatch):
 
 
 # A central class's counts close the orbits under the group's generators and
-# take Burnside's total from the model's stab; its character rows are checked on
-# the generators.  Both checks fire on that branch too, under the same names.
+# take Burnside's total from the model's stab; its conjugation character is
+# checked on the generators.  Both checks fire on that branch too, under the same names.
 
 def _c2_squared_points() -> EquivariantModel:
     G = dihedral_group(2)  # C2 x C2 on 4 points, generated by (0 1) and (2 3)
@@ -443,8 +451,8 @@ def test_burnside_fires_through_a_dropped_generator_row(monkeypatch):
     # without (2 3) the trivial class's walk finds 3 orbits where there are 2
     real = decomp._count_orbits
 
-    def dropped(rows, cells=None, chars=None, gens=None, stab=None):
-        return real(rows, cells, chars, gens and gens[:-1], stab)
+    def dropped(rows, cells=None, gens=None, stab=None):
+        return real(rows, cells, gens and gens[:-1], stab)
 
     monkeypatch.setattr(decomp, "_count_orbits", dropped)
     assert_burnside_fires(lambda: inertial_quotient_motive(_c2_squared_points()),
@@ -475,5 +483,5 @@ def test_conjugation_character_fires_on_a_central_exponent_other_than_1():
     c = decomp.cyclic_subgroup_classes(G)[-1]
     object.__setattr__(c, "exponent_row", (2,) * 3)
     with pytest.raises(InternalError) as exc:
-        decomp.character_rows(c, G)
+        decomp.conjugation_kernel(c, G)
     assert exc.value.name == "decomp.conjugation_character"

@@ -115,10 +115,10 @@ def test_every_imported_name_is_used():
 def test_the_element_route_reads_no_exponent_or_character_row():
     # inertia and inertia_ranks_by_twist are the second route to the refined
     # ranks: neither they nor a decomp function they call reads the recorded
-    # conjugation exponents or the character rows built from them
+    # conjugation exponents or the kernel and character orbits read off them
     tree = ast.parse((SOURCE / "decomp.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    forbidden = {"exponent_row", "character_rows", "_character_rows"}
+    forbidden = {"exponent_row", "conjugation_kernel", "_kernel"}
     reached, todo, found = set(), ["inertia", "inertia_ranks_by_twist"], []
     while todo:
         name = todo.pop()

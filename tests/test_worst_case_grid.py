@@ -6,10 +6,12 @@ disjoint transpositions on 20 points; S3 x C2^3 adds a non-abelian factor.  The
 class count and every normalizer order are checked against a scan of the whole
 group (tests/oracles.py), whose elements are built as the direct product.  On
 its point model, C2^k's refined motive has a closed form, k 2^(k-1) in twist 0,
-checked at k = 8 and, through all three inertia commands, at k = 10.  D4, Q8 and
-S3 x C2^3 have proper nontrivial centers, so their central and non-central
-classes take different routes; their refined ranks are compared with the
-brute-force oracles.refined_ranks.
+checked at k = 8 and, through all three inertia commands, at k = 10.  D4, Q8,
+Q8 x C2^2 and S3 x C2^3 have proper nontrivial centers, so their central and
+non-central classes take different routes; their refined ranks are compared with
+the brute-force oracles.refined_ranks.  Q8 x C2^k has normal cyclic subgroups
+that are not central, 384 of its 640 classes at k = 7, each counted on its
+centralizer's rows; there the two inertia routes must agree.
 """
 
 from __future__ import annotations
@@ -147,9 +149,20 @@ def test_c2_10_point_model_through_the_three_inertia_commands(tmp_path):
     assert report["pass"] and report["lhs"] == report["rhs"] == '{"0":10240}'
 
 
+Q8 = [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]]
+
+
+def _q8_c2_power(k: int) -> tuple[int, list[list[int]]]:
+    """Q8 x C2^k on 8 + 2k points: Q8's two generators, then k transpositions."""
+    degree = 8 + 2 * k
+    return degree, ([q + list(range(8, degree)) for q in Q8]
+                    + [_swap(degree, 8 + 2 * i) for i in range(k)])
+
+
 CENTERED = {
     "D4": (4, [[1, 2, 3, 0], [0, 3, 2, 1]]),
-    "Q8": (8, [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]]),
+    "Q8": (8, Q8),
+    "Q8xC2^2": _q8_c2_power(2),
     "S3xC2^3": GRID["S3xC2^3"][:2],
 }
 
@@ -173,3 +186,18 @@ def test_refined_ranks_with_a_nontrivial_center_match_the_oracle(tmp_path, name,
     assert summed == ranks
     (report,) = dims["reports"]
     assert report["pass"] and json.loads(report["lhs"]) == json.loads(report["rhs"]) == ranks
+
+
+def test_q8_c2_7_point_model_routes_agree(tmp_path):
+    # 640 classes of cyclic subgroups, 384 of them normal but not central: the
+    # refined route counts each on its centralizer, of index 2, and the element
+    # route on each element class's centralizer; both give the same ranks
+    degree, gens = _q8_c2_power(7)
+    doc = {"group": {"degree": degree, "generators": gens},
+           "model": {"hset": {"size": degree, "generatorImages": gens}}}
+    quotient, dims = _run_json(doc, tmp_path / "q8_c2_7_points.json",
+                               (["motive", "quotient"], ["verify", "--check", "inertia-dim"]))
+    assert len(quotient["components"]) == 640
+    assert quotient["poincare"] == "2368"
+    (report,) = dims["reports"]
+    assert report["pass"] and report["lhs"] == report["rhs"] == '{"0":2368}'
