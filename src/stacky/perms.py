@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import weakref
 from functools import cached_property
 from operator import add, itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
@@ -192,6 +193,12 @@ class FiniteGroup(_ElementList):
     def is_abelian(self) -> bool:
         gens = [g.images for g in self.generators]
         return all(_compose(a, b) == _compose(b, a) for a in gens for b in gens)
+
+    @cached_property
+    def _products(self) -> weakref.WeakKeyDictionary:
+        """direct_product's G x H for this G, weakly keyed by H: nothing else holds
+        a product, so it goes with whichever factor goes first."""
+        return weakref.WeakKeyDictionary()
 
     @cached_property
     def _empty_action(self) -> Rows:
@@ -578,7 +585,10 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     G's then H's.  Element i |H| + j is (g_i, h_j), whose image tuple is g_i's
     followed by h_j's shifted past G's points, so the index order is the sorted
     order; every table is read off the factors' by index arithmetic, and the
-    closure runs on indices, giving generate_group's words in its discovery order."""
+    closure runs on indices, giving generate_group's words in its discovery order.
+    The product is kept on G, weakly keyed by H, and returned again while both live."""
+    if (kept := G._products.get(H)) is not None:
+        return kept
     degree, nG, nH = G.degree + H.degree, G.order, H.order
     if degree > DEGREE_CAP:
         raise GroupTooLargeError(f"degree {degree} exceeds cap {DEGREE_CAP}")
@@ -615,6 +625,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
             pw = tuple(map(add, map(nH.__mul__, a * (m // len(a))), b * (m // len(b))))
             subs.update((y, pw) for u, y in enumerate(pw) if math.gcd(u, m) == 1)
     GH.__dict__["_cyclic_subgroups"] = subs
+    G._products[H] = GH
     return GH
 
 

@@ -142,12 +142,20 @@ def check_degree_splitting(f: Sequence[int], n: int, k: int, m: int) -> Verifica
 # ---------------------------------------------------------------------------
 # Randomized suite.
 
-def _group_pool() -> list[tuple[str, Callable[[], FiniteGroup]]]:
-    pool = [(f"C{n}", partial(cyclic_group, n)) for n in range(1, 13)]
-    pool += [(f"D{n}", partial(dihedral_group, n)) for n in range(2, 7)]
-    pool += [("S3", partial(symmetric_group, 3)), ("S4", partial(symmetric_group, 4)),
-             ("A4", partial(alternating_group, 4)), ("Q8", quaternion_group)]
-    return pool
+# (name, builder) pairs: each group is built on its first draw, by _built, and kept
+# with all it caches for the rest of the process, one group per builder, so the two
+# S3 builders give two groups; nothing is built at import
+_POOL = (*[(f"C{n}", partial(cyclic_group, n)) for n in range(1, 13)],
+         *[(f"D{n}", partial(dihedral_group, n)) for n in range(2, 7)],
+         ("S3", partial(symmetric_group, 3)), ("S4", partial(symmetric_group, 4)),
+         ("A4", partial(alternating_group, 4)), ("Q8", quaternion_group))
+_SECOND_FACTORS = (("C2", partial(cyclic_group, 2)), ("C3", partial(cyclic_group, 3)),
+                   ("S3", partial(symmetric_group, 3)), ("C4", partial(cyclic_group, 4)))
+
+
+@cache
+def _built(make: Callable[[], FiniteGroup]) -> FiniteGroup:
+    return make()
 
 
 def _random_subgroup(rng: random.Random, G: FiniteGroup, max_index: int) -> list[Perm]:
@@ -206,17 +214,14 @@ def random_coset_model(rng: random.Random, G: FiniteGroup,
 
 def suite_inputs(seed: int, count: int = 100
                  ) -> Iterator[tuple[str, EquivariantModel, FiniteGroup, int]]:
-    """Deterministic stream of (label, model, second factor, characteristic)."""
+    """Deterministic stream of (label, model, second factor, characteristic).
+    Each group is built once per process (see _POOL)."""
     rng = random.Random(seed)
-    pool = _group_pool()
-    second = [("C2", partial(cyclic_group, 2)), ("C3", partial(cyclic_group, 3)),
-              ("S3", partial(symmetric_group, 3)), ("C4", partial(cyclic_group, 4))]
-    built = cache(lambda make: make())  # each drawn group is built once per call
     for i in range(count):
-        gname, make = rng.choice(pool)
-        X = random_coset_model(rng, built(make))
-        hname, make = rng.choice(second)
-        H = built(make)
+        gname, make = rng.choice(_POOL)
+        X = random_coset_model(rng, _built(make))
+        hname, make = rng.choice(_SECOND_FACTORS)
+        H = _built(make)
         p = rng.choice([0, 2, 3])
         yield f"seed={seed} input={i} group={gname} h={hname} p={p}", X, H, p
 

@@ -264,6 +264,44 @@ def test_a_group_with_its_classes_is_freed_by_reference_counting():
     assert classes[-1].normalizer.degree == 4
 
 
+def test_direct_product_is_kept_on_its_first_factor():
+    G, H = symmetric_group(3), cyclic_group(4)
+    GH = direct_product(G, H)
+    assert direct_product(G, H) is GH
+    assert direct_product(G, cyclic_group(4)) is not GH
+    assert direct_product(H, G) is not GH
+    fresh = direct_product(symmetric_group(3), cyclic_group(4))
+    assert fresh is not GH
+    for name in ("elements", "generators", "_right_rows", "_conjugation_rows",
+                 "_cyclic_subgroups"):
+        assert getattr(direct_product(G, H), name) == getattr(fresh, name), name
+
+
+@pytest.mark.parametrize("dropped", (("G",), ("H",), ("G", "H")))
+def test_a_kept_product_goes_with_either_factor(dropped):
+    # the product is kept on G, weakly keyed by H: no table outside the two
+    # factors holds it and no reference cycle keeps it, so reference counting
+    # frees it with whichever factor goes first
+    factors = {"G": dihedral_group(4), "H": symmetric_group(3)}
+    GH = direct_product(factors["G"], factors["H"])
+    cyclic_subgroup_classes(GH, 0)
+    refs = {name: weakref.ref(x) for name, x in [*factors.items(), ("GH", GH)]}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del GH
+        assert refs["GH"]() is not None
+        for name in dropped:
+            del factors[name]
+        assert [name for name, ref in refs.items() if ref() is None] == [*dropped, "GH"]
+    finally:
+        if enabled:
+            gc.enable()
+    factors.clear()
+    gc.collect()
+    assert all(ref() is None for ref in refs.values())
+
+
 def _count_calls(monkeypatch, owner, name):
     """Wrap owner.name to count its calls; returns the one-element counter."""
     calls = [0]

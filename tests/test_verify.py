@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from stacky import corresp
+from stacky import corresp, verify
 from stacky.corresp import Correspondence
-from stacky.errors import NotTotalError
+from stacky.errors import InternalError, NotTotalError
 from stacky.motives import EquivariantModel
 from stacky.perms import (
+    FiniteGroup,
     Perm,
     cyclic_group,
+    cyclic_subgroup_classes,
     dihedral_group,
     quaternion_group,
     symmetric_group,
@@ -117,6 +119,7 @@ def test_reports_are_reproducible():
 
 
 def test_suite_is_deterministic_and_passes():
+    verify._built.cache_clear()  # the first run builds its groups, the second reuses them
     first = run_suite(seed=11, count=15)
     second = run_suite(seed=11, count=15)
     assert first == second
@@ -124,6 +127,47 @@ def test_suite_is_deterministic_and_passes():
     assert len(first) == 30
     # seed appears in the digest for reproducibility
     assert "seed=11" in first[0].input_digest
+
+
+def _suite_dicts(seeds) -> list[dict]:
+    return [r.to_dict() for s in seeds for r in run_suite(s, 1)]
+
+
+def test_suite_groups_are_built_once_per_process(monkeypatch):
+    # the pool groups and the products on them are kept across run_suite
+    # calls: a second pass over the same seeds builds no group and reports
+    # the same, checks included
+    built = [0]
+    real = FiniteGroup.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting)
+    verify._built.cache_clear()
+    first = _suite_dicts(range(20))
+    cold, built[0] = built[0], 0
+    second = _suite_dicts(range(20))
+    monkeypatch.undo()
+    assert second == first and all(r["pass"] for r in first)
+    assert cold > 0 and built[0] == 0
+
+
+def test_a_tampered_public_group_does_not_reach_the_suite():
+    # the named families build a new group on every call, so a test that
+    # tampers with one leaves the suite's own S3 as it was
+    seeds = (29, 30, 35)  # each draws S3 as its model's group
+    assert all("group=S3" in next(suite_inputs(s, 1))[0] for s in seeds)
+    before = _suite_dicts(seeds)
+    S3 = symmetric_group(3)
+    assert S3 is not symmetric_group(3)
+    c3 = next(c for c in cyclic_subgroup_classes(S3, 0) if c.order == 3)
+    object.__setattr__(c3, "exponent_row", tuple(1 if a else 0 for a in c3.exponent_row))
+    with pytest.raises(InternalError):
+        check_inertia_dimension(EquivariantModel.point(S3))
+    after = _suite_dicts(seeds)
+    assert after == before and all(r["pass"] for r in after)
 
 
 def test_suite_inputs_shapes():
