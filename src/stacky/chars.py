@@ -20,12 +20,13 @@ X diag(|C|) conj(X)^T = |G| I before it is returned.
 The orthogonality check and the exact pairings run on the integer kernel of
 stacky.cyclo: a table's rows are converted once, and kept with it, to integer
 exponent vectors over zeta_e; conjugation negates exponents, and each inner
-product is reduced modulo Phi_e and divided by |G| once.  Rows stay Cyclotomic
-values.  One table is kept per group, as group-free parts stored on it.  Ring
-constants of such a verified table come mod a prime q = 1 mod e, q > 2|G|, and
-are checked by the exact pointwise identity chi_i chi_j = sum_k n_k chi_k on
-every class, and kept with the table's parts, so once per group; a table built
-by hand, or a pair that fails, takes exact pairings.
+product is reduced modulo Phi_e and divided by |G| once.  Rows hold plain
+Cyclotomic values, with no arithmetic.  One table is kept per group, as
+group-free parts stored on it.  Ring constants of such a verified table come
+mod a prime q = 1 mod e, q > 2|G|, and are checked by the exact pointwise
+identity chi_i chi_j = sum_k n_k chi_k on every class, and kept with the
+table's parts, so once per group; a table built by hand, or a pair that fails,
+takes exact pairings.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ def _table_parts(G: FiniteGroup) -> tuple:
     trivial = [i for i, (deg, row) in enumerate(decorated)
                if deg == 1 and all(v.coeffs[0] == 1 and not any(v.coeffs[1:]) for v in row)]
     check("chars.trivial_character", len(trivial) == 1, "trivial character not found exactly once")
-    # order by degree, then by the values' coefficients at conductor exp(G),
-    # the lcm of the class orders (as Cyclotomic.sort_key gives them), read
-    # off the integer kernel over one common denominator
+    # order by degree, then by the values' power-basis coefficients at
+    # conductor exp(G), the lcm of the class orders, read off the integer
+    # kernel over one common denominator
     K = _KernelRows([row for _, row in decorated])
     keys = [(deg, tuple(tuple(_reduce_exponents(v, K.conductor)) for v in vecs))
             for (deg, _), vecs in zip(decorated, K.vecs)]

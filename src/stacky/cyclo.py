@@ -1,9 +1,10 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e).
+"""Cyclotomic fields Q(zeta_e): an exact integer kernel and a value type.
 
 Values are stored in the power basis 1, zeta, ..., zeta^(phi(e)-1) of a fixed
 conductor e, reduced modulo the e-th cyclotomic polynomial.  A value of
-conductor e embeds losslessly into any conductor divisible by e; mixed-
-conductor arithmetic promotes both operands to the lcm.
+conductor e embeds losslessly into any conductor divisible by e, so values of
+different conductors are compared at the lcm.  The tables are built, checked
+and paired on the integer kernel below; a Cyclotomic only carries the result.
 """
 
 from __future__ import annotations
@@ -126,119 +127,27 @@ class Cyclotomic:
         self.conductor = conductor
         self.coeffs = cs
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q: Rational) -> "Cyclotomic":
-        return cls(1, (Fraction(q),))
-
     @classmethod
     def zeta(cls, e: int, power: int = 1) -> "Cyclotomic":
         """zeta_e ** power."""
         return cls(e, _reduce_exponents([(power, 1)], e))
 
-    # -- conductor handling --------------------------------------------------
-
-    def promoted(self, e: int) -> "Cyclotomic":
-        """The same value expressed at conductor e (self.conductor must divide e)."""
-        if e == self.conductor:
-            return self
-        if e % self.conductor != 0:
-            raise ValueError(f"cannot promote conductor {self.conductor} into {e}")
-        step = e // self.conductor
-        return Cyclotomic(e, _reduce_exponents(
-            ((i * step, c) for i, c in enumerate(self.coeffs)), e))
-
-    @staticmethod
-    def _common(x: "Cyclotomic", y: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic", int]:
-        e = math.lcm(x.conductor, y.conductor)
-        return x.promoted(e), y.promoted(e), e
-
-    # -- arithmetic ----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(v) -> "Cyclotomic":
-        if isinstance(v, Cyclotomic):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return Cyclotomic.from_rational(v)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other) -> "Cyclotomic":
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, e = Cyclotomic._common(self, other)
-        return Cyclotomic(e, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "Cyclotomic":
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Cyclotomic":
-        return Cyclotomic._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Cyclotomic":
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, e = Cyclotomic._common(self, other)
-        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    prod[i + j] += x * y
-        return Cyclotomic(e, _reduce_exponents(enumerate(prod), e))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Cyclotomic":
-        """Division by a nonzero rational only."""
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyclotomic(self.conductor, tuple(c / q for c in self.coeffs))
-        return NotImplemented
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, zeta -> zeta^-1."""
-        e = self.conductor
-        return Cyclotomic(e, _reduce_exponents(((-i, c) for i, c in enumerate(self.coeffs)), e))
-
-    # -- predicates and views -------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def rational_part(self) -> Fraction:
-        """The value as a Fraction; raises ValueError if it is irrational."""
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
-    def sort_key(self, conductor: int) -> tuple[Fraction, ...]:
-        """Coefficient tuple at a common conductor, for deterministic ordering."""
-        return self.promoted(conductor).coeffs
-
     def __eq__(self, other) -> bool:
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
+        """Equal values, at the lcm of the conductors; a rational equals a
+        rational value with the same constant term."""
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.coeffs[0] == other
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b, _ = Cyclotomic._common(self, other)
-        return a.coeffs == b.coeffs
+        e = math.lcm(self.conductor, other.conductor)
+        (a, b), _ = _exponent_vector((self, other), e)
+        return _reduce_exponents(a, e) == _reduce_exponents(b, e)
 
     # equal values can carry different conductors (zeta_6 vs -zeta_3^2), so a
-    # conductor-dependent hash would break the hash contract; sort_key() gives
-    # a canonical comparable form when one is needed
+    # conductor-dependent hash would break the hash contract
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:

@@ -28,7 +28,7 @@ class NotInNormalizerError(StackyError):
 
 
 class NotRationalError(StackyError):
-    """Cyclotomic value asserted rational has a nonzero irrational part."""
+    """An inner product of two class functions is not rational."""
 
 
 class NonIntegralConstantError(StackyError):

@@ -215,7 +215,8 @@ def random_coset_model(rng: random.Random, G: FiniteGroup,
 def suite_inputs(seed: int, count: int = 100
                  ) -> Iterator[tuple[str, EquivariantModel, FiniteGroup, int]]:
     """Deterministic stream of (label, model, second factor, characteristic).
-    Each group is built once per process (see _POOL)."""
+    Each group is built once per process (see _POOL) and shared by every call
+    and run_suite after it, so X.group and H are read-only."""
     rng = random.Random(seed)
     for i in range(count):
         gname, make = rng.choice(_POOL)

@@ -12,6 +12,8 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
+from stacky.cyclo import Cyclotomic
+
 
 def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[x] for x in b)
@@ -194,8 +196,9 @@ def units_mod(m: int) -> list[int]:
 def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
@@ -238,6 +241,88 @@ def cyclotomic_poly_naive(e: int) -> tuple[Fraction, ...]:
             rem[i + j] -= c * dv
     assert all(r == 0 for r in rem)
     return tuple(out)
+
+
+class Cyc(Cyclotomic):
+    """The reference field Q(zeta_e): Cyclotomic values with exact arithmetic,
+    reduced only by poly_mod_cyclotomic_naive, never by the package's kernel.
+    Mixed conductors meet at the lcm; equality is the package's own."""
+
+    @classmethod
+    def of(cls, v, e: int = 1) -> "Cyc":
+        """v as a reference value: a Cyclotomic keeps its conductor; a rational,
+        or a polynomial in zeta_e (coefficients, low degree first), is reduced
+        at conductor e."""
+        if isinstance(v, Cyclotomic):
+            return v if isinstance(v, Cyc) else cls(v.conductor, v.coeffs)
+        return cls(e, poly_mod_cyclotomic_naive([v] if isinstance(v, (int, Fraction))
+                                                else list(v), e))
+
+    @classmethod
+    def zeta(cls, e: int, power: int = 1) -> "Cyc":
+        return cls.of([0] * (power % e) + [1], e)
+
+    def at(self, e: int) -> "Cyc":
+        """The same value at conductor e, a multiple of the conductor c:
+        zeta_c = zeta_e^(e/c)."""
+        if e == self.conductor:
+            return self
+        step, rest = divmod(e, self.conductor)
+        if rest:
+            raise ValueError(f"cannot promote conductor {self.conductor} into {e}")
+        poly = [Fraction(0)] * (step * len(self.coeffs))
+        poly[::step] = self.coeffs
+        return Cyc.of(poly, e)
+
+    def _pair(self, other) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], int]:
+        other = Cyc.of(other)
+        e = math.lcm(self.conductor, other.conductor)
+        return self.at(e).coeffs, other.at(e).coeffs, e
+
+    def __add__(self, other) -> "Cyc":
+        a, b, e = self._pair(other)
+        return Cyc(e, map(Fraction.__add__, a, b))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Cyc":
+        return Cyc(self.conductor, (-c for c in self.coeffs))
+
+    def __sub__(self, other) -> "Cyc":
+        return self + -Cyc.of(other)
+
+    def __mul__(self, other) -> "Cyc":
+        if isinstance(other, (int, Fraction)):
+            return Cyc(self.conductor, (c * other for c in self.coeffs))
+        a, b, e = self._pair(other)
+        return Cyc.of(poly_mul(a, b), e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, q) -> "Cyc":
+        """Division by a nonzero rational only."""
+        return Cyc(self.conductor, (c / q for c in self.coeffs))
+
+    def conjugate(self) -> "Cyc":
+        """zeta -> zeta^-1, which sends zeta^i to zeta^(e - i)."""
+        e = self.conductor
+        poly = [Fraction(0)] * e
+        for i, c in enumerate(self.coeffs):
+            poly[-i % e] += c
+        return Cyc.of(poly, e)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def rational_part(self) -> Fraction:
+        """The value as a Fraction; raises ValueError if it is irrational."""
+        if not self.is_rational():
+            raise ValueError(f"{self!r} is not rational")
+        return self.coeffs[0]
+
+    def sort_key(self, e: int) -> tuple[Fraction, ...]:
+        """The coefficients at a common conductor e, for a deterministic order."""
+        return self.at(e).coeffs
 
 
 def per_class_lift(chi_q, powers, e: int, q: int, theta: int, deg: int) -> list[Fraction]:

@@ -16,12 +16,12 @@ from pathlib import Path
 import pytest
 
 import oracles
+from oracles import Cyc
 from stacky.chars import character_table, rep_ring
 from stacky.cli import cmd_motive_bh, cmd_motive_curve, cmd_motive_gerbe, \
     cmd_motive_quotient, load_document, render_json
 from stacky.corresp import Correspondence, compose, eye, mat_mul, matrix, rref, \
     split_idempotent
-from stacky.cyclo import Cyclotomic
 from stacky.decomp import (
     GerbeDatum,
     bh_motive,
@@ -101,11 +101,11 @@ def test_criterion_2_product_structure():
         for i in range(r):
             for j in range(r):
                 for ci in range(r):
-                    acc = Cyclotomic.from_rational(0)
+                    acc = Cyc.of(0)
                     for k in range(r):
                         if n[i][j][k]:
-                            acc = acc + T.rows[k][ci] * n[i][j][k]
-                    ok = ok and acc == T.rows[i][ci] * T.rows[j][ci]
+                            acc = acc + Cyc.of(T.rows[k][ci]) * n[i][j][k]
+                    ok = ok and acc == Cyc.of(T.rows[i][ci]) * T.rows[j][ci]
     _report(2, "representation-ring product structure", ok)
     assert ok
 

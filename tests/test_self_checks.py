@@ -18,6 +18,7 @@ from typing import Any, Callable, NamedTuple
 
 import pytest
 
+from oracles import Cyc
 import stacky.chars as chars
 import stacky.corresp as corresp
 import stacky.decomp as decomp
@@ -183,7 +184,7 @@ GROUP_CHARS = ("group", "--chars")
 CASES: dict[str, Case] = {
     # --- character tables: the abelian path's rows, corrupted on C3
     "chars.degree_positive": Case(
-        abelian_rows(lambda rows: rows[:-1] + [tuple(-v for v in rows[-1])]),
+        abelian_rows(lambda rows: rows[:-1] + [tuple(-Cyc.of(v) for v in rows[-1])]),
         lambda: character_table(cyclic_group(3)),
         "character degree -1 is not a positive integer",
         GROUP_CHARS, group_doc(cyclic_group(3))),
@@ -198,7 +199,7 @@ CASES: dict[str, Case] = {
         "row count differs from class count",
         GROUP_CHARS, group_doc(cyclic_group(3))),
     "chars.degree_squares": Case(
-        abelian_rows(lambda rows: rows[:-1] + [tuple(2 * v for v in rows[-1])]),
+        abelian_rows(lambda rows: rows[:-1] + [tuple(2 * Cyc.of(v) for v in rows[-1])]),
         lambda: character_table(cyclic_group(3)),
         "degree squares do not sum to the group order",
         GROUP_CHARS, group_doc(cyclic_group(3))),

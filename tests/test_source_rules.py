@@ -133,3 +133,22 @@ def test_the_element_route_reads_no_exponent_or_character_row():
                 todo.append(read)
     assert {"inertia", "inertia_ranks_by_twist", "_orbit_ranks"} <= reached
     assert found == [], f"the element route reads: {', '.join(found)}"
+
+
+def test_cyclotomic_is_a_plain_value_type():
+    # tables are built, checked and paired on the integer kernel of cyclo.py;
+    # field arithmetic lives in the tests' reference field, oracles.Cyc
+    tree = ast.parse((SOURCE / "cyclo.py").read_text(encoding="utf-8"))
+    body = next(node.body for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "Cyclotomic")
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        else:
+            assert isinstance(node, ast.Expr), f"cyclo.py:{node.lineno} in class Cyclotomic"
+    assert names == {"__slots__", "__init__", "zeta", "is_rational", "__eq__", "__hash__",
+                     "__repr__", "__str__"}, sorted(names)

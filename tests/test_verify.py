@@ -159,6 +159,9 @@ def test_a_tampered_public_group_does_not_reach_the_suite():
     # tampers with one leaves the suite's own S3 as it was
     seeds = (29, 30, 35)  # each draws S3 as its model's group
     assert all("group=S3" in next(suite_inputs(s, 1))[0] for s in seeds)
+    # whereas suite_inputs hands out the suite's kept S3 on every call, which
+    # is why its groups are read-only and a tampering test builds its own
+    assert next(suite_inputs(29, 1))[1].group is next(suite_inputs(29, 1))[1].group
     before = _suite_dicts(seeds)
     S3 = symmetric_group(3)
     assert S3 is not symmetric_group(3)
